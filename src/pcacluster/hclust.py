@@ -88,17 +88,6 @@ class Dendrogram:
     def n_leaves(self) -> int:
         return len(self.labels)
 
-    def leaf_members(self) -> list[tuple[int, ...]]:
-        """Sorted leaf indices of the cluster created at each step."""
-        members: list[tuple[int, ...]] = []
-
-        def resolve(node: int) -> tuple[int, ...]:
-            return (-node - 1,) if node < 0 else members[node - 1]
-
-        for merge in self.merges:
-            members.append(tuple(sorted(resolve(merge.left) + resolve(merge.right))))
-        return members
-
     def leaf_order(self) -> list[int]:
         """Left-to-right leaf indices as drawn, left child before right."""
         if not self.merges:

@@ -1,16 +1,12 @@
-"""Dense symmetric linear algebra: correlation matrices and a Jacobi eigensolver.
+"""Dense symmetric linear algebra: correlation matrices and their eigendecomposition.
 
-The eigensolver is a cyclic Jacobi method with a round-robin rotation
-schedule: each sweep visits every off-diagonal pair exactly once, in
-rounds of pairwise-disjoint rotations. Disjoint rotations within a round
-only touch their own rows/columns, so a round can be applied as one
-vectorized block without changing which entry each rotation annihilates.
-The schedule is fixed, making results deterministic for a given input.
+The eigensolver calls LAPACK's symmetric driver through numpy.linalg.eigh,
+then fixes the order (descending) and the sign of each eigenvector so
+that results do not depend on the LAPACK build's conventions.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +14,10 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .ingest import IndicatorTable
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_SWEEPS = 100
-
 
 @dataclass(frozen=True, eq=False)
 class SymmetricMatrix:
-    """A p x p symmetric matrix, exactly equal to its transpose."""
+    """A p x p finite matrix, exactly equal to its transpose."""
 
     values: np.ndarray
 
@@ -32,6 +25,8 @@ class SymmetricMatrix:
         grid = np.array(self.values, dtype=float)
         if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
             raise ValidationError("symmetric matrix must be square")
+        if not np.isfinite(grid).all():
+            raise ValidationError("matrix has non-finite entries")
         if not np.array_equal(grid, grid.T):
             raise ValidationError("matrix is not exactly symmetric")
         grid.flags.writeable = False
@@ -90,86 +85,20 @@ def correlation_matrix(table: IndicatorTable) -> SymmetricMatrix:
     return SymmetricMatrix(corr)
 
 
-def _round_robin_schedule(p: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Rounds of disjoint index pairs covering every pair once per sweep."""
-    slots = p + (p & 1)
-    players = list(range(slots))
-    rounds: list[tuple[np.ndarray, np.ndarray]] = []
-    for _ in range(slots - 1):
-        ks: list[int] = []
-        ls: list[int] = []
-        for i in range(slots // 2):
-            x, y = players[i], players[slots - 1 - i]
-            if x < p and y < p:
-                ks.append(min(x, y))
-                ls.append(max(x, y))
-        if ks:
-            rounds.append((np.asarray(ks), np.asarray(ls)))
-        players = [players[0], players[-1]] + players[1:-1]
-    return rounds
+def jacobi_eigen(m: SymmetricMatrix) -> EigenDecomposition:
+    """Full eigendecomposition of a symmetric matrix by LAPACK (numpy.linalg.eigh).
 
-
-def jacobi_eigen(
-    m: SymmetricMatrix,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps run until the off-diagonal Frobenius norm drops below
-    tol * (Frobenius norm of m); exceeding max_sweeps raises
-    NumericalError, which signals a malformed input.
+    Eigenpairs are sorted descending with the sign convention of
+    EigenDecomposition. A LAPACK failure or a non-finite result raises
+    NumericalError.
     """
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
-    p = m.order
-    # w = [A | V]: one column rotation covers both the similarity update
-    # of A and the accumulation of the eigenvector product in V.
-    w = np.hstack([np.array(m.values, dtype=float), np.eye(p)])
-    a = w[:, :p]
-    threshold = tol * float(np.linalg.norm(m.values))
-    upper = np.triu_indices(p, 1)
-    schedule = []
-    for ks, ls in _round_robin_schedule(p):
-        both_k = np.concatenate([ks, ks + p])
-        both_l = np.concatenate([ls, ls + p])
-        schedule.append((ks, ls, both_k, both_l))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_sweeps):
-            off = math.sqrt(2.0 * float(np.sum(a[upper] ** 2)))
-            if off <= threshold:
-                return _finish(np.diag(a).copy(), w[:, p:].copy())
-            for ks, ls, both_k, both_l in schedule:
-                akl = a[ks, ls]
-                if not akl.any():
-                    continue
-                h = a[ls, ls] - a[ks, ks]
-                theta = 0.5 * h / akl
-                t = np.where(theta >= 0.0, 1.0, -1.0) / (
-                    np.abs(theta) + np.sqrt(1.0 + theta * theta)
-                )
-                bad = ~np.isfinite(t)
-                if bad.any():
-                    # akl == 0 (theta undefined): rotate by zero, leave the
-                    # entry alone; it is zeroed explicitly below anyway.
-                    t[bad] = 0.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                c2 = np.concatenate([c, c])
-                s2 = np.concatenate([s, s])
-                col_k = w[:, both_k]
-                col_l = w[:, both_l]
-                w[:, both_k] = c2 * col_k - s2 * col_l
-                w[:, both_l] = s2 * col_k + c2 * col_l
-                row_k = a[ks, :]
-                row_l = a[ls, :]
-                a[ks, :] = c[:, None] * row_k - s[:, None] * row_l
-                a[ls, :] = s[:, None] * row_k + c[:, None] * row_l
-                a[ks, ls] = 0.0
-                a[ls, ks] = 0.0
-    raise NumericalError(
-        f"Jacobi eigensolver did not converge within {max_sweeps} sweeps"
-    )
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(m.values)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
+    if not (np.isfinite(eigenvalues).all() and np.isfinite(eigenvectors).all()):
+        raise NumericalError("symmetric eigensolver produced non-finite values")
+    return _finish(eigenvalues, eigenvectors)
 
 
 def _finish(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> EigenDecomposition:

@@ -21,7 +21,7 @@ from .config import PipelineConfig
 from .errors import PcaClusterError, ValidationError
 from .hclust import Dendrogram, Partition, complete_linkage, cluster_variables, cut, euclidean_distances
 from .ingest import IndicatorTable, impute_means, load_table, standardize, write_table
-from .pca import PcaModel, coefficients, fit_pca, loadings, scores, select_components, write_variance_table
+from .pca import PcaModel, coefficients, component_names, fit_pca, loadings, scores, select_components, write_variance_table
 from .profiles import format_profile_table, profile
 from .synth import generate_synthetic
 from .tables import format_float, write_labeled_matrix, write_rows
@@ -83,17 +83,6 @@ def _contingency_text(table: ContingencyTable, rand: float, ari: float,
     return "\n".join(lines) + "\n"
 
 
-def _component_names(config: PipelineConfig, k: int) -> tuple[str, ...]:
-    if config.component_labels is None:
-        return tuple(f"f{j + 1}" for j in range(k))
-    if len(config.component_labels) != k:
-        raise ValidationError(
-            f"{len(config.component_labels)} component labels given "
-            f"but {k} components retained"
-        )
-    return config.component_labels
-
-
 def run_pipeline(config: PipelineConfig) -> RunArtifacts:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -124,7 +113,13 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
     with _stage("pca"):
         model = fit_pca(table)
         model = model.with_components(select_components(model, config.component_rule))
-        names = _component_names(config, model.k)
+        names = config.component_labels
+        if names is None:
+            names = component_names(model.k)
+        if len(names) != model.k:
+            raise ValidationError(
+                f"{len(names)} component labels given but {model.k} components retained"
+            )
         coef = coefficients(model)
         load = loadings(model)
         score = scores(model, table)

@@ -29,6 +29,15 @@ class TestSymmetricMatrix:
         with pytest.raises(ValidationError, match="square"):
             SymmetricMatrix(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("values", [
+        [[np.inf, 1.0], [1.0, 1.0]],
+        [[1.0, np.inf], [np.inf, 1.0]],
+        [[1.0, np.nan], [np.nan, 1.0]],
+    ])
+    def test_rejects_non_finite(self, values):
+        with pytest.raises(ValidationError, match="non-finite"):
+            SymmetricMatrix(values)
+
 
 class TestCorrelationMatrix:
     def test_identical_columns_fully_correlated(self):
@@ -107,20 +116,24 @@ class TestJacobiEigen:
         assert abs(eig.eigenvalues[0] - 25.0) < 1e-9
         assert np.allclose(eig.eigenvectors[:, 0], [0.6, 0.0, 0.8], atol=1e-9)
 
-    def test_sweep_cap_raises(self):
-        m = SymmetricMatrix([[1.0, 0.5], [0.5, 1.0]])
-        with pytest.raises(NumericalError, match="did not converge"):
-            jacobi_eigen(m, max_sweeps=0)
-
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValidationError, match="tol"):
-            jacobi_eigen(SymmetricMatrix(np.eye(2)), tol=0.0)
-
     def test_extreme_scale_spread(self):
         m = SymmetricMatrix([[1e-20, 1.0], [1.0, 1e20]])
         eig = jacobi_eigen(m)
         rebuilt = eig.eigenvectors @ np.diag(eig.eigenvalues) @ eig.eigenvectors.T
         assert np.max(np.abs(rebuilt - m.values)) < 1e-9 * np.linalg.norm(m.values)
+
+    def test_overflowing_eigenvalue_raises(self):
+        # finite entries whose largest eigenvalue (2e308) overflows
+        with pytest.raises(NumericalError, match="non-finite"):
+            jacobi_eigen(SymmetricMatrix([[1e308, 1e308], [1e308, 1e308]]))
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalError, match="did not converge"):
+            jacobi_eigen(SymmetricMatrix(np.eye(2)))
 
 
 class TestCorrelationSpectrum:
