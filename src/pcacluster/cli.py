@@ -20,9 +20,8 @@ from . import __version__
 from .config import load_pipeline_config, load_synthetic_spec
 from .errors import NumericalError, ValidationError
 from .ingest import write_table
-from .pipeline import run_pipeline
+from .pipeline import _Sink, run_pipeline
 from .synth import generate_synthetic
-from .tables import write_rows
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,17 +51,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     spec = load_synthetic_spec(args.spec)
     table, truth = generate_synthetic(spec)
-    args.out.mkdir(parents=True, exist_ok=True)
-    table_path = args.out / "synthetic_table.csv"
-    truth_path = args.out / "partition_truth.csv"
-    write_table(table, table_path)
-    write_rows(
-        truth_path,
-        ["region", "cluster"],
-        ([label, str(c)] for label, c in zip(table.region_labels, truth.assignment)),
-    )
-    print(f"wrote {table_path}")
-    print(f"wrote {truth_path}")
+    sink = _Sink(args.out)
+    write_table(table, sink.path("synthetic_table.csv"))
+    sink.partition("partition_truth.csv", table.region_labels, truth)
+    for rel in sink.written:
+        print(f"wrote {args.out / rel}")
     return 0
 
 

@@ -37,6 +37,8 @@ class DistanceMatrix:
             )
         if len(self.labels) != self.n:
             raise ValidationError("label count does not match n")
+        if not np.isfinite(condensed).all():
+            raise ValidationError("distances must be finite")
         if np.any(condensed < 0):
             raise ValidationError("distances must be non-negative")
         condensed.flags.writeable = False
@@ -90,16 +92,18 @@ class Dendrogram:
 
     def leaf_order(self) -> list[int]:
         """Left-to-right leaf indices as drawn, left child before right."""
-        if not self.merges:
-            return list(range(self.n_leaves))
-
-        def walk(node: int) -> list[int]:
+        # an explicit stack, not recursion: duplicate rows chain merges
+        # deeper than the recursion limit; with no merges the root is leaf 0
+        order: list[int] = []
+        stack = [len(self.merges) or -1]
+        while stack:
+            node = stack.pop()
             if node < 0:
-                return [-node - 1]
-            merge = self.merges[node - 1]
-            return walk(merge.left) + walk(merge.right)
-
-        return walk(len(self.merges))
+                order.append(-node - 1)
+            else:
+                merge = self.merges[node - 1]
+                stack += [merge.right, merge.left]
+        return order
 
 
 @dataclass(frozen=True, eq=False)

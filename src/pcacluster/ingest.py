@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
+from .tables import format_float
 
 MISSING_TOKEN = "NA"
 
@@ -166,8 +167,8 @@ def write_table(
 ) -> None:
     """Write a table in the same delimited format load_table reads.
 
-    Floats are serialized with repr (shortest round-trip form, at most
-    17 significant digits), so write -> load reproduces values
+    Floats are serialized with format_float (repr: the shortest round-trip
+    form, at most 17 significant digits), so write -> load reproduces values
     bit-exactly. Missing entries become empty cells.
     """
     path = Path(path)
@@ -175,15 +176,9 @@ def write_table(
         writer = csv.writer(handle, delimiter=options.delimiter, lineterminator="\n")
         writer.writerow([region_column, *table.indicator_labels])
         for label, row in zip(table.region_labels, table.values):
-            cells = ["" if math.isnan(x) else _format_value(x, options.decimal) for x in row]
+            cells = ["" if math.isnan(x) else format_float(x).replace(".", options.decimal)
+                     for x in row]
             writer.writerow([label, *cells])
-
-
-def _format_value(x: float, decimal: str) -> str:
-    text = repr(float(x))
-    if decimal == ",":
-        text = text.replace(".", ",")
-    return text
 
 
 def impute_means(table: IndicatorTable) -> IndicatorTable:

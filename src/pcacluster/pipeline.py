@@ -21,13 +21,15 @@ from .config import PipelineConfig
 from .errors import PcaClusterError, ValidationError
 from .hclust import Dendrogram, Partition, complete_linkage, cluster_variables, cut, euclidean_distances
 from .ingest import IndicatorTable, impute_means, load_table, standardize, write_table
-from .pca import PcaModel, coefficients, component_names, fit_pca, loadings, scores, select_components, write_variance_table
+from .pca import LoadingMatrix, PcaModel, ScoreMatrix, coefficients, component_names, fit_pca, loadings, scores, select_components, write_variance_table
 from .profiles import format_profile_table, profile
 from .synth import generate_synthetic
 from .tables import format_float, write_labeled_matrix, write_rows
 from . import svgplot
 
 logger = logging.getLogger(__name__)
+
+_MERGE_HEADER = ["step", "left", "right", "height", "size"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,6 +44,50 @@ class RunArtifacts:
     concordance_stats: dict[str, float]
 
 
+class _Sink:
+    """The one writer of artifacts under an output directory.
+
+    Records every relative path it hands out or writes, so the manifest
+    is the summary of what was written.
+    """
+
+    def __init__(self, out: Path) -> None:
+        self.out = out
+        self.written: list[str] = []
+        out.mkdir(parents=True, exist_ok=True)
+
+    def path(self, rel: str) -> Path:
+        """Record rel and return its path, parent directory created."""
+        self.written.append(rel)
+        path = self.out / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path
+
+    def text(self, rel: str, text: str) -> None:
+        self.path(rel).write_text(text, encoding="utf-8", newline="\n")
+
+    def rows(self, rel: str, header, rows) -> None:
+        write_rows(self.path(rel), header, rows)
+
+    def partition(self, rel: str, labels, part: Partition, item_header: str = "region") -> None:
+        self.rows(rel, [item_header, "cluster"],
+                  ([label, str(c)] for label, c in zip(labels, part.assignment)))
+
+    def plot(self, name: str, svg: str, header, rows) -> None:
+        """A figure and the CSV twin of its plotted values."""
+        self.text(f"plots/{name}.svg", svg)
+        self.rows(f"plots/{name}.csv", header, rows)
+
+    def manifest(self) -> tuple[Path, tuple[str, ...]]:
+        """Write manifest.txt from the files as read back; return it and the sorted paths."""
+        files = tuple(sorted(self.written))
+        lines = [f"{hashlib.sha256((self.out / rel).read_bytes()).hexdigest()}  {rel}"
+                 for rel in files]
+        path = self.out / "manifest.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        return path, files
+
+
 @contextmanager
 def _stage(name: str):
     logger.info("stage %s", name)
@@ -53,55 +99,34 @@ def _stage(name: str):
         raise ValidationError(f"{name}: {exc}") from exc
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
+def _merge_rows(dend: Dendrogram):
+    for step, m in enumerate(dend.merges, start=1):
+        yield [str(step), str(m.left), str(m.right), format_float(m.height), str(m.size)]
 
 
-def _write_dendrogram(path: Path, dend: Dendrogram) -> None:
-    rows = (
-        [str(step), str(m.left), str(m.right), format_float(m.height), str(m.size)]
-        for step, m in enumerate(dend.merges, start=1)
-    )
-    write_rows(path, ["step", "left", "right", "height", "size"], rows)
+def _labeled_rows(labels, grid):
+    return ([label, *map(format_float, row)] for label, row in zip(labels, grid))
 
 
-def _write_partition(path: Path, labels, part: Partition, item_header: str) -> None:
-    rows = ([label, str(c)] for label, c in zip(labels, part.assignment))
-    write_rows(path, [item_header, "cluster"], rows)
-
-
-def _contingency_text(table: ContingencyTable, rand: float, ari: float,
-                      extra: dict[str, float]) -> str:
+def _contingency_text(table: ContingencyTable, stats: dict[str, float]) -> str:
     lines = ["contingency rows=raw columns=components"]
     lines.append(",".join([""] + [f"c{j + 1}" for j in range(len(table.counts[0]))]))
     for i, row in enumerate(table.counts, start=1):
         lines.append(",".join([f"r{i}"] + [str(v) for v in row]))
-    lines.append(f"rand={format_float(rand)} ari={format_float(ari)}")
-    for key, value in extra.items():
-        lines.append(f"{key}={format_float(value)}")
+    lines.append(f"rand={format_float(stats['rand'])} ari={format_float(stats['ari'])}")
+    lines += [f"{key}={format_float(value)}" for key, value in stats.items()
+              if key not in ("rand", "ari")]
     return "\n".join(lines) + "\n"
 
 
 def run_pipeline(config: PipelineConfig) -> RunArtifacts:
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[str] = []
-
-    def emit_rows(rel: str, header, rows) -> None:
-        write_rows(out / rel, header, rows)
-        written.append(rel)
-
-    def emit_text(rel: str, text: str) -> None:
-        _write_text(out / rel, text)
-        written.append(rel)
+    sink = _Sink(config.output_dir)
 
     truth: Partition | None = None
     with _stage("load"):
         if config.synthetic is not None:
             raw_table, truth = generate_synthetic(config.synthetic)
-            write_table(raw_table, out / "synthetic_table.csv")
-            written.append("synthetic_table.csv")
+            write_table(raw_table, sink.path("synthetic_table.csv"))
         else:
             raw_table = load_table(config.input_path, config.parse_options)
 
@@ -120,19 +145,16 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             raise ValidationError(
                 f"{len(names)} component labels given but {model.k} components retained"
             )
-        coef = coefficients(model)
         load = loadings(model)
         score = scores(model, table)
-        write_variance_table(model, out / "variance_table.csv")
-        written.append("variance_table.csv")
+        write_variance_table(model, sink.path("variance_table.csv"))
         for rel, matrix, row_header in (
-            ("coefficients.csv", coef, "indicator"),
+            ("coefficients.csv", coefficients(model), "indicator"),
             ("loadings.csv", load, "indicator"),
             ("scores.csv", score, "region"),
         ):
-            write_labeled_matrix(out / rel, matrix.entries, row_header,
+            write_labeled_matrix(sink.path(rel), matrix.entries, row_header,
                                  matrix.row_labels, names)
-            written.append(rel)
 
     dendrograms: dict[str, Dendrogram] = {}
     partitions: dict[str, Partition] = {}
@@ -141,30 +163,20 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             raise ValidationError(
                 f"k_regions={config.k_regions} exceeds region count {table.n_regions}"
             )
-        if config.cluster_space in ("raw", "both"):
-            dend = complete_linkage(
-                euclidean_distances(table.values, table.region_labels)
-            )
-            dendrograms["raw"] = dend
-            partitions["raw"] = cut(dend, config.k_regions)
-            _write_dendrogram(out / "dendrogram_raw.csv", dend)
-            written.append("dendrogram_raw.csv")
-            _write_partition(out / "partition_raw.csv", table.region_labels,
-                             partitions["raw"], "region")
-            written.append("partition_raw.csv")
-        if config.cluster_space in ("components", "both"):
-            columns = model.k if config.score_columns == "retained" else model.p
-            cluster_scores = scores(model, table, n_columns=columns)
-            dend = complete_linkage(
-                euclidean_distances(cluster_scores.entries, table.region_labels)
-            )
-            dendrograms["components"] = dend
-            partitions["components"] = cut(dend, config.k_regions)
-            _write_dendrogram(out / "dendrogram_components.csv", dend)
-            written.append("dendrogram_components.csv")
-            _write_partition(out / "partition_components.csv", table.region_labels,
-                             partitions["components"], "region")
-            written.append("partition_components.csv")
+        for space in ("raw", "components"):
+            if config.cluster_space not in (space, "both"):
+                continue
+            if space == "raw":
+                points = table.values
+            elif config.score_columns == "retained":
+                points = score.entries
+            else:
+                points = scores(model, table, n_columns=model.p).entries
+            dend = complete_linkage(euclidean_distances(points, table.region_labels))
+            dendrograms[space] = dend
+            partitions[space] = cut(dend, config.k_regions)
+            sink.rows(f"dendrogram_{space}.csv", _MERGE_HEADER, _merge_rows(dend))
+            sink.partition(f"partition_{space}.csv", table.region_labels, partitions[space])
 
     with _stage("cluster-variables"):
         if config.k_vars > table.n_indicators:
@@ -173,179 +185,104 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             )
         var_dend = cluster_variables(table)
         partitions["variables"] = cut(var_dend, config.k_vars)
-        _write_dendrogram(out / "dendrogram_variables.csv", var_dend)
-        written.append("dendrogram_variables.csv")
-        _write_partition(out / "partition_variables.csv", table.indicator_labels,
-                         partitions["variables"], "indicator")
-        written.append("partition_variables.csv")
+        sink.rows("dendrogram_variables.csv", _MERGE_HEADER, _merge_rows(var_dend))
+        sink.partition("partition_variables.csv", table.indicator_labels,
+                       partitions["variables"], "indicator")
 
     concordance_stats: dict[str, float] = {}
     if truth is not None:
         partitions["truth"] = truth
-        _write_partition(out / "partition_truth.csv", table.region_labels, truth, "region")
-        written.append("partition_truth.csv")
+        sink.partition("partition_truth.csv", table.region_labels, truth)
     with _stage("concordance"):
         if "raw" in partitions and "components" in partitions:
-            pair = contingency(partitions["raw"], partitions["components"])
-            concordance_stats["rand"] = rand_index(partitions["raw"], partitions["components"])
-            concordance_stats["ari"] = adjusted_rand_index(
-                partitions["raw"], partitions["components"]
-            )
-            extra: dict[str, float] = {}
+            raw, comp = partitions["raw"], partitions["components"]
+            pair = contingency(raw, comp)
+            concordance_stats["rand"] = rand_index(raw, comp)
+            concordance_stats["ari"] = adjusted_rand_index(raw, comp)
             if truth is not None:
-                extra["ari_raw_truth"] = adjusted_rand_index(partitions["raw"], truth)
-                extra["ari_components_truth"] = adjusted_rand_index(
-                    partitions["components"], truth
-                )
-                concordance_stats.update(extra)
-            emit_text(
-                "concordance.txt",
-                _contingency_text(pair, concordance_stats["rand"],
-                                  concordance_stats["ari"], extra),
-            )
+                concordance_stats["ari_raw_truth"] = adjusted_rand_index(raw, truth)
+                concordance_stats["ari_components_truth"] = adjusted_rand_index(comp, truth)
+            sink.text("concordance.txt", _contingency_text(pair, concordance_stats))
 
-    final_space = "components" if "components" in partitions else "raw"
-    final_partition = partitions[final_space]
+    final_partition = partitions["components" if "components" in partitions else "raw"]
     with _stage("profile"):
         rows = profile(imputed, final_partition)
-        emit_rows(
+        sink.rows(
             "profiles.csv",
             ["cluster", "indicator", "average", "standard_deviation", "skewness",
              "kurtosis", "to_country_average_percent"],
-            (
-                [str(r.cluster), r.indicator, format_float(r.average),
-                 "" if r.standard_deviation is None else format_float(r.standard_deviation),
-                 "" if r.skewness is None else format_float(r.skewness),
-                 "" if r.kurtosis is None else format_float(r.kurtosis),
-                 "" if r.to_country_average_percent is None
-                 else format_float(r.to_country_average_percent)]
-                for r in rows
-            ),
+            ([str(r.cluster), r.indicator,
+              *("" if v is None else format_float(v)
+                for v in (r.average, r.standard_deviation, r.skewness, r.kurtosis,
+                          r.to_country_average_percent))]
+             for r in rows),
         )
         for cluster_id in range(1, final_partition.k + 1):
-            emit_text(f"profiles/cluster_{cluster_id}.csv",
-                      format_profile_table(rows, cluster_id))
+            sink.text(f"profiles/cluster_{cluster_id}.csv", format_profile_table(rows, cluster_id))
 
     with _stage("plots"):
-        emit_plots(out, written, config, table, model, score, dendrograms,
-                   final_partition, names)
+        emit_plots(sink, table, model, load, score, dendrograms, final_partition, names)
 
     with _stage("manifest"):
-        written_sorted = tuple(sorted(written))
-        manifest_lines = []
-        for rel in written_sorted:
-            digest = hashlib.sha256((out / rel).read_bytes()).hexdigest()
-            manifest_lines.append(f"{digest}  {rel}")
-        manifest_path = out / "manifest.txt"
-        _write_text(manifest_path, "\n".join(manifest_lines) + "\n")
+        manifest_path, files = sink.manifest()
 
     return RunArtifacts(
-        output_dir=out,
+        output_dir=sink.out,
         manifest_path=manifest_path,
-        files=written_sorted,
+        files=files,
         model=model,
         partitions=partitions,
         concordance_stats=concordance_stats,
     )
 
 
-def emit_plots(
-    out: Path,
-    written: list[str],
-    config: PipelineConfig,
-    table: IndicatorTable,
-    model: PcaModel,
-    score,
-    dendrograms: dict[str, Dendrogram],
-    final_partition: Partition,
-    names: tuple[str, ...],
-) -> None:
+def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
+               load: LoadingMatrix, score: ScoreMatrix,
+               dendrograms: dict[str, Dendrogram], final_partition: Partition,
+               names: tuple[str, ...]) -> None:
+    """The six figures under plots/, each with its CSV twin."""
     final_space = "components" if "components" in dendrograms else "raw"
     leaf_order = dendrograms[final_space].leaf_order()
     assignment = final_partition.assignment
+    values, regions, indicators = table.values, table.region_labels, table.indicator_labels
 
-    def emit(rel: str, text: str) -> None:
-        _write_text(out / rel, text)
-        written.append(rel)
-
-    emit("plots/scree.svg", svgplot.scree_svg(model.eigen.eigenvalues))
-    write_rows(
-        out / "plots/scree.csv",
-        ["dimension", "eigenvalue"],
-        ([str(i + 1), format_float(v)] for i, v in enumerate(model.eigen.eigenvalues)),
-    )
-    written.append("plots/scree.csv")
-
-    emit("plots/parallel_coordinates.svg", svgplot.parallel_coordinates_svg(
-        table.values, table.indicator_labels, assignment, leaf_order))
-    write_rows(
-        out / "plots/parallel_coordinates.csv",
-        ["region", "cluster", *table.indicator_labels],
-        (
-            [table.region_labels[i], str(assignment[i]),
-             *(format_float(v) for v in table.values[i])]
-            for i in leaf_order
-        ),
-    )
-    written.append("plots/parallel_coordinates.csv")
-
-    emit("plots/heatmap.svg", svgplot.heatmap_svg(
-        table.values, table.region_labels, table.indicator_labels, leaf_order))
-    write_rows(
-        out / "plots/heatmap.csv",
-        ["region", *table.indicator_labels],
-        (
-            [table.region_labels[i], *(format_float(v) for v in table.values[i])]
-            for i in leaf_order
-        ),
-    )
-    written.append("plots/heatmap.csv")
+    eigenvalues = model.eigen.eigenvalues
+    sink.plot("scree", svgplot.scree_svg(eigenvalues), ["dimension", "eigenvalue"],
+              ([str(i + 1), format_float(v)] for i, v in enumerate(eigenvalues)))
+    sink.plot("parallel_coordinates",
+              svgplot.parallel_coordinates_svg(values, indicators, assignment, leaf_order),
+              ["region", "cluster", *indicators],
+              ([regions[i], str(assignment[i]), *map(format_float, values[i])]
+               for i in leaf_order))
+    sink.plot("heatmap", svgplot.heatmap_svg(values, regions, indicators, leaf_order),
+              ["region", *indicators],
+              ([regions[i], *map(format_float, values[i])] for i in leaf_order))
 
     # first two axes drive both scatter figures even when only one
     # component was retained
-    plot_model = model if model.k >= 2 else model.with_components(2)
-    plot_loadings = loadings(plot_model).entries[:, :2]
-    plot_scores = scores(plot_model, table).entries[:, :2]
-    axis_names = tuple(names[:2]) if len(names) >= 2 else ("f1", "f2")
-
-    emit("plots/loadings.svg", svgplot.loadings_svg(
-        plot_loadings, table.indicator_labels, axis_names))
-    write_rows(
-        out / "plots/loadings.csv",
-        ["indicator", *axis_names],
-        (
-            [lbl, format_float(row[0]), format_float(row[1])]
-            for lbl, row in zip(table.indicator_labels, plot_loadings)
-        ),
-    )
-    written.append("plots/loadings.csv")
+    if model.k >= 2:
+        plot_loadings, plot_scores = load.entries[:, :2], score.entries[:, :2]
+        axis_names = tuple(names[:2])
+    else:
+        plot_model = model.with_components(2)
+        plot_loadings = loadings(plot_model).entries
+        plot_scores = scores(plot_model, table).entries
+        axis_names = ("f1", "f2")
+    sink.plot("loadings", svgplot.loadings_svg(plot_loadings, indicators, axis_names),
+              ["indicator", *axis_names], _labeled_rows(indicators, plot_loadings))
 
     # arrows scaled so loadings and scores share the frame
     max_load = float(np.abs(plot_loadings).max())
     max_score = float(np.abs(plot_scores).max())
-    arrow_scale = (max_score / max_load) if max_load > 0 else 1.0
-    arrows = plot_loadings * arrow_scale
-    emit("plots/biplot.svg", svgplot.biplot_svg(
-        plot_scores, assignment, arrows, table.indicator_labels, axis_names))
-    biplot_rows = [
-        ["score", lbl, format_float(xy[0]), format_float(xy[1])]
-        for lbl, xy in zip(table.region_labels, plot_scores)
-    ] + [
-        ["loading_arrow", lbl, format_float(xy[0]), format_float(xy[1])]
-        for lbl, xy in zip(table.indicator_labels, arrows)
-    ]
-    write_rows(out / "plots/biplot.csv", ["kind", "label", "x", "y"], biplot_rows)
-    written.append("plots/biplot.csv")
+    arrows = plot_loadings * ((max_score / max_load) if max_load > 0 else 1.0)
+    sink.plot("biplot",
+              svgplot.biplot_svg(plot_scores, assignment, arrows, indicators, axis_names),
+              ["kind", "label", "x", "y"],
+              [["score", *row] for row in _labeled_rows(regions, plot_scores)]
+              + [["loading_arrow", *row] for row in _labeled_rows(indicators, arrows)])
 
-    panel_titles = {"raw": "initial variables", "components": "component scores"}
-    panels = [(panel_titles[key], dendrograms[key])
-              for key in ("raw", "components") if key in dendrograms]
-    emit("plots/dendrograms.svg", svgplot.dendrograms_svg(panels))
-    dend_rows = []
-    for title, dend in panels:
-        for step, m in enumerate(dend.merges, start=1):
-            dend_rows.append([title, str(step), str(m.left), str(m.right),
-                              format_float(m.height), str(m.size)])
-    write_rows(out / "plots/dendrograms.csv",
-               ["panel", "step", "left", "right", "height", "size"], dend_rows)
-    written.append("plots/dendrograms.csv")
+    titles = {"raw": "initial variables", "components": "component scores"}
+    panels = [(titles[space], dend) for space, dend in dendrograms.items()]
+    sink.plot("dendrograms", svgplot.dendrograms_svg(panels),
+              ["panel", *_MERGE_HEADER],
+              ([title, *row] for title, dend in panels for row in _merge_rows(dend)))

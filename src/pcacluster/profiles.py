@@ -15,6 +15,8 @@ positive-variance requirement is not met are None and render as "n/a".
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -122,21 +124,20 @@ def _percent_cell(value: float | None) -> str:
 
 def format_profile_table(rows: list[ProfileRow], cluster_id: int) -> str:
     """One cluster's rows as delimited text in the report column layout."""
-    lines = ['Indicator,Average,Standard deviation,Skewness,kurtosis,"To country average, %"']
-    for row in rows:
-        if row.cluster != cluster_id:
-            continue
-        indicator = f'"{row.indicator}"' if "," in row.indicator else row.indicator
-        lines.append(
-            ",".join(
-                [
-                    indicator,
-                    f"{row.average:.7g}",
-                    UNDEFINED if row.standard_deviation is None else f"{row.standard_deviation:.7g}",
-                    _stat_cell(row.skewness),
-                    _stat_cell(row.kurtosis),
-                    _percent_cell(row.to_country_average_percent),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["Indicator", "Average", "Standard deviation", "Skewness", "kurtosis",
+                     "To country average, %"])
+    writer.writerows(
+        [
+            row.indicator,
+            f"{row.average:.7g}",
+            UNDEFINED if row.standard_deviation is None else f"{row.standard_deviation:.7g}",
+            _stat_cell(row.skewness),
+            _stat_cell(row.kurtosis),
+            _percent_cell(row.to_country_average_percent),
+        ]
+        for row in rows
+        if row.cluster == cluster_id
+    )
+    return buffer.getvalue()

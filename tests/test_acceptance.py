@@ -10,12 +10,13 @@ from __future__ import annotations
 import hashlib
 import time
 from contextlib import contextmanager
+from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
 
 from pcacluster.concordance import adjusted_rand_index
-from pcacluster.config import PipelineConfig
+from pcacluster.config import PipelineConfig, load_pipeline_config
 from pcacluster.hclust import Partition, complete_linkage, euclidean_distances
 from pcacluster.linalg import SymmetricMatrix, jacobi_eigen
 from pcacluster.pca import (
@@ -229,3 +230,64 @@ def test_11_manifest_determinism(tmp_path):
         second = run("b")
         assert first == second
         assert hashlib.sha256(first).hexdigest() == hashlib.sha256(second).hexdigest()
+
+
+# SHA-256 of the artifacts that depend neither on LAPACK nor on BLAS
+# rounding (partitions, concordance, per-cluster profile tables, SVGs),
+# recorded for the bundled sample and the default synthetic config. A
+# refactor must leave these bytes alone; a change that means to alter
+# them updates the constants and says why.
+PINNED_ARTIFACTS = {
+    "sample": {
+        "concordance.txt": "bcefc7e1dbe0a750e4f2c8bcdab4bcb8640e73d0952f6b35d86b6b769c87fc05",
+        "partition_components.csv": "729b2ac9e39dc3e0cf72ffad9fc97c5ba8400ae7febff49c4db3e25bebc8c488",
+        "partition_raw.csv": "632c7781c6c81f8ca273b0984837cd794a46898e95c3b44fc3f4464def329089",
+        "partition_variables.csv": "ea5fd19318c0380f0f0e3da210ee0bbc0e0ef49c56819c0e82fbcb80a338d789",
+        "plots/biplot.svg": "524c891344b07364ebf8d95b0cfb809e4b8b140825e2846f73ae05e5880e4153",
+        "plots/dendrograms.svg": "921825a7c2d01193aadc08c28be3356d85a375217629d2b7742701420d1149d0",
+        "plots/heatmap.svg": "0d0c1f67b12499abc9387dbee333e41e87adafe773f77065342e1592e6aff2c4",
+        "plots/loadings.svg": "f0714ace56f909cf3febbcc54dbc8668c18c84724eab13129ccd8c54f4f2ee99",
+        "plots/parallel_coordinates.svg": "d365c143e24b96d883a340ac5c85391609694dba91f775ebd60b2d5e3d5802a3",
+        "plots/scree.svg": "dbcb8987e3194098a1c06a5278c81c653e6ab639298e9be79d9287b3afab5ad4",
+        "profiles/cluster_1.csv": "78302b28cbb20b08b1f011922e7f3f04a300b4edb12f144abc3510b52c2df647",
+        "profiles/cluster_2.csv": "99a2bc701f7ef009cb20684bc762ccb4d9d4c445fa57bf197b729d083548024f",
+        "profiles/cluster_3.csv": "b3dcd8c96378f4a90ad41bdedb24de35769cfe304284f4f55fb2f6fec104c283",
+        "profiles/cluster_4.csv": "0c87fa74f77836e7e57577c981bf761f8edf7aae2a985ea3cc6dd31cbf175cdb",
+    },
+    "synthetic": {
+        "concordance.txt": "36dd28a5ec122c59c12410c4cfce7065aff734e4afdf92e238352697fff94a07",
+        "partition_components.csv": "8e467746d5ff45f55210597d18473451f6e5b129a79408997a04a58c751721fc",
+        "partition_raw.csv": "a9ab296e8d26046d34c4a217a30846611611f684835e6f63344dd591fbcb6018",
+        "partition_truth.csv": "8e467746d5ff45f55210597d18473451f6e5b129a79408997a04a58c751721fc",
+        "partition_variables.csv": "cac8cc131f135a961f270fddb779109e58c240d1956f325b80881746315c1791",
+        "plots/biplot.svg": "c63d2f5db62c9dae9fdb029e703c04c96e0a6c6cdd409251701fdbdb1c1cd097",
+        "plots/dendrograms.svg": "d39840c2be7b57ec6c942395c711551759e758a425695e27182e15c83e1380e8",
+        "plots/heatmap.svg": "564721fdf0e3556933fcba99bdd4517e06c5386ec93c916b57e441adcbd359d2",
+        "plots/loadings.svg": "95c727bd969e37ed65f20e067ac516f413791bf9fd1e871d18c2e7de12b59796",
+        "plots/parallel_coordinates.svg": "f783541d8773d57276a199d359d5e60c77542bf61e4cb1d588cc47a9525eb1ff",
+        "plots/scree.svg": "c81add4734f47edc8960d00d63ac5ebcde1e94a3afe2d79f99e8325d2334f3c9",
+        "profiles/cluster_1.csv": "5f5c9d0db7a8c7fcece609f74b901f6730bc32ec6c6961aa59ce36d0a0327d0f",
+        "profiles/cluster_2.csv": "1b04f30b190d51cf6fe0d6ebe2d9601c373e6d6db93cde2f83e1181e87ec8ef8",
+        "profiles/cluster_3.csv": "e66ea3feaf78a25a9ef30a7c74b577580055f217f662e2e8a5ede5eaf379b2e0",
+        "profiles/cluster_4.csv": "d6c4f64a1cd25fc4367e8b3e8f2183f51b329f9b16e2ac3895ffef1ec9e58987",
+    },
+}
+PINNED_PATTERNS = ("partition_*.csv", "concordance.txt", "profiles/cluster_*.csv", "plots/*.svg")
+
+
+def test_12_pinned_artifact_bytes(tmp_path):
+    with reported("12 solver-independent artifacts keep their recorded bytes"):
+        conf = tmp_path / "synthetic.conf"
+        conf.write_text("synthetic = true\noutput_dir = synthetic\n", encoding="utf-8")
+        configs = {
+            "sample": PipelineConfig(output_dir=tmp_path / "sample", input_path=SAMPLE),
+            "synthetic": load_pipeline_config(conf),
+        }
+        for name, config in configs.items():
+            manifest = run_pipeline(config).manifest_path.read_text(encoding="utf-8")
+            digests = dict(line.split("  ", 1)[::-1] for line in manifest.splitlines())
+            pinned = {rel: digest for rel, digest in digests.items()
+                      if any(fnmatch(rel, pattern) for pattern in PINNED_PATTERNS)}
+            changed = sorted(rel for rel in pinned.keys() | PINNED_ARTIFACTS[name].keys()
+                             if pinned.get(rel) != PINNED_ARTIFACTS[name].get(rel))
+            assert not changed, f"{name}: bytes changed in {changed}"

@@ -234,6 +234,29 @@ class TestDendrogramType:
         assert abs(pos[0] - pos[2]) == 1
 
 
+    def test_leaf_order_of_a_deep_chain(self):
+        # the shape duplicate rows build under the tie rule: each step
+        # adds the next leaf to the cluster built so far
+        n = 1500
+        merges = [Merge(-1, -2, 0.0, 2)] + [
+            Merge(step - 1, -(step + 1), 0.0, step + 1) for step in range(2, n)
+        ]
+        dend = Dendrogram(merges=merges, labels=tuple(str(i) for i in range(n)))
+        assert dend.leaf_order() == list(range(n))
+        flipped = Dendrogram(
+            merges=[Merge(m.right, m.left, m.height, m.size) for m in merges],
+            labels=dend.labels,
+        )
+        assert flipped.leaf_order() == list(range(n - 1, 1, -1)) + [1, 0]
+
+
+class TestDistanceMatrixType:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_distance(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            DistanceMatrix(3, [1.0, bad, 2.0], ("a", "b", "c"))
+
+
 class TestPartitionType:
     def test_rejects_gap_in_ids(self):
         with pytest.raises(ValidationError, match="cover"):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -178,6 +180,16 @@ class TestFormatProfileTable:
         rows = profile(table, Partition((1, 1, 1), k=1))
         line = format_profile_table(rows, 1).splitlines()[1]
         assert line.startswith('"GRP per capita, rubles"')
+
+    def test_label_with_comma_and_quote_round_trips(self):
+        label = 'a,"b'  # read from a quoted input header such as "a,""b"
+        table = make_table([[1.0], [2.0], [3.0]])
+        table = type(table)(table.region_labels, (label,), table.values)
+        rows = profile(table, Partition((1, 1, 1), k=1))
+        text = format_profile_table(rows, 1)
+        parsed = list(csv.reader(io.StringIO(text)))
+        assert [len(row) for row in parsed] == [6, 6]
+        assert parsed[1][0] == label
 
     def test_other_cluster_filtered_out(self):
         rows = one_indicator_profile([1.0, 2.0, 3.0, 4.0], [1, 1, 2, 2])
