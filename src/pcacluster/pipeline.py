@@ -21,7 +21,7 @@ from .config import PipelineConfig
 from .errors import PcaClusterError, ValidationError
 from .hclust import Dendrogram, Partition, complete_linkage, cluster_variables, cut, euclidean_distances
 from .ingest import IndicatorTable, impute_means, load_table, standardize, write_table
-from .pca import LoadingMatrix, PcaModel, ScoreMatrix, coefficients, component_names, fit_pca, loadings, scores, select_components, write_variance_table
+from .pca import PcaModel, coefficients, component_names, fit_pca, loadings, scores, select_components, write_variance_table
 from .profiles import format_profile_table, profile
 from .synth import generate_synthetic
 from .tables import format_float, write_labeled_matrix, write_rows
@@ -108,14 +108,14 @@ def _labeled_rows(labels, grid):
     return ([label, *map(format_float, row)] for label, row in zip(labels, grid))
 
 
-def _contingency_text(table: ContingencyTable, stats: dict[str, float]) -> str:
+def _contingency_text(table: ContingencyTable, rand: float, ari: float,
+                      extra: dict[str, float]) -> str:
     lines = ["contingency rows=raw columns=components"]
     lines.append(",".join([""] + [f"c{j + 1}" for j in range(len(table.counts[0]))]))
     for i, row in enumerate(table.counts, start=1):
         lines.append(",".join([f"r{i}"] + [str(v) for v in row]))
-    lines.append(f"rand={format_float(stats['rand'])} ari={format_float(stats['ari'])}")
-    lines += [f"{key}={format_float(value)}" for key, value in stats.items()
-              if key not in ("rand", "ari")]
+    lines.append(f"rand={format_float(rand)} ari={format_float(ari)}")
+    lines += [f"{key}={format_float(value)}" for key, value in extra.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -197,12 +197,13 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
         if "raw" in partitions and "components" in partitions:
             raw, comp = partitions["raw"], partitions["components"]
             pair = contingency(raw, comp)
-            concordance_stats["rand"] = rand_index(raw, comp)
-            concordance_stats["ari"] = adjusted_rand_index(raw, comp)
+            rand, ari = rand_index(raw, comp), adjusted_rand_index(raw, comp)
+            extra: dict[str, float] = {}
             if truth is not None:
-                concordance_stats["ari_raw_truth"] = adjusted_rand_index(raw, truth)
-                concordance_stats["ari_components_truth"] = adjusted_rand_index(comp, truth)
-            sink.text("concordance.txt", _contingency_text(pair, concordance_stats))
+                extra["ari_raw_truth"] = adjusted_rand_index(raw, truth)
+                extra["ari_components_truth"] = adjusted_rand_index(comp, truth)
+            concordance_stats = {"rand": rand, "ari": ari, **extra}
+            sink.text("concordance.txt", _contingency_text(pair, rand, ari, extra))
 
     final_partition = partitions["components" if "components" in partitions else "raw"]
     with _stage("profile"):
@@ -211,9 +212,9 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             "profiles.csv",
             ["cluster", "indicator", "average", "standard_deviation", "skewness",
              "kurtosis", "to_country_average_percent"],
-            ([str(r.cluster), r.indicator,
+            ([str(r.cluster), r.indicator, format_float(r.average),
               *("" if v is None else format_float(v)
-                for v in (r.average, r.standard_deviation, r.skewness, r.kurtosis,
+                for v in (r.standard_deviation, r.skewness, r.kurtosis,
                           r.to_country_average_percent))]
              for r in rows),
         )
@@ -221,7 +222,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             sink.text(f"profiles/cluster_{cluster_id}.csv", format_profile_table(rows, cluster_id))
 
     with _stage("plots"):
-        emit_plots(sink, table, model, load, score, dendrograms, final_partition, names)
+        emit_plots(sink, table, model, dendrograms, final_partition, names)
 
     with _stage("manifest"):
         manifest_path, files = sink.manifest()
@@ -237,7 +238,6 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
 
 
 def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
-               load: LoadingMatrix, score: ScoreMatrix,
                dendrograms: dict[str, Dendrogram], final_partition: Partition,
                names: tuple[str, ...]) -> None:
     """The six figures under plots/, each with its CSV twin."""
@@ -260,14 +260,10 @@ def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
 
     # first two axes drive both scatter figures even when only one
     # component was retained
-    if model.k >= 2:
-        plot_loadings, plot_scores = load.entries[:, :2], score.entries[:, :2]
-        axis_names = tuple(names[:2])
-    else:
-        plot_model = model.with_components(2)
-        plot_loadings = loadings(plot_model).entries
-        plot_scores = scores(plot_model, table).entries
-        axis_names = ("f1", "f2")
+    plot_model = model if model.k >= 2 else model.with_components(2)
+    plot_loadings = loadings(plot_model).entries[:, :2]
+    plot_scores = scores(plot_model, table).entries[:, :2]
+    axis_names = tuple(names[:2]) if len(names) >= 2 else ("f1", "f2")
     sink.plot("loadings", svgplot.loadings_svg(plot_loadings, indicators, axis_names),
               ["indicator", *axis_names], _labeled_rows(indicators, plot_loadings))
 

@@ -232,11 +232,17 @@ def test_11_manifest_determinism(tmp_path):
         assert hashlib.sha256(first).hexdigest() == hashlib.sha256(second).hexdigest()
 
 
-# SHA-256 of the artifacts that depend neither on LAPACK nor on BLAS
-# rounding (partitions, concordance, per-cluster profile tables, SVGs),
-# recorded for the bundled sample and the default synthetic config. A
-# refactor must leave these bytes alone; a change that means to alter
-# them updates the constants and says why.
+# SHA-256 of the partitions, concordance, per-cluster profile tables and
+# SVGs, recorded for the bundled sample and the default synthetic config.
+# partition_raw.csv, partition_variables.csv, heatmap.svg and
+# parallel_coordinates.svg do not touch the eigensolver. The others derive
+# from its output and from matrix products, but print rounded values
+# (SVG coordinates to 2 decimals, profile cells to 7 significant digits),
+# so last-bit solver differences have not moved them so far, including the
+# switch from Jacobi to LAPACK eigh. A refactor must leave these bytes
+# alone. If this test fails after a change of BLAS, LAPACK or CPU with no
+# change of code, a rounded value crossed a boundary or a tie flipped:
+# check the diff, then re-record the constants and say why.
 PINNED_ARTIFACTS = {
     "sample": {
         "concordance.txt": "bcefc7e1dbe0a750e4f2c8bcdab4bcb8640e73d0952f6b35d86b6b769c87fc05",
@@ -276,7 +282,7 @@ PINNED_PATTERNS = ("partition_*.csv", "concordance.txt", "profiles/cluster_*.csv
 
 
 def test_12_pinned_artifact_bytes(tmp_path):
-    with reported("12 solver-independent artifacts keep their recorded bytes"):
+    with reported("12 pinned artifacts keep their recorded bytes"):
         conf = tmp_path / "synthetic.conf"
         conf.write_text("synthetic = true\noutput_dir = synthetic\n", encoding="utf-8")
         configs = {
