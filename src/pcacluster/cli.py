@@ -74,6 +74,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

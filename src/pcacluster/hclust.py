@@ -4,7 +4,9 @@ Merge records use signed node ids: -(i+1) is leaf i, a positive id is
 the 1-based step that produced the cluster. Tie-breaks are fixed so
 dendrograms are deterministic: among pairs at the minimal distance, the
 pair whose combined leaf-index set is lexicographically smallest wins
-(lowest original leaf index, then second-lowest, and so on).
+(lowest original leaf index, then second-lowest, and so on). Clusters
+are disjoint and each keeps the slot of its smallest leaf, so that pair
+is the smallest slot pair i < j: the distance matrix's first minimum.
 """
 
 from __future__ import annotations
@@ -156,26 +158,15 @@ def complete_linkage(d: DistanceMatrix) -> Dendrogram:
         return Dendrogram(merges=(), labels=d.labels)
     dist = d.full()
     np.fill_diagonal(dist, np.inf)
-    members: list[tuple[int, ...] | None] = [(i,) for i in range(n)]
+    # merging slots i < j keeps slot i, so slot s holds the cluster whose
+    # smallest leaf is s; the row-major first minimum is the tie-break pair
+    size = [1] * n
     node_id = [-(i + 1) for i in range(n)]
     merges: list[Merge] = []
     for step in range(1, n):
-        height = float(dist.min())
-        rows, cols = np.nonzero(dist == height)
-        best: tuple[int, ...] | None = None
-        best_pair = (-1, -1)
-        for i, j in zip(rows, cols):
-            if i >= j:
-                continue
-            key = tuple(sorted(members[i] + members[j]))
-            if best is None or key < best:
-                best = key
-                best_pair = (int(i), int(j))
-        i, j = best_pair
-        first, second = (i, j) if members[i][0] < members[j][0] else (j, i)
-        merges.append(
-            Merge(left=node_id[first], right=node_id[second], height=height, size=len(best))
-        )
+        i, j = divmod(int(np.argmin(dist)), n)
+        size[i] += size[j]
+        merges.append(Merge(node_id[i], node_id[j], float(dist[i, j]), size[i]))
         # slot i inherits the merged cluster via the complete-linkage
         # (maximum) distance update; slot j is retired
         merged_row = np.maximum(dist[i], dist[j])
@@ -184,8 +175,6 @@ def complete_linkage(d: DistanceMatrix) -> Dendrogram:
         dist[i, i] = np.inf
         dist[j, :] = np.inf
         dist[:, j] = np.inf
-        members[i] = best
-        members[j] = None
         node_id[i] = step
     return Dendrogram(merges=tuple(merges), labels=d.labels)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .tables import format_float
 
 MISSING_TOKEN = "NA"
@@ -79,8 +79,12 @@ class IndicatorTable:
                 raise ValidationError("standardized table must not contain missing values")
             mean = grid.mean(axis=0)
             sd = grid.std(axis=0, ddof=1)
-            if np.max(np.abs(mean)) > _STANDARD_TOL or np.max(np.abs(sd - 1.0)) > _STANDARD_TOL:
-                raise ValidationError("standardized flag set but columns are not z-scored")
+            off = np.flatnonzero(
+                (np.abs(mean) > _STANDARD_TOL) | (np.abs(sd - 1.0) > _STANDARD_TOL))
+            if off.size:
+                j = off[0]
+                raise ValidationError(f"indicator {self.indicator_labels[j]!r} is not "
+                                      f"z-scored: mean {mean[j]:.3g}, sd {sd[j]:.3g}")
         grid.flags.writeable = False
         object.__setattr__(self, "values", grid)
 
@@ -206,11 +210,15 @@ def standardize(table: IndicatorTable) -> IndicatorTable:
     if table.has_missing():
         raise ValidationError("standardize requires a table without missing values")
     grid = table.values
-    mean = grid.mean(axis=0)
-    sd = grid.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = grid.mean(axis=0)
+        sd = grid.std(axis=0, ddof=1)
+    labels = table.indicator_labels
+    overflow = np.flatnonzero(~np.isfinite(mean) | ~np.isfinite(sd))
+    if overflow.size:
+        raise NumericalError(f"indicator {labels[overflow[0]]!r} overflows float64: "
+                             "its mean or sd is not finite")
     zero = np.flatnonzero(sd == 0.0)
     if zero.size:
-        raise ValidationError(
-            f"zero-variance indicator {table.indicator_labels[zero[0]]!r}"
-        )
+        raise ValidationError(f"zero-variance indicator {labels[zero[0]]!r}")
     return replace(table, values=(grid - mean) / sd, standardized=True)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,62 @@ class TestCompleteLinkage:
         dend = complete_linkage(d)
         assert dend.merges == ()
         assert dend.leaf_order() == [0]
+
+    def test_duplicate_rows_chain_in_leaf_order_quickly(self):
+        # rows 4..299 are one point: the tie rule grows a single chain from
+        # leaf 4, adding the next leaf at each step
+        points = np.random.default_rng(53).random((300, 3))
+        points[4:] = points[4]
+        d = euclidean_distances(points)
+        start = time.perf_counter()
+        dend = complete_linkage(d)
+        elapsed = time.perf_counter() - start
+        assert dend.merges[:295] == (Merge(-5, -6, 0.0, 2),) + tuple(
+            Merge(s - 1, -(s + 5), 0.0, s + 1) for s in range(2, 296)
+        )
+        assert elapsed < 1.0
+
+    def test_duplicate_grid_points_match_oracle(self):
+        rng = np.random.default_rng(59)
+        distinct = rng.integers(0, 4, size=(10, 2)).astype(float)
+        points = np.vstack([distinct, distinct[rng.integers(0, 10, size=30)]])
+        d = euclidean_distances(points[rng.permutation(40)])
+        actual = dendrogram_as_member_merges(complete_linkage(d))
+        assert same_merge_sequence(actual, oracle_complete_linkage(d))
+
+
+class TestScipyOracle:
+    """SciPy's complete linkage as a second oracle, on tie-free inputs only:
+    SciPy breaks ties by its own rule."""
+
+    @pytest.fixture(params=[20, 200])
+    def case(self, request):
+        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        points = np.random.default_rng(request.param).standard_normal((request.param, 3))
+        d = euclidean_distances(points)
+        return d, complete_linkage(d), hierarchy.linkage(d.condensed, "complete"), hierarchy
+
+    def test_heights_bit_equal(self, case):
+        _, dend, z, _ = case
+        assert [m.height for m in dend.merges] == z[:, 2].tolist()
+
+    def test_same_member_merges(self, case):
+        d, dend, z, _ = case
+        members = [frozenset([i]) for i in range(d.n)]
+        expected = []
+        for a, b, height, _ in z:
+            left, right = members[int(a)], members[int(b)]
+            members.append(left | right)
+            expected.append((left, right, height))
+        assert same_merge_sequence(dendrogram_as_member_merges(dend), expected)
+
+    @pytest.mark.parametrize("k", [2, 4, 7])
+    def test_cut_matches_fcluster(self, case, k):
+        _, dend, z, hierarchy = case
+        ours = cut(dend, k).assignment
+        theirs = hierarchy.fcluster(z, k, "maxclust").tolist()
+        # equal up to relabelling: the label pairs form a bijection
+        assert len(set(ours)) == len(set(theirs)) == len(set(zip(ours, theirs))) == k
 
 
 class TestCut:

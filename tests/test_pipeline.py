@@ -38,6 +38,13 @@ def synth_conf(tmp_path: Path, out: str = "out", extra: str = "") -> Path:
     return write_conf(tmp_path, BASE_SYNTH_CONF.format(out=out) + extra)
 
 
+def write_grid_csv(path: Path, grid) -> None:
+    """A regions x indicators CSV with labels R1.. and V1.., values as repr."""
+    lines = ["region," + ",".join(f"V{j + 1}" for j in range(len(grid[0])))]
+    lines += [f"R{i + 1}," + ",".join(repr(float(x)) for x in row) for i, row in enumerate(grid)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 EXPECTED_SYNTH_FILES = {
     "coefficients.csv", "concordance.txt", "dendrogram_components.csv",
     "dendrogram_raw.csv", "dendrogram_variables.csv", "loadings.csv",
@@ -258,6 +265,19 @@ class TestBoundaries:
         with pytest.raises(ValidationError, match="cluster-regions"):
             run_pipeline(load_pipeline_config(conf))
 
+    def test_duplicate_rows_deeper_than_recursion_limit(self, tmp_path):
+        # 1094 copies of one row chain 1094 zero-height merges, deeper than
+        # the default recursion limit
+        rows = np.random.default_rng(61).random((1100, 5))
+        rows[6:] = rows[5]
+        write_grid_csv(tmp_path / "dup.csv", rows)
+        conf = write_conf(tmp_path, "input = dup.csv\noutput_dir = out\n")
+        artifacts = run_pipeline(load_pipeline_config(conf))
+        merges = (artifacts.output_dir / "dendrogram_raw.csv").read_text().splitlines()[1:]
+        assert len(merges) == 1099
+        assert {line.split(",")[3] for line in merges[:1094]} == {"0.0"}
+        assert artifacts.partitions["raw"].n_items == 1100
+
     def test_component_label_count_must_match_k(self, tmp_path):
         conf = synth_conf(tmp_path, extra="components = fixed:3\ncomponent_labels = one|two\n")
         with pytest.raises(ValidationError, match="component labels"):
@@ -302,6 +322,50 @@ class TestCli:
         monkeypatch.setattr(cli, "run_pipeline", boom)
         assert cli.main(["run", "--config", str(conf)]) == 2
         assert capsys.readouterr().err.startswith("error: pca:")
+
+    def test_out_of_memory_exit_1(self, tmp_path, monkeypatch, capsys):
+        conf = synth_conf(tmp_path)
+
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 74.5 TiB for an array")
+
+        monkeypatch.setattr(cli, "run_pipeline", exhausted)
+        assert cli.main(["run", "--config", str(conf)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: out of memory: Unable to allocate 74.5 TiB for an array"
+        ]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_column_exit_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(67)
+        grid = np.column_stack([np.tile([1e300, -1e300], 5), rng.standard_normal(10)])
+        write_grid_csv(tmp_path / "huge.csv", grid)
+        conf = write_conf(tmp_path, "input = huge.csv\noutput_dir = out\n")
+        assert cli.main(["run", "--config", str(conf)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: standardize: indicator 'V1' overflows float64: its mean or sd is not finite"
+        ]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("extra", ["within_sd = 1e300\n", "separation = 1e308\n"])
+    def test_overflowing_synthetic_table_exit_2(self, tmp_path, capsys, extra):
+        conf = write_conf(tmp_path, "synthetic = true\noutput_dir = out\n" + extra)
+        assert cli.main(["run", "--config", str(conf)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: standardize: indicator 'V01' overflows float64: its mean or sd is not finite"
+        ]
+
+    def test_column_too_narrow_to_z_score_exit_1(self, tmp_path, capsys):
+        # sd 1.3 at mean 1e12 sits near float64's spacing there, so the
+        # z-scores miss mean 0 by about 1e-5
+        rng = np.random.default_rng(71)
+        grid = np.column_stack([rng.standard_normal(10), 1e12 + 1.3 * rng.standard_normal(10)])
+        write_grid_csv(tmp_path / "offset.csv", grid)
+        conf = write_conf(tmp_path, "input = offset.csv\noutput_dir = out\n")
+        assert cli.main(["run", "--config", str(conf)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: standardize: indicator 'V2' is not z-scored: mean ")
 
     def test_synth_command(self, tmp_path, capsys):
         spec = write_conf(tmp_path, "n = 15\np = 4\nclusters = 3\nseparation = 5\nseed = 3\n")
