@@ -13,7 +13,7 @@ from pathlib import Path
 from .errors import ValidationError
 from .ingest import ParseOptions
 from .pca import CumulativeThreshold, Fixed, Kaiser, SelectionRule
-from .synth import DEFAULT_SEED, SyntheticSpec
+from .synth import SyntheticSpec
 
 CLUSTER_SPACES = ("raw", "components", "both")
 SCORE_COLUMN_MODES = ("retained", "all")
@@ -73,24 +73,6 @@ def read_key_values(path: str | Path) -> dict[str, str]:
     return pairs
 
 
-def _parse_int(pairs: dict[str, str], key: str, default: int) -> int:
-    if key not in pairs:
-        return default
-    try:
-        return int(pairs[key])
-    except ValueError:
-        raise ValidationError(f"{key} must be an integer, got {pairs[key]!r}") from None
-
-
-def _parse_float(pairs: dict[str, str], key: str, default: float) -> float:
-    if key not in pairs:
-        return default
-    try:
-        return float(pairs[key])
-    except ValueError:
-        raise ValidationError(f"{key} must be a number, got {pairs[key]!r}") from None
-
-
 def parse_selection_rule(text: str) -> SelectionRule:
     """"kaiser", "fixed:<k>", or "cumulative:<percent>"."""
     name, _, arg = text.partition(":")
@@ -113,23 +95,42 @@ def parse_selection_rule(text: str) -> SelectionRule:
     raise ValidationError(f"unknown component rule {text!r}")
 
 
-def _synthetic_spec_from(pairs: dict[str, str]) -> SyntheticSpec:
-    return SyntheticSpec(
-        n=_parse_int(pairs, "n", 85),
-        p=_parse_int(pairs, "p", 19),
-        clusters=_parse_int(pairs, "clusters", 4),
-        separation=_parse_float(pairs, "separation", 6.0),
-        within_sd=_parse_float(pairs, "within_sd", 1.0),
-        seed=_parse_int(pairs, "seed", DEFAULT_SEED),
-    )
+def _named(names: dict[str, str], what: str):
+    """Converter from a name in names, in any case, to its character."""
+    def convert(text: str) -> str:
+        if text.lower() not in names:
+            raise ValidationError(f"unknown {what} {text!r}")
+        return names[text.lower()]
+    return convert
 
 
-_SYNTH_KEYS = {"n", "p", "clusters", "separation", "within_sd", "seed"}
+def _labels(text: str) -> tuple[str, ...] | None:
+    return tuple(s.strip() for s in text.split("|")) if text else None
 
-_PIPELINE_KEYS = _SYNTH_KEYS | {
-    "input", "synthetic", "delimiter", "decimal", "components", "k_regions",
-    "cluster_space", "k_vars", "score_columns", "component_labels", "output_dir",
-}
+
+# key -> converter from its text; the dataclass fields hold the defaults
+_SYNTH_KEYS = {"n": int, "p": int, "clusters": int, "separation": float,
+               "within_sd": float, "seed": int}
+_PARSE_KEYS = {"delimiter": _named(_DELIMITERS, "delimiter"),
+               "decimal": _named(_DECIMALS, "decimal separator")}
+_RUN_KEYS = {"components": parse_selection_rule, "k_regions": int, "k_vars": int,
+             "cluster_space": str.lower, "score_columns": str.lower,
+             "component_labels": _labels}
+_PIPELINE_KEYS = {"input", "synthetic", "output_dir", *_SYNTH_KEYS, *_PARSE_KEYS, *_RUN_KEYS}
+_NOUNS = {int: "an integer", float: "a number"}
+
+
+def _convert(pairs: dict[str, str], converters: dict) -> dict:
+    """The converted value of each key in converters that pairs sets."""
+    typed = {}
+    for key, convert in converters.items():
+        if key in pairs:
+            try:
+                typed[key] = convert(pairs[key])
+            except ValueError:
+                raise ValidationError(
+                    f"{key} must be {_NOUNS[convert]}, got {pairs[key]!r}") from None
+    return typed
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
@@ -144,46 +145,30 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
     if synthetic_mode not in ("true", "false"):
         raise ValidationError(f"synthetic must be true or false, got {pairs['synthetic']!r}")
     if synthetic_mode == "false":
-        stray = sorted(set(pairs) & _SYNTH_KEYS)
+        stray = sorted(set(pairs) & set(_SYNTH_KEYS))
         if stray:
             raise ValidationError(
                 f"{path}: keys {stray} require synthetic = true"
             )
-    synthetic = _synthetic_spec_from(pairs) if synthetic_mode == "true" else None
-    input_path = base / pairs["input"] if "input" in pairs else None
-
-    delimiter = pairs.get("delimiter", "comma").lower()
-    decimal = pairs.get("decimal", "period").lower()
-    if delimiter not in _DELIMITERS:
-        raise ValidationError(f"unknown delimiter {pairs.get('delimiter')!r}")
-    if decimal not in _DECIMALS:
-        raise ValidationError(f"unknown decimal separator {pairs.get('decimal')!r}")
-
-    labels = pairs.get("component_labels", "")
-    component_labels = tuple(s.strip() for s in labels.split("|")) if labels else None
-
     if "output_dir" not in pairs:
         raise ValidationError(f"{path}: output_dir is required")
+    run = _convert(pairs, _RUN_KEYS)
+    if "components" in run:
+        run["component_rule"] = run.pop("components")
     return PipelineConfig(
         output_dir=base / pairs["output_dir"],
-        input_path=input_path,
-        synthetic=synthetic,
-        parse_options=ParseOptions(
-            delimiter=_DELIMITERS[delimiter], decimal=_DECIMALS[decimal]
-        ),
-        component_rule=parse_selection_rule(pairs.get("components", "kaiser")),
-        k_regions=_parse_int(pairs, "k_regions", 4),
-        cluster_space=pairs.get("cluster_space", "both").lower(),
-        k_vars=_parse_int(pairs, "k_vars", 4),
-        score_columns=pairs.get("score_columns", "retained").lower(),
-        component_labels=component_labels,
+        input_path=base / pairs["input"] if "input" in pairs else None,
+        synthetic=(SyntheticSpec(**_convert(pairs, _SYNTH_KEYS))
+                   if synthetic_mode == "true" else None),
+        parse_options=ParseOptions(**_convert(pairs, _PARSE_KEYS)),
+        **run,
     )
 
 
 def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
     path = Path(path)
     pairs = read_key_values(path)
-    unknown = sorted(set(pairs) - _SYNTH_KEYS)
+    unknown = sorted(set(pairs) - set(_SYNTH_KEYS))
     if unknown:
         raise ValidationError(f"{path}: unknown keys {unknown}")
-    return _synthetic_spec_from(pairs)
+    return SyntheticSpec(**_convert(pairs, _SYNTH_KEYS))

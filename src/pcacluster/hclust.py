@@ -143,10 +143,12 @@ def euclidean_distances(points, labels: tuple[str, ...] | None = None) -> Distan
         raise ValidationError("points contain non-finite values")
     if labels is None:
         labels = tuple(str(i) for i in range(n))
-    parts = [
-        np.sqrt(((grid[i + 1 :] - grid[i]) ** 2).sum(axis=1))
-        for i in range(n - 1)
-    ]
+    # an overflow becomes inf, which DistanceMatrix rejects
+    with np.errstate(over="ignore"):
+        parts = [
+            np.sqrt(((grid[i + 1 :] - grid[i]) ** 2).sum(axis=1))
+            for i in range(n - 1)
+        ]
     return DistanceMatrix(n=n, condensed=np.concatenate(parts), labels=labels)
 
 
@@ -154,8 +156,6 @@ def complete_linkage(d: DistanceMatrix) -> Dendrogram:
     """Agglomerate by repeatedly merging the closest pair of clusters,
     with inter-cluster distance the maximum pairwise item distance."""
     n = d.n
-    if n == 1:
-        return Dendrogram(merges=(), labels=d.labels)
     dist = d.full()
     np.fill_diagonal(dist, np.inf)
     # merging slots i < j keeps slot i, so slot s holds the cluster whose
@@ -184,28 +184,17 @@ def cut(dend: Dendrogram, k: int) -> Partition:
     n = dend.n_leaves
     if not 1 <= k <= n:
         raise ValidationError(f"cut level {k} outside [1, {n}]")
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    representative: dict[int, int] = {-(i + 1): i for i in range(n)}
+    # merge member lists small into large: O(n log n) on any dendrogram shape
+    members = {-(i + 1): [i] for i in range(n)}
     for step, merge in enumerate(dend.merges[: n - k], start=1):
-        a = find(representative[merge.left])
-        b = find(representative[merge.right])
-        parent[b] = a
-        representative[step] = a
-    cluster_ids: dict[int, int] = {}
-    assignment = []
-    for leaf in range(n):
-        root = find(leaf)
-        if root not in cluster_ids:
-            cluster_ids[root] = len(cluster_ids) + 1
-        assignment.append(cluster_ids[root])
-    return Partition(assignment=tuple(assignment), k=len(cluster_ids))
+        small, large = sorted((members.pop(merge.left), members.pop(merge.right)), key=len)
+        large += small
+        members[step] = large
+    assignment = [0] * n
+    for cluster_id, leaves in enumerate(sorted(members.values(), key=min), start=1):
+        for leaf in leaves:
+            assignment[leaf] = cluster_id
+    return Partition(assignment=tuple(assignment), k=len(members))
 
 
 def cluster_variables(table: IndicatorTable) -> Dendrogram:

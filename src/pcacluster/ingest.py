@@ -167,7 +167,6 @@ def write_table(
     table: IndicatorTable,
     path: str | Path,
     options: ParseOptions = ParseOptions(),
-    region_column: str = "region",
 ) -> None:
     """Write a table in the same delimited format load_table reads.
 
@@ -178,7 +177,7 @@ def write_table(
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, delimiter=options.delimiter, lineterminator="\n")
-        writer.writerow([region_column, *table.indicator_labels])
+        writer.writerow(["region", *table.indicator_labels])
         for label, row in zip(table.region_labels, table.values):
             cells = ["" if math.isnan(x) else format_float(x).replace(".", options.decimal)
                      for x in row]
@@ -191,17 +190,17 @@ def impute_means(table: IndicatorTable) -> IndicatorTable:
         raise ValidationError("impute_means expects an unstandardized table")
     grid = table.values.copy()
     missing = np.isnan(grid)
-    if not missing.any():
-        return replace(table, values=grid)
-    for j in range(grid.shape[1]):
+    for j, label in enumerate(table.indicator_labels):
         col_missing = missing[:, j]
         if not col_missing.any():
             continue
         if col_missing.all():
-            raise ValidationError(
-                f"all-missing column: indicator {table.indicator_labels[j]!r}"
-            )
-        grid[col_missing, j] = grid[~col_missing, j].mean()
+            raise ValidationError(f"all-missing column: indicator {label!r}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = grid[~col_missing, j].mean()
+        if not np.isfinite(mean):
+            raise NumericalError(f"indicator {label!r} overflows float64: its mean is not finite")
+        grid[col_missing, j] = mean
     return replace(table, values=grid)
 
 

@@ -152,15 +152,9 @@ def loadings(model: PcaModel) -> LoadingMatrix:
     )
 
 
-def scores(model: PcaModel, table: IndicatorTable, n_columns: int | None = None) -> ScoreMatrix:
-    """Project the standardized table onto the component axes.
-
-    Uses the retained k columns by default; n_columns overrides (up to p)
-    for callers that want coordinates in the full rotated basis.
-    """
-    k = model._require_k() if n_columns is None else n_columns
-    if not 1 <= k <= model.p:
-        raise ValidationError(f"score column count {k} outside [1, {model.p}]")
+def scores(model: PcaModel, table: IndicatorTable) -> ScoreMatrix:
+    """Project the standardized table onto the retained k component axes."""
+    k = model._require_k()
     if not table.standardized:
         raise ValidationError("scores require the standardized table the model was fitted on")
     if table.values.shape[1] != model.p:

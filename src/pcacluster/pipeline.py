@@ -24,7 +24,7 @@ from .ingest import IndicatorTable, impute_means, load_table, standardize, write
 from .pca import PcaModel, coefficients, component_names, fit_pca, loadings, scores, select_components, write_variance_table
 from .profiles import format_profile_table, profile
 from .synth import generate_synthetic
-from .tables import format_float, write_labeled_matrix, write_rows
+from .tables import format_float, labeled_rows, write_labeled_matrix, write_rows
 from . import svgplot
 
 logger = logging.getLogger(__name__)
@@ -104,10 +104,6 @@ def _merge_rows(dend: Dendrogram):
         yield [str(step), str(m.left), str(m.right), format_float(m.height), str(m.size)]
 
 
-def _labeled_rows(labels, grid):
-    return ([label, *map(format_float, row)] for label, row in zip(labels, grid))
-
-
 def _contingency_text(table: ContingencyTable, rand: float, ari: float,
                       extra: dict[str, float]) -> str:
     lines = ["contingency rows=raw columns=components"]
@@ -171,7 +167,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             elif config.score_columns == "retained":
                 points = score.entries
             else:
-                points = scores(model, table, n_columns=model.p).entries
+                points = scores(model.with_components(model.p), table).entries
             dend = complete_linkage(euclidean_distances(points, table.region_labels))
             dendrograms[space] = dend
             partitions[space] = cut(dend, config.k_regions)
@@ -265,7 +261,7 @@ def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
     plot_scores = scores(plot_model, table).entries[:, :2]
     axis_names = tuple(names[:2]) if len(names) >= 2 else ("f1", "f2")
     sink.plot("loadings", svgplot.loadings_svg(plot_loadings, indicators, axis_names),
-              ["indicator", *axis_names], _labeled_rows(indicators, plot_loadings))
+              ["indicator", *axis_names], labeled_rows(indicators, plot_loadings))
 
     # arrows scaled so loadings and scores share the frame
     max_load = float(np.abs(plot_loadings).max())
@@ -274,8 +270,8 @@ def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
     sink.plot("biplot",
               svgplot.biplot_svg(plot_scores, assignment, arrows, indicators, axis_names),
               ["kind", "label", "x", "y"],
-              [["score", *row] for row in _labeled_rows(regions, plot_scores)]
-              + [["loading_arrow", *row] for row in _labeled_rows(indicators, arrows)])
+              [["score", *row] for row in labeled_rows(regions, plot_scores)]
+              + [["loading_arrow", *row] for row in labeled_rows(indicators, arrows)])
 
     titles = {"raw": "initial variables", "components": "component scores"}
     panels = [(titles[space], dend) for space, dend in dendrograms.items()]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .hclust import Partition
 from .ingest import IndicatorTable
 
@@ -51,10 +51,11 @@ def sample_skewness(values: np.ndarray) -> float | None:
     if n < 3:
         return None
     centered = values - values.mean()
-    m2 = float((centered**2).mean())
-    if m2 == 0.0:
-        return None
-    g1 = float((centered**3).mean()) / m2**1.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        m2 = (centered**2).mean()
+        if m2 == 0.0:
+            return None
+        g1 = float((centered**3).mean() / m2**1.5)
     return g1 * math.sqrt(n * (n - 1)) / (n - 2)
 
 
@@ -96,19 +97,24 @@ def profile(table: IndicatorTable, part: Partition) -> list[ProfileRow]:
             column = block[:, j]
             mean = float(column.mean())
             grand = float(grand_means[j])
-            rows.append(
-                ProfileRow(
-                    cluster=cluster_id,
-                    indicator=indicator,
-                    average=mean,
-                    standard_deviation=sample_sd(column),
-                    skewness=sample_skewness(column),
-                    kurtosis=sample_excess_kurtosis(column),
-                    to_country_average_percent=(
-                        (mean / grand - 1.0) * 100.0 if grand != 0.0 else None
-                    ),
-                )
+            row = ProfileRow(
+                cluster=cluster_id,
+                indicator=indicator,
+                average=mean,
+                standard_deviation=sample_sd(column),
+                skewness=sample_skewness(column),
+                kurtosis=sample_excess_kurtosis(column),
+                to_country_average_percent=(
+                    (mean / grand - 1.0) * 100.0 if grand != 0.0 else None
+                ),
             )
+            # the cubed deviations, or a near-zero grand mean, can overflow
+            for name in ("skewness", "to_country_average_percent"):
+                value = getattr(row, name)
+                if value is not None and not math.isfinite(value):
+                    raise NumericalError(f"cluster {cluster_id}, indicator {indicator!r}: "
+                                         f"{name} overflows float64")
+            rows.append(row)
     return rows
 
 

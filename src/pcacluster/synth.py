@@ -24,10 +24,10 @@ _MAX_DIRECTION_DRAWS = 32
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    n: int
-    p: int
-    clusters: int
-    separation: float
+    n: int = 85
+    p: int = 19
+    clusters: int = 4
+    separation: float = 6.0
     within_sd: float = 1.0
     seed: int = DEFAULT_SEED
 

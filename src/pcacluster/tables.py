@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def format_float(x: float) -> str:
@@ -18,13 +18,16 @@ def format_float(x: float) -> str:
 
 
 def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(list(header))
         for row in rows:
             writer.writerow(list(row))
+
+
+def labeled_rows(labels: Sequence[str], grid) -> Iterator[list[str]]:
+    """One row per label: the label, then its grid row through format_float."""
+    return ([label, *map(format_float, row)] for label, row in zip(labels, grid))
 
 
 def write_labeled_matrix(
@@ -35,8 +38,4 @@ def write_labeled_matrix(
     col_labels: Sequence[str],
 ) -> None:
     """Matrix as delimited text: one label column plus one column per component."""
-    rows = (
-        [label, *(format_float(v) for v in row)]
-        for label, row in zip(row_labels, entries)
-    )
-    write_rows(path, [row_header, *col_labels], rows)
+    write_rows(path, [row_header, *col_labels], labeled_rows(row_labels, entries))

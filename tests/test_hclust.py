@@ -59,6 +59,11 @@ class TestEuclideanDistances:
         with pytest.raises(ValidationError, match="non-finite"):
             euclidean_distances([[0.0], [np.inf]])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_distance_rejected_without_warning(self):
+        with pytest.raises(ValidationError, match="distances must be finite"):
+            euclidean_distances([[0.0], [1e155]])
+
     def test_rejects_single_point(self):
         with pytest.raises(ValidationError, match="at least 2 points"):
             euclidean_distances([[1.0, 2.0]])

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import re
+import tempfile
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pcacluster import cli
-from pcacluster.config import load_pipeline_config, load_synthetic_spec
+from pcacluster.config import PipelineConfig, load_pipeline_config, load_synthetic_spec
 from pcacluster.errors import NumericalError, ValidationError
 from pcacluster.ingest import load_table
 from pcacluster.pipeline import run_pipeline
@@ -43,6 +51,20 @@ def write_grid_csv(path: Path, grid) -> None:
     lines = ["region," + ",".join(f"V{j + 1}" for j in range(len(grid[0])))]
     lines += [f"R{i + 1}," + ",".join(repr(float(x)) for x in row) for i, row in enumerate(grid)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# the mean of column a's present cells overflows when its gap is imputed
+GAP_CELLS = [["1e308", "1"], ["1e308", "2"], ["", "3"], ["0", "5"]]
+# column b's sd is finite, but its third central moment is not
+SKEW_CELLS = [["0", "1e154"], ["1", "0"], ["2", "0"], ["3", "0"], ["4", "0"], ["5", "1"]]
+# column a's grand mean is subnormal, so cluster 1's ratio to it overflows
+TINY_MEAN_CELLS = [["1", "1"], ["-1", "2"], ["1e-320", "3"], ["0", "5"]]
+
+
+def csv_text(cells) -> str:
+    """A CSV with regions R1.. and indicators a, b, ... over rows of cell strings."""
+    header = ",".join(["region", *"abcdefgh"[: len(cells[0])]])
+    return "\n".join([header] + [",".join([f"R{i + 1}", *row]) for i, row in enumerate(cells)]) + "\n"
 
 
 EXPECTED_SYNTH_FILES = {
@@ -126,6 +148,37 @@ class TestConfigParsing:
         spec_file = write_conf(tmp_path, "n = 20\np = 4\nclusters = 2\nseparation = 3\nseed = 7\n")
         spec = load_synthetic_spec(spec_file)
         assert spec == SyntheticSpec(n=20, p=4, clusters=2, separation=3.0, within_sd=1.0, seed=7)
+
+    @pytest.mark.parametrize("text, message", [
+        ("synthetic = true\nk_regions = x", "k_regions must be an integer, got 'x'"),
+        ("synthetic = true\nseparation = far", "separation must be a number, got 'far'"),
+        ("synthetic = true\ndelimiter = tab", "unknown delimiter 'tab'"),
+        ("synthetic = true\ndecimal = x", "unknown decimal separator 'x'"),
+        ("synthetic = maybe", "synthetic must be true or false, got 'maybe'"),
+    ])
+    def test_bad_values_rejected(self, tmp_path, text, message):
+        conf = write_conf(tmp_path, f"{text}\noutput_dir = out\n")
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_pipeline_config(conf)
+
+    def test_component_labels_split_on_bars(self, tmp_path):
+        conf = write_conf(tmp_path, "synthetic = true\ncomponent_labels = a | b\noutput_dir = out\n")
+        assert load_pipeline_config(conf).component_labels == ("a", "b")
+
+    def test_unknown_spec_key_rejected(self, tmp_path):
+        spec_file = write_conf(tmp_path, "n = 20\ntypo = 1\n")
+        with pytest.raises(ValidationError, match="unknown keys"):
+            load_synthetic_spec(spec_file)
+
+    def test_minimal_file_config_takes_dataclass_defaults(self, tmp_path):
+        config = load_pipeline_config(write_conf(tmp_path, "input = x.csv\noutput_dir = out\n"))
+        expected = PipelineConfig(output_dir=tmp_path / "out", input_path=tmp_path / "x.csv")
+        for f in fields(PipelineConfig):
+            assert getattr(config, f.name) == getattr(expected, f.name), f.name
+
+    def test_minimal_synthetic_config_takes_spec_defaults(self, tmp_path):
+        config = load_pipeline_config(write_conf(tmp_path, "synthetic = true\noutput_dir = out\n"))
+        assert config.synthetic == SyntheticSpec(n=85, p=19, clusters=4, separation=6.0)
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +408,19 @@ class TestCli:
             "error: standardize: indicator 'V01' overflows float64: its mean or sd is not finite"
         ]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("cells, k, message", [
+        (GAP_CELLS, 2, "impute: indicator 'a' overflows float64: its mean is not finite"),
+        (SKEW_CELLS, 1, "profile: cluster 1, indicator 'b': skewness overflows float64"),
+        (TINY_MEAN_CELLS, 4,
+         "profile: cluster 1, indicator 'a': to_country_average_percent overflows float64"),
+    ], ids=["impute", "skewness", "percent"])
+    def test_overflowing_statistic_exit_2(self, tmp_path, capsys, cells, k, message):
+        (tmp_path / "t.csv").write_text(csv_text(cells), encoding="utf-8")
+        conf = write_conf(tmp_path, f"input = t.csv\nk_regions = {k}\nk_vars = 1\noutput_dir = out\n")
+        assert cli.main(["run", "--config", str(conf)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     def test_column_too_narrow_to_z_score_exit_1(self, tmp_path, capsys):
         # sd 1.3 at mean 1e12 sits near float64's spacing there, so the
         # z-scores miss mean 0 by about 1e-5
@@ -381,3 +447,41 @@ class TestCli:
         spec = write_conf(tmp_path, "n = 5\np = 3\nclusters = 9\n")
         assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+FUZZ_CELLS = st.one_of(
+    st.floats(min_value=-1e308, max_value=1e308).map(repr),
+    st.sampled_from(["", "NA", "1e154", "1e307", "1e-320"]),
+)
+FUZZ_LINES = ["k_regions = 1", "k_regions = 2", "k_regions = 5", "k_vars = 1", "k_vars = 3",
+              "components = fixed:1", "components = cumulative:99", "cluster_space = raw",
+              "score_columns = all", "component_labels = x | y"]
+
+
+@st.composite
+def fuzz_cells(draw):
+    n, p = draw(st.integers(3, 9)), draw(st.integers(2, 4))
+    row = st.lists(FUZZ_CELLS, min_size=p, max_size=p)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+class TestCliFuzz:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(cells=fuzz_cells(),
+           lines=st.lists(st.sampled_from(FUZZ_LINES), max_size=3,
+                          unique_by=lambda line: line.split("=")[0]))
+    @example(cells=GAP_CELLS, lines=["k_regions = 2", "k_vars = 1"])
+    @example(cells=SKEW_CELLS, lines=["k_regions = 1", "k_vars = 1"])
+    @example(cells=TINY_MEAN_CELLS, lines=["k_regions = 4", "k_vars = 1"])
+    def test_every_input_ends_in_exit_code_and_one_line(self, cells, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            (directory / "t.csv").write_text(csv_text(cells), encoding="utf-8")
+            conf = write_conf(directory, "\n".join(["input = t.csv", *lines, "output_dir = out"]))
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error")
+                code = cli.main(["run", "--config", str(conf)])
+        assert code in (0, 1, 2)
+        assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1), err.getvalue()

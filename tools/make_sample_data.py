@@ -8,34 +8,15 @@ imputation. Deterministic; run from the repository root.
 from __future__ import annotations
 
 import csv
+import sys
 from pathlib import Path
 
 from pcacluster.synth import SyntheticSpec, generate_synthetic
 
-OUT = Path(__file__).resolve().parents[1] / "src" / "pcacluster" / "data" / "sample_regions.csv"
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import PAPER_INDICATORS  # noqa: E402
 
-# label, mean, sd, floor (None = unbounded), decimals
-INDICATORS = [
-    ("GRP per capita, rubles", 250000.0, 180000.0, 15000.0, 2),
-    ("The volume of investments in fixed assets, million rubles", 350000.0, 400000.0, 2000.0, 2),
-    ("Cost of fixed assets, million rubles", 800000.0, 700000.0, 10000.0, 2),
-    ("Expenditures on technological innovations, million rubles", 15000.0, 20000.0, 50.0, 2),
-    ("Industrial producer price index, %", 104.0, 3.0, None, 2),
-    ("Average per capita cash income, rubles", 30000.0, 9000.0, 9000.0, 2),
-    ("The share of the population with cash incomes below the subsistence level, in %", 14.0, 5.0, 1.0, 2),
-    ("Gini coefficient, at times", 0.38, 0.02, 0.25, 3),
-    ("Consumer Price Index, %", 104.0, 0.8, None, 2),
-    ("Cost of a fixed set of consumer goods and services, rub", 15500.0, 2500.0, 9000.0, 2),
-    ("Coefficients of migration growth per 10 000 population", 0.0, 40.0, None, 1),
-    ("Population change", 0.0, 1.2, None, 2),
-    ("Demographic load factors, per 1000 people of working age", 780.0, 60.0, None, 1),
-    ("Natural population growth rates per 1000 people", -1.5, 3.0, None, 2),
-    ("Life expectancy at birth, years", 72.0, 2.0, None, 2),
-    ("Number of labor resources, thousand people", 900.0, 800.0, 50.0, 1),
-    ("The share of persons under working age employed in the economy in the total number of employed", 25.0, 4.0, 1.0, 2),
-    ("Unemployment rate", 5.5, 2.5, 0.5, 2),
-    ("Real accounted wages of employees of organizations", 102.0, 2.5, None, 2),
-]
+OUT = Path(__file__).resolve().parents[1] / "src" / "pcacluster" / "data" / "sample_regions.csv"
 
 MISSING_BLANK = [(4, 2), (17, 7), (40, 11), (63, 16)]
 MISSING_NA = [(9, 3), (28, 10), (52, 0), (77, 18)]
@@ -50,7 +31,7 @@ def main() -> None:
     rows = []
     for i in range(85):
         row: list[str] = [f"Region {i + 1:02d}"]
-        for j, (_, mean, sd, floor, decimals) in enumerate(INDICATORS):
+        for j, (_, mean, sd, floor, decimals) in enumerate(PAPER_INDICATORS):
             value = mean + z[i, j] * sd
             if floor is not None:
                 value = max(value, floor)
@@ -64,7 +45,7 @@ def main() -> None:
     OUT.parent.mkdir(parents=True, exist_ok=True)
     with OUT.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["region"] + [label for label, *_ in INDICATORS])
+        writer.writerow(["region"] + [label for label, *_ in PAPER_INDICATORS])
         writer.writerows(rows)
     print(f"wrote {OUT}")
 

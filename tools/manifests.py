@@ -1,4 +1,4 @@
-"""Run ten pipeline configs from a source tree and print each manifest's SHA-256.
+"""Run eleven pipeline configs from a source tree and print each manifest's SHA-256.
 
     python tools/manifests.py SRC_DIR OUT_DIR
 
@@ -42,6 +42,11 @@ CONFIGS = {
     "fixed2-labels": ["input = {sample}", "components = fixed:2",
                       "component_labels = capital | demography"],
     "cumulative70": ["input = {sample}", "components = cumulative:70"],
+    # every typed key away from its default
+    "synthetic-typed-keys": ["synthetic = true", "n = 120", "p = 8", "clusters = 3",
+                             "separation = 4.5", "within_sd = 0.5", "seed = 11",
+                             "k_regions = 6", "k_vars = 3", "components = cumulative:80",
+                             "score_columns = all"],
 }
 WORKLOADS = ("paper", "wide", "regions")
 
