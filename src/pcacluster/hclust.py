@@ -7,6 +7,19 @@ pair whose combined leaf-index set is lexicographically smallest wins
 (lowest original leaf index, then second-lowest, and so on). Clusters
 are disjoint and each keeps the slot of its smallest leaf, so that pair
 is the smallest slot pair i < j: the distance matrix's first minimum.
+
+Linkage follows the generic algorithm of Müllner 2011 ("Modern
+hierarchical, agglomerative clustering algorithms", arXiv:1109.2378):
+each row caches the first minimum of its upper triangle, right of the
+diagonal. The matrix is symmetric, so the first row that holds the global
+minimum holds it right of its diagonal, and that row's cached column is
+the first minimum in row-major order: the tie rule above. After merging
+i < j only row i and the rows whose cached column was i or j can move
+their first minimum: complete-linkage distances never shrink, and any
+other row's cached column keeps its value. Retired slot j leaves the
+cache at once: mind[j] = inf, so it is never picked; nn[j] = -1, so no
+merge marks it stale and no rescan revives it; and its column turns
+infinite, so no live row's rescan lands on it.
 """
 
 from __future__ import annotations
@@ -20,6 +33,8 @@ from .ingest import IndicatorTable
 from .linalg import correlation_matrix
 
 _HEIGHT_SLACK = 1e-12
+# the n x n float64 matrix of MAX_POINTS points takes 2 GiB
+MAX_POINTS = 16384
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,10 +63,15 @@ class DistanceMatrix:
         object.__setattr__(self, "labels", tuple(self.labels))
 
     def full(self) -> np.ndarray:
+        """The symmetric n x n matrix with a zero diagonal, filled in place."""
         grid = np.zeros((self.n, self.n))
-        iu = np.triu_indices(self.n, 1)
-        grid[iu] = self.condensed
-        return grid + grid.T
+        start = 0
+        for i in range(self.n - 1):
+            row = self.condensed[start : start + self.n - 1 - i]
+            grid[i, i + 1 :] = row
+            grid[i + 1 :, i] = row
+            start += row.size
+        return grid
 
 
 @dataclass(frozen=True)
@@ -139,6 +159,11 @@ def euclidean_distances(points, labels: tuple[str, ...] | None = None) -> Distan
     n, d = grid.shape
     if n < 2 or d < 1:
         raise ValidationError(f"need at least 2 points of dimension >= 1, got {n}x{d}")
+    if n > MAX_POINTS:
+        raise ValidationError(
+            f"{n} points exceed the {MAX_POINTS}-point limit of the "
+            "n x n distance matrix (2 GiB)"
+        )
     if not np.isfinite(grid).all():
         raise ValidationError("points contain non-finite values")
     if labels is None:
@@ -158,24 +183,43 @@ def complete_linkage(d: DistanceMatrix) -> Dendrogram:
     n = d.n
     dist = d.full()
     np.fill_diagonal(dist, np.inf)
-    # merging slots i < j keeps slot i, so slot s holds the cluster whose
-    # smallest leaf is s; the row-major first minimum is the tie-break pair
+    # nn[r] is the first argmin of row r right of the diagonal, mind[r] its
+    # value; a retired slot has nn -1 and mind inf
+    nn = np.full(n, -1)
+    mind = np.full(n, np.inf)
+
+    def rescan(r: int) -> None:
+        row = dist[r, r + 1 :]
+        c = int(row.argmin())
+        nn[r] = r + 1 + c
+        mind[r] = row[c]
+
+    for r in range(n - 1):
+        rescan(r)
     size = [1] * n
     node_id = [-(i + 1) for i in range(n)]
     merges: list[Merge] = []
     for step in range(1, n):
-        i, j = divmod(int(np.argmin(dist)), n)
+        # the first row holding the minimum, at its first column: the
+        # distance matrix's row-major first minimum
+        i = int(mind.argmin())
+        j = int(nn[i])
         size[i] += size[j]
-        merges.append(Merge(node_id[i], node_id[j], float(dist[i, j]), size[i]))
+        merges.append(Merge(node_id[i], node_id[j], float(mind[i]), size[i]))
         # slot i inherits the merged cluster via the complete-linkage
-        # (maximum) distance update; slot j is retired
+        # (maximum) distance update; slot j is retired, its row never read
+        # again (the infinite diagonal makes merged_row infinite at i and j)
         merged_row = np.maximum(dist[i], dist[j])
         dist[i, :] = merged_row
         dist[:, i] = merged_row
-        dist[i, i] = np.inf
-        dist[j, :] = np.inf
         dist[:, j] = np.inf
+        nn[j] = -1
+        mind[j] = np.inf
         node_id[i] = step
+        # row i (whose nn was j) and the rows that pointed at i or j are
+        # stale; every other row's first argmin stands
+        for r in np.flatnonzero((nn == i) | (nn == j)).tolist():
+            rescan(r)
     return Dendrogram(merges=tuple(merges), labels=d.labels)
 
 

@@ -9,6 +9,7 @@ allows. Everything is a pure function of the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,16 @@ class SyntheticSpec:
             )
         if self.n < 3 or self.p < 2:
             raise ValidationError(f"need n >= 3 and p >= 2, got n={self.n}, p={self.p}")
-        if self.separation < 0:
-            raise ValidationError("separation must be non-negative")
-        if self.within_sd <= 0:
-            raise ValidationError("within-cluster sd must be positive")
+        if not 0 <= self.separation < math.inf:
+            raise ValidationError(
+                f"separation must be finite and non-negative, got {self.separation}"
+            )
+        if not 0 < self.within_sd < math.inf:
+            raise ValidationError(
+                f"within-cluster sd must be finite and positive, got {self.within_sd}"
+            )
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
     def cluster_sizes(self) -> list[int]:
         base, extra = divmod(self.n, self.clusters)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from pcacluster.concordance import adjusted_rand_index
 from pcacluster.errors import ValidationError
 from pcacluster.hclust import (
+    MAX_POINTS,
     Dendrogram,
     DistanceMatrix,
     Merge,
@@ -42,6 +44,24 @@ def random_distance_matrix(rng: np.random.Generator) -> DistanceMatrix:
     return euclidean_distances(points)
 
 
+def tie_heavy_distance_matrix(rng: np.random.Generator) -> DistanceMatrix:
+    """Integer grid points or copies of a few rows: most distances tie."""
+    # one in ten up to 59 points; the oracle's cost grows as n^3
+    n = int(rng.integers(3, 60 if rng.random() < 0.1 else 25))
+    d = int(rng.integers(1, 4))
+    if rng.random() < 0.5:
+        points = rng.integers(0, 4, size=(n, d)).astype(float)
+    else:
+        distinct = rng.random((int(rng.integers(1, 6)), d))
+        points = distinct[rng.integers(0, len(distinct), size=n)]
+    return euclidean_distances(points)
+
+
+# 3000-point linkage takes 0.2-0.9 s on a 2-core host, and over 10 s if
+# each step scans the whole matrix; the budget leaves room for host drift
+LARGE_LINKAGE_BUDGET_S = 3.0
+
+
 class TestEuclideanDistances:
     def test_three_four_five(self):
         d = euclidean_distances([[0.0, 0.0], [3.0, 4.0]])
@@ -67,6 +87,18 @@ class TestEuclideanDistances:
     def test_rejects_single_point(self):
         with pytest.raises(ValidationError, match="at least 2 points"):
             euclidean_distances([[1.0, 2.0]])
+
+    def test_rejects_points_past_the_matrix_ceiling_before_allocating(self):
+        assert 8 * MAX_POINTS**2 <= 2 * 2**30
+        points = np.zeros((MAX_POINTS + 1, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=f"{MAX_POINTS + 1} points exceed"):
+                euclidean_distances(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * MAX_POINTS * 16  # far below the 0.5 n^2 condensed floats
 
 
 class TestCompleteLinkage:
@@ -143,6 +175,28 @@ class TestCompleteLinkage:
         d = euclidean_distances(points[rng.permutation(40)])
         actual = dendrogram_as_member_merges(complete_linkage(d))
         assert same_merge_sequence(actual, oracle_complete_linkage(d))
+
+    def test_tie_heavy_inputs_match_oracle(self):
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            d = tie_heavy_distance_matrix(rng)
+            actual = dendrogram_as_member_merges(complete_linkage(d))
+            assert same_merge_sequence(actual, oracle_complete_linkage(d))
+
+    @pytest.mark.parametrize("points", [
+        np.random.default_rng(67).standard_normal((3000, 19)),
+        np.ones((3000, 3)),
+        np.array([[i % 55, i // 55] for i in range(3000)], dtype=float),
+    ], ids=["normal", "identical", "grid"])
+    def test_3000_points_within_budget(self, points):
+        # identical points and a grid tie nearly every row: a step that let
+        # them all go stale would rescan the whole matrix again
+        d = euclidean_distances(points)
+        start = time.perf_counter()
+        dend = complete_linkage(d)
+        elapsed = time.perf_counter() - start
+        assert dend.merges[-1].size == 3000
+        assert elapsed < LARGE_LINKAGE_BUDGET_S
 
 
 class TestScipyOracle:
@@ -314,6 +368,13 @@ class TestDendrogramType:
 
 
 class TestDistanceMatrixType:
+    def test_full_is_symmetric_with_zero_diagonal(self):
+        condensed = np.random.default_rng(71).random(15)
+        d = DistanceMatrix(6, condensed, tuple("abcdef"))
+        grid = np.zeros((6, 6))
+        grid[np.triu_indices(6, 1)] = condensed
+        assert np.array_equal(d.full(), grid + grid.T)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_distance(self, bad):
         with pytest.raises(ValidationError, match="finite"):

@@ -409,6 +409,17 @@ class TestCli:
         ]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("extra, message", [
+        ("seed = -1", "seed must be non-negative, got -1"),
+        ("within_sd = inf", "within-cluster sd must be finite and positive, got inf"),
+        ("separation = nan", "separation must be finite and non-negative, got nan"),
+    ], ids=["seed", "within_sd", "separation"])
+    def test_bad_synthetic_spec_exit_1(self, tmp_path, capsys, extra, message):
+        conf = write_conf(tmp_path, f"synthetic = true\noutput_dir = out\n{extra}\n")
+        assert cli.main(["run", "--config", str(conf)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("cells, k, message", [
         (GAP_CELLS, 2, "impute: indicator 'a' overflows float64: its mean is not finite"),
         (SKEW_CELLS, 1, "profile: cluster 1, indicator 'b': skewness overflows float64"),

@@ -13,7 +13,7 @@ per config, so comparing two checkouts is a `diff` of two outputs:
 
 The perfbench inputs (seed 7) are written by this checkout's
 `perfbench/workloads.py`, so both sides get the same bytes. Exits 1 if
-any run fails.
+SRC_DIR has no `src/pcacluster` or if any run fails.
 """
 
 from __future__ import annotations
@@ -71,6 +71,9 @@ def main(argv: list[str]) -> int:
         print("usage: python tools/manifests.py SRC_DIR OUT_DIR", file=sys.stderr)
         return 2
     src, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    if not (src / "src" / "pcacluster").is_dir():
+        print(f"{src} is not a checkout: it has no src/pcacluster", file=sys.stderr)
+        return 1
     if out.exists() and any(out.iterdir()):
         print(f"{out} is not empty", file=sys.stderr)
         return 2
