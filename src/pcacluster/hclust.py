@@ -168,13 +168,21 @@ def euclidean_distances(points, labels: tuple[str, ...] | None = None) -> Distan
         raise ValidationError("points contain non-finite values")
     if labels is None:
         labels = tuple(str(i) for i in range(n))
+    # row i's distances are sqrt(((grid[i + 1:] - grid[i]) ** 2).sum(axis=1)),
+    # computed in one reused difference buffer and written into place
+    condensed = np.empty(n * (n - 1) // 2)
+    diff = np.empty((n - 1, d))
+    start = 0
     # an overflow becomes inf, which DistanceMatrix rejects
     with np.errstate(over="ignore"):
-        parts = [
-            np.sqrt(((grid[i + 1 :] - grid[i]) ** 2).sum(axis=1))
-            for i in range(n - 1)
-        ]
-    return DistanceMatrix(n=n, condensed=np.concatenate(parts), labels=labels)
+        for i in range(n - 1):
+            block = diff[: n - 1 - i]
+            np.subtract(grid[i + 1 :], grid[i], out=block)
+            np.multiply(block, block, out=block)
+            block.sum(axis=1, out=condensed[start : start + len(block)])
+            start += len(block)
+        np.sqrt(condensed, out=condensed)
+    return DistanceMatrix(n=n, condensed=condensed, labels=labels)
 
 
 def complete_linkage(d: DistanceMatrix) -> Dendrogram:

@@ -180,7 +180,7 @@ def write_table(
         writer.writerow(["region", *table.indicator_labels])
         for label, row in zip(table.region_labels, table.values):
             cells = ["" if math.isnan(x) else format_float(x).replace(".", options.decimal)
-                     for x in row]
+                     for x in row.tolist()]
             writer.writerow([label, *cells])
 
 

@@ -248,11 +248,11 @@ def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
     sink.plot("parallel_coordinates",
               svgplot.parallel_coordinates_svg(values, indicators, assignment, leaf_order),
               ["region", "cluster", *indicators],
-              ([regions[i], str(assignment[i]), *map(format_float, values[i])]
+              ([regions[i], str(assignment[i]), *map(format_float, values[i].tolist())]
                for i in leaf_order))
     sink.plot("heatmap", svgplot.heatmap_svg(values, regions, indicators, leaf_order),
               ["region", *indicators],
-              ([regions[i], *map(format_float, values[i])] for i in leaf_order))
+              ([regions[i], *map(format_float, values[i].tolist())] for i in leaf_order))
 
     # first two axes drive both scatter figures even when only one
     # component was retained

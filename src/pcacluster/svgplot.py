@@ -9,7 +9,7 @@ cluster id.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +27,9 @@ PALETTE = (
 )
 
 _FONT = 'font-family="Helvetica, Arial, sans-serif"'
+
+# the n x p figures convert this many cells at a time, bounding their temporaries
+_BLOCK_CELLS = 4096
 
 
 def _esc(text: str) -> str:
@@ -95,6 +98,17 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return ticks
 
 
+def _by_row(values: np.ndarray, row_order: Sequence[int],
+            convert: Callable[[np.ndarray], np.ndarray]) -> Iterator[tuple[int, list]]:
+    """(i, convert(values[i]) as a list) for each i in row_order, converting
+    a block of about _BLOCK_CELLS cells at a time."""
+    rows = list(row_order)
+    step = max(1, _BLOCK_CELLS // max(values.shape[1], 1))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        yield from zip(block, convert(values[block]).tolist())
+
+
 def _tick_label(value: float) -> str:
     return f"{value:g}"
 
@@ -153,11 +167,11 @@ def parallel_coordinates_svg(
             x_of(j), bottom + 12, label, 8, "end",
             extra=f' transform="rotate(-55 {x_of(j):.2f} {bottom + 12:.2f})"',
         ))
-    for i in row_order:
-        color = cluster_color(assignment[i])
-        points = " ".join(f"{x_of(j):.2f},{y_of(z_values[i, j]):.2f}" for j in range(p))
+    xs = [f"{x_of(j):.2f}," for j in range(p)]
+    for i, ys in _by_row(z_values, row_order, y_of):
+        points = " ".join([f"{x}{y:.2f}" for x, y in zip(xs, ys)])
         body.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1" '
+            f'<polyline fill="none" stroke="{cluster_color(assignment[i])}" stroke-width="1" '
             f'stroke-opacity="0.55" points="{points}"/>'
         )
     for cluster_id in sorted(set(assignment)):
@@ -169,16 +183,22 @@ def parallel_coordinates_svg(
     return _document(width, height, body)
 
 
-def _diverging_color(t: float) -> str:
-    """t in [-1, 1]: blue through white to red."""
-    t = max(-1.0, min(1.0, t))
-    if t < 0:
-        frac = 1.0 + t
-        rgb = tuple(round(c0 + (255 - c0) * frac) for c0 in (33, 102, 172))
-    else:
-        frac = 1.0 - t
-        rgb = tuple(round(c0 + (255 - c0) * frac) for c0 in (178, 24, 43))
-    return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
+_BLUE = np.array([33, 102, 172])
+_RED = np.array([178, 24, 43])
+_HEX = np.array([f"{v:02x}" for v in range(256)])
+
+
+def diverging_colors(t: np.ndarray) -> np.ndarray:
+    """'#rrggbb' per entry of t clipped to [-1, 1]: blue through white to red.
+
+    Each channel is c0 + (255 - c0) * frac rounded half to even, with
+    frac = 1 + t below 0 and 1 - t otherwise.
+    """
+    t = np.clip(t, -1.0, 1.0)[..., np.newaxis]
+    negative = t < 0
+    c0 = np.where(negative, _BLUE, _RED)
+    rgb = _HEX[np.rint(c0 + (255 - c0) * np.where(negative, 1.0 + t, 1.0 - t)).astype(np.intp)]
+    return np.strings.add(np.strings.add(np.strings.add("#", rgb[..., 0]), rgb[..., 1]), rgb[..., 2])
 
 
 HEATMAP_CLIP = 3.0
@@ -203,15 +223,14 @@ def heatmap_svg(
         x = left + (j + 0.5) * cell_w
         body.append(_text(x, top - 6, label, 8, "start",
                           extra=f' transform="rotate(-60 {x:.2f} {top - 6:.2f})"'))
-    for row, i in enumerate(row_order):
+    xs = [f'<rect x="{left + j * cell_w:.2f}" y="' for j in range(p)]
+    size = f'" width="{cell_w}" height="{cell_h}" fill="'
+    rows = _by_row(z_values, row_order, lambda block: diverging_colors(block / HEATMAP_CLIP))
+    for row, (i, colors) in enumerate(rows):
         y = top + row * cell_h
         body.append(_text(left - 5, y + cell_h * 0.75, region_labels[i], label_size, "end"))
-        for j in range(p):
-            color = _diverging_color(float(z_values[i, j]) / HEATMAP_CLIP)
-            body.append(
-                f'<rect x="{left + j * cell_w:.2f}" y="{y:.2f}" width="{cell_w}" '
-                f'height="{cell_h}" fill="{color}"/>'
-            )
+        y_attr = f"{y:.2f}"
+        body.extend([f'{x}{y_attr}{size}{color}"/>' for x, color in zip(xs, colors)])
     return _document(width, height, body)
 
 

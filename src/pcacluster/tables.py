@@ -26,8 +26,8 @@ def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[
 
 
 def labeled_rows(labels: Sequence[str], grid) -> Iterator[list[str]]:
-    """One row per label: the label, then its grid row through format_float."""
-    return ([label, *map(format_float, row)] for label, row in zip(labels, grid))
+    """One row per label: the label, then its row of the array grid through format_float."""
+    return ([label, *map(format_float, row.tolist())] for label, row in zip(labels, grid))
 
 
 def write_labeled_matrix(

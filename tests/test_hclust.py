@@ -100,6 +100,19 @@ class TestEuclideanDistances:
             tracemalloc.stop()
         assert peak < 8 * MAX_POINTS * 16  # far below the 0.5 n^2 condensed floats
 
+    @pytest.mark.parametrize("points", [
+        np.random.default_rng(71).standard_normal((400, 19)),
+        np.repeat(np.random.default_rng(73).standard_normal((25, 4)), 8, axis=0),
+        np.random.default_rng(79).standard_normal((300, 1)),
+    ], ids=["random", "duplicate-rows", "one-column"])
+    def test_bit_equal_to_per_row_expression(self, points):
+        n = len(points)
+        expected = np.concatenate([
+            np.sqrt(((points[i + 1 :] - points[i]) ** 2).sum(axis=1)) for i in range(n - 1)
+        ])
+        actual = euclidean_distances(points).condensed
+        assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+
 
 class TestCompleteLinkage:
     def test_line_points_merge_sequence(self):

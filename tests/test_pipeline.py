@@ -419,6 +419,16 @@ class TestCli:
         assert cli.main(["run", "--config", str(conf)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
+    def test_synthetic_regions_past_the_matrix_ceiling_exit_1_before_drawing(self, tmp_path,
+                                                                              capsys):
+        conf = write_conf(tmp_path, "synthetic = true\nn = 16385\np = 2\noutput_dir = out\n")
+        assert cli.main(["run", "--config", str(conf)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: 16385 regions exceed the 16384-point limit of the "
+            "n x n distance matrix (2 GiB)"
+        ]
+        assert not (tmp_path / "out" / "synthetic_table.csv").exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("cells, k, message", [
         (GAP_CELLS, 2, "impute: indicator 'a' overflows float64: its mean is not finite"),
