@@ -37,6 +37,15 @@ _HEIGHT_SLACK = 1e-12
 MAX_POINTS = 16384
 
 
+def check_points(n: int, noun: str) -> None:
+    """Reject more than MAX_POINTS points before the distance matrix is built."""
+    if n > MAX_POINTS:
+        raise ValidationError(
+            f"{n} {noun} exceed the {MAX_POINTS}-point limit of the "
+            f"n x n distance matrix ({8 * MAX_POINTS**2 / 2**30:g} GiB)"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Condensed pairwise distances over n labeled items."""
@@ -159,11 +168,7 @@ def euclidean_distances(points, labels: tuple[str, ...] | None = None) -> Distan
     n, d = grid.shape
     if n < 2 or d < 1:
         raise ValidationError(f"need at least 2 points of dimension >= 1, got {n}x{d}")
-    if n > MAX_POINTS:
-        raise ValidationError(
-            f"{n} points exceed the {MAX_POINTS}-point limit of the "
-            "n x n distance matrix (2 GiB)"
-        )
+    check_points(n, "points")
     if not np.isfinite(grid).all():
         raise ValidationError("points contain non-finite values")
     if labels is None:

@@ -185,7 +185,8 @@ def parallel_coordinates_svg(
 
 _BLUE = np.array([33, 102, 172])
 _RED = np.array([178, 24, 43])
-_HEX = np.array([f"{v:02x}" for v in range(256)])
+# the two hex digits of each byte value as a (256, 2) array of characters
+_HEX = np.array([f"{v:02x}" for v in range(256)]).view("<U1").reshape(256, 2)
 
 
 def diverging_colors(t: np.ndarray) -> np.ndarray:
@@ -197,8 +198,11 @@ def diverging_colors(t: np.ndarray) -> np.ndarray:
     t = np.clip(t, -1.0, 1.0)[..., np.newaxis]
     negative = t < 0
     c0 = np.where(negative, _BLUE, _RED)
-    rgb = _HEX[np.rint(c0 + (255 - c0) * np.where(negative, 1.0 + t, 1.0 - t)).astype(np.intp)]
-    return np.strings.add(np.strings.add(np.strings.add("#", rgb[..., 0]), rgb[..., 1]), rgb[..., 2])
+    rgb = np.rint(c0 + (255 - c0) * np.where(negative, 1.0 + t, 1.0 - t)).astype(np.intp)
+    # seven characters per entry, read back as one 7-character string each
+    chars = np.full(t.shape[:-1] + (7,), "#")
+    chars[..., 1:] = _HEX[rgb].reshape(t.shape[:-1] + (6,))
+    return chars.view("<U7")[..., 0]
 
 
 HEATMAP_CLIP = 3.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .hclust import MAX_POINTS, Partition
+from .hclust import Partition, check_points
 from .ingest import IndicatorTable
 
 DEFAULT_SEED = 20210907
@@ -41,11 +41,7 @@ class SyntheticSpec:
             )
         if self.n < 3 or self.p < 2:
             raise ValidationError(f"need n >= 3 and p >= 2, got n={self.n}, p={self.p}")
-        if self.n > MAX_POINTS:
-            raise ValidationError(
-                f"{self.n} regions exceed the {MAX_POINTS}-point limit of the "
-                "n x n distance matrix (2 GiB)"
-            )
+        check_points(self.n, "regions")
         if not 0 <= self.separation < math.inf:
             raise ValidationError(
                 f"separation must be finite and non-negative, got {self.separation}"

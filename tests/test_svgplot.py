@@ -28,9 +28,10 @@ from pcacluster.svgplot import (
     scree_svg,
 )
 
-# both n x p figures at 3000 x 19 take about 0.1 s on a 2-core host, and
-# 0.34-0.55 s when every cell goes through a Python colour or coordinate call
-RENDER_3000_BUDGET_S = 0.25
+# both n x p figures at 3000 x 19 take 0.06-0.11 s on a 2-core host, and
+# 0.34-0.55 s when every cell goes through a Python colour or coordinate call;
+# like the linkage budgets, the budget leaves about 3x room for host drift
+RENDER_3000_BUDGET_S = 0.3
 
 
 def oracle_diverging_color(t: float) -> str:
