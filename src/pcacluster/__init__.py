@@ -2,7 +2,7 @@
 for regional indicator tables, with a deterministic reporting pipeline."""
 
 from .concordance import ContingencyTable, adjusted_rand_index, contingency, rand_index
-from .config import PipelineConfig, load_pipeline_config, load_synthetic_spec
+from .config import PipelineConfig, load_pipeline_config
 from .errors import NumericalError, PcaClusterError, ValidationError
 from .hclust import (
     Dendrogram,
@@ -79,7 +79,6 @@ __all__ = [
     "impute_means",
     "jacobi_eigen",
     "load_pipeline_config",
-    "load_synthetic_spec",
     "load_table",
     "loadings",
     "profile",

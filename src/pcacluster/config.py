@@ -1,4 +1,4 @@
-"""Plain-text configuration for the pipeline and the synthetic generator.
+"""Plain-text pipeline configuration, file or synthetic mode.
 
 Format: one "key = value" per line, "#" starts a full-line comment,
 blank lines ignored. Relative paths resolve against the directory
@@ -163,12 +163,3 @@ def load_pipeline_config(path: str | Path) -> PipelineConfig:
         parse_options=ParseOptions(**_convert(pairs, _PARSE_KEYS)),
         **run,
     )
-
-
-def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
-    path = Path(path)
-    pairs = read_key_values(path)
-    unknown = sorted(set(pairs) - set(_SYNTH_KEYS))
-    if unknown:
-        raise ValidationError(f"{path}: unknown keys {unknown}")
-    return SyntheticSpec(**_convert(pairs, _SYNTH_KEYS))

@@ -55,7 +55,12 @@ class DistanceMatrix:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        condensed = np.array(self.condensed, dtype=float)
+        condensed = self.condensed
+        # a write-locked float64 array that owns its data cannot change
+        # under the matrix; anything else is copied
+        if not (isinstance(condensed, np.ndarray) and condensed.dtype == np.float64
+                and condensed.flags.owndata and not condensed.flags.writeable):
+            condensed = np.array(condensed, dtype=float)
         expected = self.n * (self.n - 1) // 2
         if condensed.shape != (expected,):
             raise ValidationError(
@@ -187,6 +192,7 @@ def euclidean_distances(points, labels: tuple[str, ...] | None = None) -> Distan
             block.sum(axis=1, out=condensed[start : start + len(block)])
             start += len(block)
         np.sqrt(condensed, out=condensed)
+    condensed.flags.writeable = False
     return DistanceMatrix(n=n, condensed=condensed, labels=labels)
 
 

@@ -88,9 +88,9 @@ def correlation_matrix(table: IndicatorTable) -> SymmetricMatrix:
 def jacobi_eigen(m: SymmetricMatrix) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix by LAPACK (numpy.linalg.eigh).
 
-    Eigenpairs are sorted descending with the sign convention of
-    EigenDecomposition. A LAPACK failure or a non-finite result raises
-    NumericalError.
+    Eigenpairs are sorted descending, stable under ties, with the sign
+    convention of EigenDecomposition. A LAPACK failure or a non-finite
+    result raises NumericalError.
     """
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(m.values)
@@ -98,11 +98,6 @@ def jacobi_eigen(m: SymmetricMatrix) -> EigenDecomposition:
         raise NumericalError(f"symmetric eigensolver failed: {exc}") from exc
     if not (np.isfinite(eigenvalues).all() and np.isfinite(eigenvectors).all()):
         raise NumericalError("symmetric eigensolver produced non-finite values")
-    return _finish(eigenvalues, eigenvectors)
-
-
-def _finish(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> EigenDecomposition:
-    """Sort eigenpairs descending (stable under ties) and normalize signs."""
     order = np.argsort(-eigenvalues, kind="stable")
     vals = eigenvalues[order]
     vecs = eigenvectors[:, order]

@@ -39,8 +39,8 @@ class SyntheticSpec:
             raise ValidationError(
                 f"more clusters ({self.clusters}) than regions ({self.n})"
             )
-        if self.n < 3 or self.p < 2:
-            raise ValidationError(f"need n >= 3 and p >= 2, got n={self.n}, p={self.p}")
+        if not (self.n >= 3 and 2 <= self.p < self.n):
+            raise ValidationError(f"need n >= 3 and 2 <= p < n, got n={self.n}, p={self.p}")
         check_points(self.n, "regions")
         if not 0 <= self.separation < math.inf:
             raise ValidationError(

@@ -113,6 +113,17 @@ class TestEuclideanDistances:
         actual = euclidean_distances(points).condensed
         assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
 
+    def test_peak_memory_near_one_condensed_vector(self):
+        points = np.random.default_rng(83).standard_normal((2000, 19))
+        condensed_bytes = 8 * 2000 * 1999 // 2
+        tracemalloc.start()
+        try:
+            euclidean_distances(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * condensed_bytes
+
 
 class TestCompleteLinkage:
     def test_line_points_merge_sequence(self):
@@ -387,6 +398,13 @@ class TestDistanceMatrixType:
         grid = np.zeros((6, 6))
         grid[np.triu_indices(6, 1)] = condensed
         assert np.array_equal(d.full(), grid + grid.T)
+
+    def test_callers_writeable_input_never_aliases_the_matrix(self):
+        condensed = np.array([1.0, 2.0, 3.0])
+        d = DistanceMatrix(3, condensed, ("a", "b", "c"))
+        condensed[0] = 9.0
+        assert d.condensed.tolist() == [1.0, 2.0, 3.0]
+        assert not d.condensed.flags.writeable
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_distance(self, bad):

@@ -15,8 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcacluster import cli
-from pcacluster.config import PipelineConfig, load_pipeline_config, load_synthetic_spec
+from pcacluster.config import PipelineConfig, load_pipeline_config
 from pcacluster.errors import NumericalError, ValidationError
+from pcacluster.hclust import MAX_POINTS
 from pcacluster.ingest import load_table
 from pcacluster.pipeline import run_pipeline
 from pcacluster.synth import SyntheticSpec
@@ -144,11 +145,6 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match="unknown component rule"):
             load_pipeline_config(conf)
 
-    def test_synth_spec_file(self, tmp_path):
-        spec_file = write_conf(tmp_path, "n = 20\np = 4\nclusters = 2\nseparation = 3\nseed = 7\n")
-        spec = load_synthetic_spec(spec_file)
-        assert spec == SyntheticSpec(n=20, p=4, clusters=2, separation=3.0, within_sd=1.0, seed=7)
-
     @pytest.mark.parametrize("text, message", [
         ("synthetic = true\nk_regions = x", "k_regions must be an integer, got 'x'"),
         ("synthetic = true\nseparation = far", "separation must be a number, got 'far'"),
@@ -164,11 +160,6 @@ class TestConfigParsing:
     def test_component_labels_split_on_bars(self, tmp_path):
         conf = write_conf(tmp_path, "synthetic = true\ncomponent_labels = a | b\noutput_dir = out\n")
         assert load_pipeline_config(conf).component_labels == ("a", "b")
-
-    def test_unknown_spec_key_rejected(self, tmp_path):
-        spec_file = write_conf(tmp_path, "n = 20\ntypo = 1\n")
-        with pytest.raises(ValidationError, match="unknown keys"):
-            load_synthetic_spec(spec_file)
 
     def test_minimal_file_config_takes_dataclass_defaults(self, tmp_path):
         config = load_pipeline_config(write_conf(tmp_path, "input = x.csv\noutput_dir = out\n"))
@@ -353,6 +344,13 @@ class TestCli:
         assert excinfo.value.code == 0
         assert "pcacluster 0.1.0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [[], ["run"], ["synth", "--spec", "x", "--out", "y"]],
+                             ids=["no-command", "no-config", "unknown-command"])
+    def test_usage_error_exit_1(self, capsys, argv):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
     def test_run_success(self, tmp_path, capsys):
         conf = synth_conf(tmp_path)
         assert cli.main(["run", "--config", str(conf)]) == 0
@@ -413,11 +411,15 @@ class TestCli:
         ("seed = -1", "seed must be non-negative, got -1"),
         ("within_sd = inf", "within-cluster sd must be finite and positive, got inf"),
         ("separation = nan", "separation must be finite and non-negative, got nan"),
-    ], ids=["seed", "within_sd", "separation"])
+        ("n = 5\np = 3\nclusters = 9", "more clusters (9) than regions (5)"),
+        (f"p = {10**18}", f"need n >= 3 and 2 <= p < n, got n=85, p={10**18}"),
+        ("p = 85", "need n >= 3 and 2 <= p < n, got n=85, p=85"),
+    ], ids=["seed", "within_sd", "separation", "clusters", "huge-p", "p-equals-n"])
     def test_bad_synthetic_spec_exit_1(self, tmp_path, capsys, extra, message):
         conf = write_conf(tmp_path, f"synthetic = true\noutput_dir = out\n{extra}\n")
         assert cli.main(["run", "--config", str(conf)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out" / "synthetic_table.csv").exists()
 
     def test_synthetic_regions_past_the_matrix_ceiling_exit_1_before_drawing(self, tmp_path,
                                                                               capsys):
@@ -454,21 +456,6 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith("error: standardize: indicator 'V2' is not z-scored: mean ")
 
-    def test_synth_command(self, tmp_path, capsys):
-        spec = write_conf(tmp_path, "n = 15\np = 4\nclusters = 3\nseparation = 5\nseed = 3\n")
-        out_dir = tmp_path / "generated"
-        assert cli.main(["synth", "--spec", str(spec), "--out", str(out_dir)]) == 0
-        table = load_table(out_dir / "synthetic_table.csv")
-        assert table.n_regions == 15
-        truth_lines = (out_dir / "partition_truth.csv").read_text().splitlines()
-        assert truth_lines[0] == "region,cluster"
-        assert len(truth_lines) == 16
-
-    def test_synth_bad_spec_exit_1(self, tmp_path, capsys):
-        spec = write_conf(tmp_path, "n = 5\np = 3\nclusters = 9\n")
-        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
-        assert "error:" in capsys.readouterr().err
-
 
 FUZZ_CELLS = st.one_of(
     st.floats(min_value=-1e308, max_value=1e308).map(repr),
@@ -476,7 +463,20 @@ FUZZ_CELLS = st.one_of(
 )
 FUZZ_LINES = ["k_regions = 1", "k_regions = 2", "k_regions = 5", "k_vars = 1", "k_vars = 3",
               "components = fixed:1", "components = cumulative:99", "cluster_space = raw",
-              "score_columns = all", "component_labels = x | y"]
+              "score_columns = all", "component_labels = x | y", "components = fixed:0",
+              "components = cumulative:nan", "k_regions = 0"]
+FUZZ_AMOUNTS = st.sampled_from(["0", "-1", "nan", "inf", "1e300", "1e-320"])
+# n and p include sizes far too large to draw; a key left out takes its default
+FUZZ_SPEC = st.fixed_dictionaries({}, optional={
+    "n": st.one_of(st.integers(3, 9), st.sampled_from([MAX_POINTS + 1, 10**30])),
+    "p": st.one_of(st.integers(2, 4), st.just(10**18)),
+    "clusters": st.sampled_from([0, 1, 3, 9]),
+    "separation": FUZZ_AMOUNTS,
+    "within_sd": FUZZ_AMOUNTS,
+    "seed": st.sampled_from([-1, 0, 10**30]),
+})
+FUZZ_LINE_LISTS = st.lists(st.sampled_from(FUZZ_LINES), max_size=3,
+                           unique_by=lambda line: line.split("=")[0])
 
 
 @st.composite
@@ -486,11 +486,22 @@ def fuzz_cells(draw):
     return draw(st.lists(row, min_size=n, max_size=n))
 
 
+def run_strictly(conf: Path) -> int:
+    """cli.main on conf with every warning an error: exit 0, 1 or 2, and
+    exactly one stderr line unless 0."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        code = cli.main(["run", "--config", str(conf)])
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1), err.getvalue()
+    return code
+
+
 class TestCliFuzz:
     @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(cells=fuzz_cells(),
-           lines=st.lists(st.sampled_from(FUZZ_LINES), max_size=3,
-                          unique_by=lambda line: line.split("=")[0]))
+    @given(cells=fuzz_cells(), lines=FUZZ_LINE_LISTS)
     @example(cells=GAP_CELLS, lines=["k_regions = 2", "k_vars = 1"])
     @example(cells=SKEW_CELLS, lines=["k_regions = 1", "k_vars = 1"])
     @example(cells=TINY_MEAN_CELLS, lines=["k_regions = 4", "k_vars = 1"])
@@ -499,10 +510,19 @@ class TestCliFuzz:
             directory = Path(tmp)
             (directory / "t.csv").write_text(csv_text(cells), encoding="utf-8")
             conf = write_conf(directory, "\n".join(["input = t.csv", *lines, "output_dir = out"]))
-            err = io.StringIO()
-            with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
-                    contextlib.redirect_stdout(io.StringIO()):
-                warnings.simplefilter("error")
-                code = cli.main(["run", "--config", str(conf)])
-        assert code in (0, 1, 2)
-        assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1), err.getvalue()
+            run_strictly(conf)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(spec=FUZZ_SPEC, lines=FUZZ_LINE_LISTS)
+    def test_every_synthetic_spec_ends_in_exit_code_and_one_line(self, spec, lines):
+        keys = [f"{key} = {value}" for key, value in spec.items()]
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            conf = write_conf(directory, "\n".join(["synthetic = true", *keys, *lines,
+                                                     "output_dir = out"]))
+            code = run_strictly(conf)
+            wrote_output = (directory / "out").exists()
+        n, p = spec.get("n", SyntheticSpec.n), spec.get("p", SyntheticSpec.p)
+        if n > MAX_POINTS or p >= n:
+            # rejected as the config loads, before anything is allocated
+            assert code == 1 and not wrote_output
