@@ -27,9 +27,7 @@ from .pca import (
     CumulativeThreshold,
     Fixed,
     Kaiser,
-    LoadingMatrix,
     PcaModel,
-    ScoreMatrix,
     coefficients,
     fit_pca,
     loadings,
@@ -51,7 +49,6 @@ __all__ = [
     "Fixed",
     "IndicatorTable",
     "Kaiser",
-    "LoadingMatrix",
     "Merge",
     "NumericalError",
     "ParseOptions",
@@ -61,7 +58,6 @@ __all__ = [
     "PipelineConfig",
     "ProfileRow",
     "RunArtifacts",
-    "ScoreMatrix",
     "SymmetricMatrix",
     "SyntheticSpec",
     "ValidationError",

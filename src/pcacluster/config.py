@@ -16,7 +16,6 @@ from .pca import CumulativeThreshold, Fixed, Kaiser, SelectionRule
 from .synth import SyntheticSpec
 
 CLUSTER_SPACES = ("raw", "components", "both")
-SCORE_COLUMN_MODES = ("retained", "all")
 
 _DELIMITERS = {"comma": ",", ",": ",", "semicolon": ";", ";": ";"}
 _DECIMALS = {"period": ".", ".": ".", "comma": ",", ",": ","}
@@ -32,7 +31,6 @@ class PipelineConfig:
     k_regions: int = 4
     cluster_space: str = "both"
     k_vars: int = 4
-    score_columns: str = "retained"
     component_labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -46,17 +44,16 @@ class PipelineConfig:
             raise ValidationError(
                 f"cluster_space must be one of {CLUSTER_SPACES}, got {self.cluster_space!r}"
             )
-        if self.score_columns not in SCORE_COLUMN_MODES:
-            raise ValidationError(
-                f"score_columns must be one of {SCORE_COLUMN_MODES}, got {self.score_columns!r}"
-            )
+        labels = self.component_labels or ()
+        if "" in labels or len(set(labels)) < len(labels):
+            raise ValidationError(f"component_labels must be distinct and non-empty, got {labels}")
 
 
 def read_key_values(path: str | Path) -> dict[str, str]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -114,8 +111,7 @@ _SYNTH_KEYS = {"n": int, "p": int, "clusters": int, "separation": float,
 _PARSE_KEYS = {"delimiter": _named(_DELIMITERS, "delimiter"),
                "decimal": _named(_DECIMALS, "decimal separator")}
 _RUN_KEYS = {"components": parse_selection_rule, "k_regions": int, "k_vars": int,
-             "cluster_space": str.lower, "score_columns": str.lower,
-             "component_labels": _labels}
+             "cluster_space": str.lower, "component_labels": _labels}
 _PIPELINE_KEYS = {"input", "synthetic", "output_dir", *_SYNTH_KEYS, *_PARSE_KEYS, *_RUN_KEYS}
 _NOUNS = {int: "an integer", float: "a number"}
 

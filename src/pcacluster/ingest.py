@@ -135,7 +135,7 @@ def load_table(path: str | Path, options: ParseOptions = ParseOptions()) -> Indi
     try:
         with path.open(newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle, delimiter=options.delimiter))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     rows = [row for row in rows if row]
     if not rows:

@@ -38,6 +38,10 @@ class CumulativeThreshold:
 
     percent: float
 
+    def __post_init__(self) -> None:
+        if np.isnan(self.percent):  # no cumulative percent ever reaches NaN
+            raise ValidationError(f"cumulative threshold must be a number, got {self.percent}")
+
 
 SelectionRule = Kaiser | Fixed | CumulativeThreshold
 
@@ -62,29 +66,6 @@ class PcaModel:
         if self.k is None:
             raise ValidationError("component count not selected; call select_components")
         return self.k
-
-
-@dataclass(frozen=True, eq=False)
-class LoadingMatrix:
-    """Per-variable component weights; kind distinguishes the two scalings."""
-
-    kind: str  # "coefficients" or "loadings"
-    entries: np.ndarray
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("coefficients", "loadings"):
-            raise ValidationError(f"unknown loading kind {self.kind!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class ScoreMatrix:
-    """Observation coordinates in the component basis."""
-
-    entries: np.ndarray
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
 
 
 def component_names(k: int) -> tuple[str, ...]:
@@ -125,35 +106,25 @@ def select_components(model: PcaModel, rule: SelectionRule = Kaiser()) -> int:
     raise ValidationError(f"unknown selection rule {rule!r}")
 
 
-def coefficients(model: PcaModel) -> LoadingMatrix:
-    """First k unit eigenvector columns (sign-normalized)."""
+def coefficients(model: PcaModel) -> np.ndarray:
+    """First k unit eigenvector columns (sign-normalized), p x k."""
     k = model._require_k()
-    return LoadingMatrix(
-        kind="coefficients",
-        entries=model.eigen.eigenvectors[:, :k].copy(),
-        row_labels=model.indicator_labels,
-        col_labels=component_names(k),
-    )
+    return model.eigen.eigenvectors[:, :k].copy()
 
 
-def loadings(model: PcaModel) -> LoadingMatrix:
-    """Coefficients scaled columnwise by sqrt(eigenvalue).
+def loadings(model: PcaModel) -> np.ndarray:
+    """Coefficients scaled columnwise by sqrt(eigenvalue), p x k.
 
     Entry (i, j) equals the sample correlation between variable i and
     score column j.
     """
     k = model._require_k()
     scale = np.sqrt(np.maximum(model.eigen.eigenvalues[:k], 0.0))
-    return LoadingMatrix(
-        kind="loadings",
-        entries=model.eigen.eigenvectors[:, :k] * scale,
-        row_labels=model.indicator_labels,
-        col_labels=component_names(k),
-    )
+    return model.eigen.eigenvectors[:, :k] * scale
 
 
-def scores(model: PcaModel, table: IndicatorTable) -> ScoreMatrix:
-    """Project the standardized table onto the retained k component axes."""
+def scores(model: PcaModel, table: IndicatorTable) -> np.ndarray:
+    """Project the standardized table onto the retained k component axes, n x k."""
     k = model._require_k()
     if not table.standardized:
         raise ValidationError("scores require the standardized table the model was fitted on")
@@ -161,11 +132,7 @@ def scores(model: PcaModel, table: IndicatorTable) -> ScoreMatrix:
         raise ValidationError(
             f"table has {table.values.shape[1]} indicators, model expects {model.p}"
         )
-    return ScoreMatrix(
-        entries=table.values @ model.eigen.eigenvectors[:, :k],
-        row_labels=table.region_labels,
-        col_labels=component_names(k),
-    )
+    return table.values @ model.eigen.eigenvectors[:, :k]
 
 
 def write_variance_table(model: PcaModel, path: str | Path) -> None:

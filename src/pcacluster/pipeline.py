@@ -141,16 +141,14 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             raise ValidationError(
                 f"{len(names)} component labels given but {model.k} components retained"
             )
-        load = loadings(model)
         score = scores(model, table)
         write_variance_table(model, sink.path("variance_table.csv"))
-        for rel, matrix, row_header in (
-            ("coefficients.csv", coefficients(model), "indicator"),
-            ("loadings.csv", load, "indicator"),
-            ("scores.csv", score, "region"),
+        for rel, matrix, row_header, row_labels in (
+            ("coefficients.csv", coefficients(model), "indicator", model.indicator_labels),
+            ("loadings.csv", loadings(model), "indicator", model.indicator_labels),
+            ("scores.csv", score, "region", table.region_labels),
         ):
-            write_labeled_matrix(sink.path(rel), matrix.entries, row_header,
-                                 matrix.row_labels, names)
+            write_labeled_matrix(sink.path(rel), matrix, row_header, row_labels, names)
 
     dendrograms: dict[str, Dendrogram] = {}
     partitions: dict[str, Partition] = {}
@@ -162,12 +160,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
         for space in ("raw", "components"):
             if config.cluster_space not in (space, "both"):
                 continue
-            if space == "raw":
-                points = table.values
-            elif config.score_columns == "retained":
-                points = score.entries
-            else:
-                points = scores(model.with_components(model.p), table).entries
+            points = table.values if space == "raw" else score
             dend = complete_linkage(euclidean_distances(points, table.region_labels))
             dendrograms[space] = dend
             partitions[space] = cut(dend, config.k_regions)
@@ -257,8 +250,8 @@ def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
     # first two axes drive both scatter figures even when only one
     # component was retained
     plot_model = model if model.k >= 2 else model.with_components(2)
-    plot_loadings = loadings(plot_model).entries[:, :2]
-    plot_scores = scores(plot_model, table).entries[:, :2]
+    plot_loadings = loadings(plot_model)[:, :2]
+    plot_scores = scores(plot_model, table)[:, :2]
     axis_names = tuple(names[:2]) if len(names) >= 2 else ("f1", "f2")
     sink.plot("loadings", svgplot.loadings_svg(plot_loadings, indicators, axis_names),
               ["indicator", *axis_names], labeled_rows(indicators, plot_loadings))

@@ -92,7 +92,7 @@ def test_03_coefficient_norms():
         assert abs(printed_sum - 0.999) < 2e-3
         assert abs(printed_sum - 1.0) < 0.01  # coefficients, not scaled loadings
         model = fit_pca(random_standardized_table(1001)).with_components(5)
-        norms = (coefficients(model).entries ** 2).sum(axis=0)
+        norms = (coefficients(model) ** 2).sum(axis=0)
         assert np.max(np.abs(norms - 1.0)) < 1e-10
 
 
@@ -120,7 +120,7 @@ def test_05_score_decorrelation():
         for seed in range(50):
             table = random_standardized_table(seed)
             model = fit_pca(table).with_components(19)
-            entries = scores(model, table).entries
+            entries = scores(model, table)
             variances = entries.var(axis=0, ddof=1)
             assert np.max(np.abs(variances - model.eigen.eigenvalues)) < 1e-8
             corr = np.corrcoef(entries, rowvar=False)

@@ -121,7 +121,7 @@ class TestCoefficients:
     def test_columns_have_unit_norm(self):
         model = fit_pca(random_standardized_table(4)).with_components(5)
         coef = coefficients(model)
-        norms = (coef.entries**2).sum(axis=0)
+        norms = (coef**2).sum(axis=0)
         assert np.max(np.abs(norms - 1.0)) < 1e-10
 
     def test_identity_correlation_gives_standard_basis(self):
@@ -129,33 +129,26 @@ class TestCoefficients:
         w = np.array([1.0, -2.0, 1.0]) / math.sqrt(3.0)
         model = fit_pca(make_table(np.column_stack([u, w]), standardized=True))
         coef = coefficients(model.with_components(2))
-        assert np.allclose(np.abs(coef.entries), np.eye(2), atol=1e-9)
+        assert np.allclose(np.abs(coef), np.eye(2), atol=1e-9)
 
     def test_requires_selected_k(self):
         model = fit_pca(random_standardized_table(5))
         with pytest.raises(ValidationError, match="not selected"):
             coefficients(model)
 
-    def test_labels(self):
-        model = fit_pca(random_standardized_table(6, n=30, p=4)).with_components(2)
-        coef = coefficients(model)
-        assert coef.col_labels == ("f1", "f2")
-        assert coef.row_labels == ("V1", "V2", "V3", "V4")
-        assert coef.kind == "coefficients"
-
 
 class TestLoadings:
     def test_two_variable_analytic(self):
         model = fit_pca(exact_r_half_table()).with_components(1)
         load = loadings(model)
-        assert np.allclose(load.entries[:, 0], math.sqrt(0.75), atol=1e-9)
+        assert np.allclose(load[:, 0], math.sqrt(0.75), atol=1e-9)
 
     def test_identity_correlation_equals_coefficients(self):
         u = np.array([1.0, 0.0, -1.0])
         w = np.array([1.0, -2.0, 1.0]) / math.sqrt(3.0)
         model = fit_pca(make_table(np.column_stack([u, w]), standardized=True))
         model = model.with_components(2)
-        assert np.allclose(loadings(model).entries, coefficients(model).entries, atol=1e-9)
+        assert np.allclose(loadings(model), coefficients(model), atol=1e-9)
 
     def test_loadings_are_variable_score_correlations(self):
         table = random_standardized_table(7)
@@ -164,17 +157,17 @@ class TestLoadings:
         score = scores(model, table)
         for j in range(19):
             for i in range(19):
-                r = np.corrcoef(table.values[:, i], score.entries[:, j])[0, 1]
-                assert abs(load.entries[i, j] - r) < 1e-8
+                r = np.corrcoef(table.values[:, i], score[:, j])[0, 1]
+                assert abs(load[i, j] - r) < 1e-8
 
     def test_bounded_by_one(self):
         for seed in range(3):
             model = fit_pca(random_standardized_table(seed, n=40, p=9)).with_components(9)
-            assert np.abs(loadings(model).entries).max() <= 1.0 + 1e-9
+            assert np.abs(loadings(model)).max() <= 1.0 + 1e-9
 
     def test_column_square_sums_equal_eigenvalues(self):
         model = fit_pca(random_standardized_table(21, n=60, p=7)).with_components(7)
-        sums = (loadings(model).entries ** 2).sum(axis=0)
+        sums = (loadings(model) ** 2).sum(axis=0)
         assert np.max(np.abs(sums - model.eigen.eigenvalues)) < 1e-6
 
 
@@ -185,19 +178,19 @@ class TestScores:
         table = make_table(np.column_stack([u, w]), standardized=True)
         model = fit_pca(table).with_components(2)
         score = scores(model, table)
-        assert np.allclose(np.abs(score.entries), np.abs(table.values), atol=1e-9)
+        assert np.allclose(np.abs(score), np.abs(table.values), atol=1e-9)
 
     def test_variances_match_eigenvalues(self):
         table = random_standardized_table(9)
         model = fit_pca(table).with_components(19)
         score = scores(model, table)
-        variances = score.entries.var(axis=0, ddof=1)
+        variances = score.var(axis=0, ddof=1)
         assert np.max(np.abs(variances - model.eigen.eigenvalues)) < 1e-8
 
     def test_columns_uncorrelated(self):
         table = random_standardized_table(10)
         model = fit_pca(table).with_components(19)
-        corr = np.corrcoef(scores(model, table).entries, rowvar=False)
+        corr = np.corrcoef(scores(model, table), rowvar=False)
         np.fill_diagonal(corr, 0.0)
         assert np.max(np.abs(corr)) < 1e-8
 
@@ -206,7 +199,7 @@ class TestScores:
         model = fit_pca(table).with_components(6)
         score = scores(model, table)
         coef = coefficients(model)
-        rebuilt = score.entries @ coef.entries.T
+        rebuilt = score @ coef.T
         assert np.max(np.abs(rebuilt - table.values)) < 1e-8
 
     def test_dimension_mismatch(self):

@@ -281,11 +281,6 @@ class TestClusterSpaces:
         assert "dendrogram_raw.csv" not in artifacts.files
         assert "partition_components.csv" in artifacts.files
 
-    def test_all_score_columns_mode(self, tmp_path):
-        conf = synth_conf(tmp_path, extra="score_columns = all\n")
-        artifacts = run_pipeline(load_pipeline_config(conf))
-        assert "partition_components.csv" in artifacts.files
-
 
 class TestBoundaries:
     def test_every_region_its_own_cluster(self, tmp_path):
@@ -363,6 +358,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: load:")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("files", [
+        {"t.csv": "region,a,b\nr\xe9,1,2\n".encode("latin-1"),
+         "pipe.conf": b"input = t.csv\noutput_dir = out\n"},
+        {"pipe.conf": "# caf\xe9\nsynthetic = true\noutput_dir = out\n".encode("latin-1")},
+        {"t.csv": ('region,a,b\n"' + "x" * 200_000 + '",1,2\n').encode("utf-8"),
+         "pipe.conf": b"input = t.csv\noutput_dir = out\n"},
+    ], ids=["latin-1-table", "latin-1-config", "oversized-cell"])
+    def test_unreadable_text_exit_1(self, tmp_path, capsys, files):
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        assert cli.main(["run", "--config", str(tmp_path / "pipe.conf")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert f"cannot read {tmp_path}" in err[0], err
+
+    @pytest.mark.parametrize("line, message", [
+        ("components = cumulative:nan", "cumulative threshold must be a number, got nan"),
+        ("component_labels = a | a",
+         "component_labels must be distinct and non-empty, got ('a', 'a')"),
+        ("component_labels = a || b",
+         "component_labels must be distinct and non-empty, got ('a', '', 'b')"),
+    ], ids=["cumulative-nan", "duplicate-label", "empty-label"])
+    def test_meaningless_component_setting_exit_1(self, tmp_path, capsys, line, message):
+        conf = write_conf(tmp_path, f"synthetic = true\n{line}\noutput_dir = out\n")
+        assert cli.main(["run", "--config", str(conf)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
 
     def test_numerical_failure_exit_2(self, tmp_path, monkeypatch, capsys):
         conf = synth_conf(tmp_path)
@@ -463,7 +486,7 @@ FUZZ_CELLS = st.one_of(
 )
 FUZZ_LINES = ["k_regions = 1", "k_regions = 2", "k_regions = 5", "k_vars = 1", "k_vars = 3",
               "components = fixed:1", "components = cumulative:99", "cluster_space = raw",
-              "score_columns = all", "component_labels = x | y", "components = fixed:0",
+              "component_labels = x | y", "components = fixed:0",
               "components = cumulative:nan", "k_regions = 0"]
 FUZZ_AMOUNTS = st.sampled_from(["0", "-1", "nan", "inf", "1e300", "1e-320"])
 # n and p include sizes far too large to draw; a key left out takes its default
@@ -486,6 +509,18 @@ def fuzz_cells(draw):
     return draw(st.lists(row, min_size=n, max_size=n))
 
 
+@st.composite
+def moderate_cells(draw):
+    """Cells no statistic overflows on, distinct down each column, with more
+    regions than indicators and enough indicators for every k_vars in
+    FUZZ_LINES, so that some runs succeed."""
+    p = draw(st.integers(4, 6))
+    n = draw(st.integers(p + 1, 9))
+    cells = st.floats(min_value=-1e6, max_value=1e6).map(repr)
+    column = st.lists(cells, min_size=n, max_size=n, unique=True)
+    return [list(row) for row in zip(*(draw(column) for _ in range(p)))]
+
+
 def run_strictly(conf: Path) -> int:
     """cli.main on conf with every warning an error: exit 0, 1 or 2, and
     exactly one stderr line unless 0."""
@@ -501,7 +536,7 @@ def run_strictly(conf: Path) -> int:
 
 class TestCliFuzz:
     @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(cells=fuzz_cells(), lines=FUZZ_LINE_LISTS)
+    @given(cells=st.one_of(moderate_cells(), fuzz_cells()), lines=FUZZ_LINE_LISTS)
     @example(cells=GAP_CELLS, lines=["k_regions = 2", "k_vars = 1"])
     @example(cells=SKEW_CELLS, lines=["k_regions = 1", "k_vars = 1"])
     @example(cells=TINY_MEAN_CELLS, lines=["k_regions = 4", "k_vars = 1"])

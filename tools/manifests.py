@@ -36,8 +36,7 @@ CONFIGS = {
     "sample": ["input = {sample}"],
     "synthetic": ["synthetic = true"],
     "raw": ["input = {sample}", "cluster_space = raw"],
-    "components-all": ["input = {sample}", "cluster_space = components",
-                       "score_columns = all"],
+    "components": ["input = {sample}", "cluster_space = components"],
     "fixed1": ["input = {sample}", "components = fixed:1"],
     "fixed2-labels": ["input = {sample}", "components = fixed:2",
                       "component_labels = capital | demography"],
@@ -45,8 +44,7 @@ CONFIGS = {
     # every typed key away from its default
     "synthetic-typed-keys": ["synthetic = true", "n = 120", "p = 8", "clusters = 3",
                              "separation = 4.5", "within_sd = 0.5", "seed = 11",
-                             "k_regions = 6", "k_vars = 3", "components = cumulative:80",
-                             "score_columns = all"],
+                             "k_regions = 6", "k_vars = 3", "components = cumulative:80"],
 }
 WORKLOADS = ("paper", "wide", "regions")
 
