@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .tables import format_float
+from .tables import labeled_rows, write_labeled_matrix
 
 MISSING_TOKEN = "NA"
 
@@ -174,14 +174,9 @@ def write_table(
     form, at most 17 significant digits), so write -> load reproduces values
     bit-exactly. Missing entries become empty cells.
     """
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, delimiter=options.delimiter, lineterminator="\n")
-        writer.writerow(["region", *table.indicator_labels])
-        for label, row in zip(table.region_labels, table.values):
-            cells = ["" if math.isnan(x) else format_float(x).replace(".", options.decimal)
-                     for x in row.tolist()]
-            writer.writerow([label, *cells])
+    write_labeled_matrix(path, ["region", *table.indicator_labels],
+                         labeled_rows(table.region_labels, table.values),
+                         options.delimiter, options.decimal)
 
 
 def impute_means(table: IndicatorTable) -> IndicatorTable:

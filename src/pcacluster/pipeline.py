@@ -12,6 +12,7 @@ import hashlib
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,8 @@ from .ingest import IndicatorTable, impute_means, load_table, standardize, write
 from .pca import PcaModel, coefficients, component_names, fit_pca, loadings, scores, select_components, write_variance_table
 from .profiles import format_profile_table, profile
 from .synth import generate_synthetic
-from .tables import format_float, labeled_rows, write_labeled_matrix, write_rows
+from .tables import (format_float, format_run, labeled_rows, open_rows, write_labeled_matrix,
+                     write_rows)
 from . import svgplot
 
 logger = logging.getLogger(__name__)
@@ -54,10 +56,17 @@ class _Sink:
     def __init__(self, out: Path) -> None:
         self.out = out
         self.written: list[str] = []
-        out.mkdir(parents=True, exist_ok=True)
 
     def path(self, rel: str) -> Path:
-        """Record rel and return its path, parent directory created."""
+        """Record rel and return its path, parent directories created.
+
+        The first call removes a manifest.txt left by an earlier run, so a
+        run that fails part-way leaves no manifest that disagrees with the
+        files, and a run that fails before its first artifact creates no
+        directory.
+        """
+        if not self.written:
+            (self.out / "manifest.txt").unlink(missing_ok=True)
         self.written.append(rel)
         path = self.out / rel
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -74,9 +83,9 @@ class _Sink:
                   ([label, str(c)] for label, c in zip(labels, part.assignment)))
 
     def plot(self, name: str, svg: str, header, rows) -> None:
-        """A figure and the CSV twin of its plotted values."""
+        """A figure and the CSV twin of its plotted values, rows as labeled_rows yields."""
         self.text(f"plots/{name}.svg", svg)
-        self.rows(f"plots/{name}.csv", header, rows)
+        write_labeled_matrix(self.path(f"plots/{name}.csv"), header, rows)
 
     def manifest(self) -> tuple[Path, tuple[str, ...]]:
         """Write manifest.txt from the files as read back; return it and the sorted paths."""
@@ -148,7 +157,8 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             ("loadings.csv", loadings(model), "indicator", model.indicator_labels),
             ("scores.csv", score, "region", table.region_labels),
         ):
-            write_labeled_matrix(sink.path(rel), matrix, row_header, row_labels, names)
+            write_labeled_matrix(sink.path(rel), [row_header, *names],
+                                 labeled_rows(row_labels, matrix))
 
     dendrograms: dict[str, Dendrogram] = {}
     partitions: dict[str, Partition] = {}
@@ -237,15 +247,19 @@ def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
 
     eigenvalues = model.eigen.eigenvalues
     sink.plot("scree", svgplot.scree_svg(eigenvalues), ["dimension", "eigenvalue"],
-              ([str(i + 1), format_float(v)] for i, v in enumerate(eigenvalues)))
-    sink.plot("parallel_coordinates",
-              svgplot.parallel_coordinates_svg(values, indicators, assignment, leaf_order),
-              ["region", "cluster", *indicators],
-              ([regions[i], str(assignment[i]), *map(format_float, values[i].tolist())]
-               for i in leaf_order))
-    sink.plot("heatmap", svgplot.heatmap_svg(values, regions, indicators, leaf_order),
-              ["region", *indicators],
-              ([regions[i], *map(format_float, values[i].tolist())] for i in leaf_order))
+              labeled_rows([str(i + 1) for i in range(eigenvalues.size)], eigenvalues[:, None]))
+    sink.text("plots/parallel_coordinates.svg",
+              svgplot.parallel_coordinates_svg(values, indicators, assignment, leaf_order))
+    sink.text("plots/heatmap.svg", svgplot.heatmap_svg(values, regions, indicators, leaf_order))
+    # both twins hold the leaf-ordered z-scores: each row is formatted
+    # once and written to both, one row of text held at a time
+    with open_rows(sink.path("plots/heatmap.csv"), ["region", *indicators]) as heatmap, \
+            open_rows(sink.path("plots/parallel_coordinates.csv"),
+                      ["region", "cluster", *indicators]) as parallel:
+        for i in leaf_order:
+            run = format_run(values[i])
+            heatmap.row((regions[i],), run)
+            parallel.row((regions[i], str(assignment[i])), run)
 
     # first two axes drive both scatter figures even when only one
     # component was retained
@@ -263,11 +277,11 @@ def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
     sink.plot("biplot",
               svgplot.biplot_svg(plot_scores, assignment, arrows, indicators, axis_names),
               ["kind", "label", "x", "y"],
-              [["score", *row] for row in labeled_rows(regions, plot_scores)]
-              + [["loading_arrow", *row] for row in labeled_rows(indicators, arrows)])
+              chain(labeled_rows(regions, plot_scores, "score"),
+                    labeled_rows(indicators, arrows, "loading_arrow")))
 
     titles = {"raw": "initial variables", "components": "component scores"}
     panels = [(titles[space], dend) for space, dend in dendrograms.items()]
-    sink.plot("dendrograms", svgplot.dendrograms_svg(panels),
-              ["panel", *_MERGE_HEADER],
+    sink.text("plots/dendrograms.svg", svgplot.dendrograms_svg(panels))
+    sink.rows("plots/dendrograms.csv", ["panel", *_MERGE_HEADER],
               ([title, *row] for title, dend in panels for row in _merge_rows(dend)))

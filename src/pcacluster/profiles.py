@@ -15,7 +15,6 @@ positive-variance requirement is not met are None and render as "n/a".
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .hclust import Partition
 from .ingest import IndicatorTable
+from .tables import RowWriter
 
 UNDEFINED = "n/a"
 
@@ -131,10 +131,10 @@ def _percent_cell(value: float | None) -> str:
 def format_profile_table(rows: list[ProfileRow], cluster_id: int) -> str:
     """One cluster's rows as delimited text in the report column layout."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["Indicator", "Average", "Standard deviation", "Skewness", "kurtosis",
-                     "To country average, %"])
-    writer.writerows(
+    out = RowWriter(buffer)
+    out.rows([["Indicator", "Average", "Standard deviation", "Skewness", "kurtosis",
+               "To country average, %"]])
+    out.rows(
         [
             row.indicator,
             f"{row.average:.7g}",

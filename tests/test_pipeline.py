@@ -6,6 +6,7 @@ import io
 import re
 import tempfile
 import warnings
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,11 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcacluster import cli
+from pcacluster import cli, pipeline, tables
 from pcacluster.config import PipelineConfig, load_pipeline_config
 from pcacluster.errors import NumericalError, ValidationError
 from pcacluster.hclust import MAX_POINTS
-from pcacluster.ingest import load_table
+from pcacluster.ingest import impute_means, load_table, standardize
 from pcacluster.pipeline import run_pipeline
 from pcacluster.synth import SyntheticSpec
 
@@ -213,8 +214,6 @@ class TestSyntheticRun:
         cells = lines[1].split(",")
         region, cluster, values = cells[0], int(cells[1]), [float(c) for c in cells[2:]]
         table = load_table(artifacts.output_dir / "synthetic_table.csv")
-        from pcacluster.ingest import impute_means, standardize
-
         z = standardize(impute_means(table))
         row = z.region_labels.index(region)
         assert np.array_equal(np.array(values), z.values[row])
@@ -247,6 +246,31 @@ class TestDeterminism:
 
 
 class TestFileInputRun:
+    def test_failed_rerun_leaves_no_stale_manifest(self, tmp_path):
+        conf = write_conf(tmp_path, f"input = {SAMPLE}\noutput_dir = out\n")
+        assert run_pipeline(load_pipeline_config(conf)).manifest_path.exists()
+        rerun = write_conf(tmp_path, f"input = {SAMPLE}\ncomponents = fixed:2\nk_vars = 50\n"
+                                     "output_dir = out\n", "rerun.conf")
+        with pytest.raises(ValidationError, match="^cluster-variables: k_vars=50"):
+            run_pipeline(load_pipeline_config(rerun))
+        # scores.csv and four more files were rewritten before the failure
+        assert not (tmp_path / "out" / "manifest.txt").exists()
+
+    def test_each_z_score_row_formatted_once(self, tmp_path, monkeypatch):
+        calls, format_run = Counter(), tables.format_run
+
+        def counting(values, *args):
+            calls[tuple(values.tolist())] += 1
+            return format_run(values, *args)
+
+        for module in (tables, pipeline):
+            monkeypatch.setattr(module, "format_run", counting)
+        conf = write_conf(tmp_path, f"input = {SAMPLE}\noutput_dir = out\n")
+        run_pipeline(load_pipeline_config(conf))
+        z = standardize(impute_means(load_table(SAMPLE)))
+        # heatmap.csv and parallel_coordinates.csv share one formatting
+        assert [calls[tuple(row)] for row in z.values.tolist()] == [1] * z.n_regions
+
     def test_bundled_sample_end_to_end(self, tmp_path):
         conf = write_conf(
             tmp_path,
@@ -373,6 +397,7 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert f"cannot read {tmp_path}" in err[0], err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line, message", [
         ("components = cumulative:nan", "cumulative threshold must be a number, got nan"),

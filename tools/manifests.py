@@ -1,4 +1,4 @@
-"""Run eleven pipeline configs from a source tree and print each manifest's SHA-256.
+"""Run twelve pipeline configs from a source tree and print each manifest's SHA-256.
 
     python tools/manifests.py SRC_DIR OUT_DIR
 
@@ -18,6 +18,7 @@ SRC_DIR has no `src/pcacluster` or if any run fails.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import os
 import subprocess
@@ -45,8 +46,23 @@ CONFIGS = {
     "synthetic-typed-keys": ["synthetic = true", "n = 120", "p = 8", "clusters = 3",
                              "separation = 4.5", "within_sd = 0.5", "seed = 11",
                              "k_regions = 6", "k_vars = 3", "components = cumulative:80"],
+    # the sample relabeled by write_quoted_labels_table: labels csv must quote
+    "quoted-labels": ["input = quoted.csv"],
 }
 WORKLOADS = ("paper", "wide", "regions")
+
+
+def write_quoted_labels_table(src: Path, path: Path) -> None:
+    """The sample with an empty region label, a region label holding a line
+    break and double quotes, and an indicator label holding a comma and
+    double quotes."""
+    with (src / SAMPLE).open(newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    rows[0][1] = 'GRP, "per capita"'
+    rows[1][0] = ""
+    rows[2][0] = 'Region\n"two"'
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
 def write_configs(src: Path, out: Path) -> dict[str, Path]:
@@ -54,6 +70,8 @@ def write_configs(src: Path, out: Path) -> dict[str, Path]:
     for name, lines in CONFIGS.items():
         directory = out / name
         directory.mkdir(parents=True)
+        if name == "quoted-labels":
+            write_quoted_labels_table(src, directory / "quoted.csv")
         text = "\n".join(lines + ["output_dir = out"]).format(sample=src / SAMPLE)
         configs[name] = directory / "pipeline.conf"
         configs[name].write_text(text + "\n", encoding="utf-8")
