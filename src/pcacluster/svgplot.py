@@ -52,7 +52,7 @@ def _document(width: int, height: int, body: list[str]) -> str:
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    return "\n".join(head + body + ["</svg>"]) + "\n"
+    return "\n".join(head + body + ["</svg>", ""])
 
 
 def _text(x: float, y: float, content: str, size: float = 11, anchor: str = "middle",
@@ -234,7 +234,7 @@ def heatmap_svg(
         y = top + row * cell_h
         body.append(_text(left - 5, y + cell_h * 0.75, region_labels[i], label_size, "end"))
         y_attr = f"{y:.2f}"
-        body.extend([f'{x}{y_attr}{size}{color}"/>' for x, color in zip(xs, colors)])
+        body.append("\n".join([f'{x}{y_attr}{size}{color}"/>' for x, color in zip(xs, colors)]))
     return _document(width, height, body)
 
 

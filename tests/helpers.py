@@ -81,7 +81,12 @@ def random_standardized_table(seed: int, n: int = 85, p: int = 19) -> IndicatorT
 
 def oracle_complete_linkage(d: DistanceMatrix) -> list[tuple[frozenset, frozenset, float]]:
     """Brute-force agglomeration; returns (members_a, members_b, height) per step."""
-    full = d.full()
+    n = d.n
+
+    def dist(i: int, j: int) -> float:
+        i, j = min(i, j), max(i, j)
+        return d.condensed[i * n - i * (i + 1) // 2 + j - i - 1]
+
     clusters: list[frozenset[int]] = [frozenset([i]) for i in range(d.n)]
     merges = []
     while len(clusters) > 1:
@@ -90,7 +95,7 @@ def oracle_complete_linkage(d: DistanceMatrix) -> list[tuple[frozenset, frozense
         for a in range(len(clusters)):
             for b in range(a + 1, len(clusters)):
                 height = max(
-                    full[i, j] for i in clusters[a] for j in clusters[b]
+                    dist(i, j) for i in clusters[a] for j in clusters[b]
                 )
                 key = (height, tuple(sorted(clusters[a] | clusters[b])))
                 if best_key is None or key < best_key:

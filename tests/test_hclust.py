@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import time
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 from pcacluster.concordance import adjusted_rand_index
 from pcacluster.errors import ValidationError
 from pcacluster.hclust import (
+    _COLUMN_KERNEL_MAX_D,
     MAX_POINTS,
     Dendrogram,
     DistanceMatrix,
@@ -57,6 +59,9 @@ def tie_heavy_distance_matrix(rng: np.random.Generator) -> DistanceMatrix:
     return euclidean_distances(points)
 
 
+WIDTHS = sorted({1, 3, 7, 8, 9, 19, _COLUMN_KERNEL_MAX_D, _COLUMN_KERNEL_MAX_D + 1,
+                 120, 128, 129})
+
 # 3000-point linkage takes 0.2-0.9 s on a 2-core host, and over 10 s if
 # each step scans the whole matrix; the budget leaves room for host drift
 LARGE_LINKAGE_BUDGET_S = 3.0
@@ -104,7 +109,13 @@ class TestEuclideanDistances:
         np.random.default_rng(71).standard_normal((400, 19)),
         np.repeat(np.random.default_rng(73).standard_normal((25, 4)), 8, axis=0),
         np.random.default_rng(79).standard_normal((300, 1)),
-    ], ids=["random", "duplicate-rows", "one-column"])
+    ] + [
+        # every summation regime: left to right, 8 accumulators with and
+        # without tail columns, both sides of the column-kernel crossover,
+        # and numpy's recursion past 128 columns
+        np.random.default_rng(89 + d).standard_normal((120, d)) * 10.0 ** (np.arange(d) % 7 - 3)
+        for d in WIDTHS
+    ], ids=["random", "duplicate-rows", "one-column"] + [f"d={d}" for d in WIDTHS])
     def test_bit_equal_to_per_row_expression(self, points):
         n = len(points)
         expected = np.concatenate([
@@ -112,6 +123,17 @@ class TestEuclideanDistances:
         ])
         actual = euclidean_distances(points).condensed
         assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("d, digest", [
+        (3, "5d4162495d0f7cedf8c4ac873b17bc4c25a5176b9c42a275c281ce8cf25598ef"),
+        (19, "1d76441fe78c81d2adc4d4b01dca0e2d7f56309782fc7ec7adfe177ef78a667f"),
+    ])
+    def test_pinned_bytes(self, d, digest):
+        # exact inputs whose sums of squares round: only a change in the
+        # summation order can move these bytes
+        points = (np.arange(60 * d) * 37 % 101).reshape(60, d) / 7.0
+        condensed = euclidean_distances(points).condensed
+        assert hashlib.sha256(condensed.tobytes()).hexdigest() == digest
 
     def test_peak_memory_near_one_condensed_vector(self):
         points = np.random.default_rng(83).standard_normal((2000, 19))
@@ -206,6 +228,17 @@ class TestCompleteLinkage:
             d = tie_heavy_distance_matrix(rng)
             actual = dendrogram_as_member_merges(complete_linkage(d))
             assert same_merge_sequence(actual, oracle_complete_linkage(d))
+
+    def test_peak_memory_one_condensed_copy(self):
+        # one working copy of the condensed distances; an n x n matrix is 2x
+        d = euclidean_distances(np.random.default_rng(97).standard_normal((2000, 19)))
+        tracemalloc.start()
+        try:
+            complete_linkage(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * d.condensed.nbytes
 
     @pytest.mark.parametrize("points", [
         np.random.default_rng(67).standard_normal((3000, 19)),
@@ -392,13 +425,6 @@ class TestDendrogramType:
 
 
 class TestDistanceMatrixType:
-    def test_full_is_symmetric_with_zero_diagonal(self):
-        condensed = np.random.default_rng(71).random(15)
-        d = DistanceMatrix(6, condensed, tuple("abcdef"))
-        grid = np.zeros((6, 6))
-        grid[np.triu_indices(6, 1)] = condensed
-        assert np.array_equal(d.full(), grid + grid.T)
-
     def test_callers_writeable_input_never_aliases_the_matrix(self):
         condensed = np.array([1.0, 2.0, 3.0])
         d = DistanceMatrix(3, condensed, ("a", "b", "c"))

@@ -475,7 +475,7 @@ class TestCli:
         assert cli.main(["run", "--config", str(conf)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: 16385 regions exceed the 16384-point limit of the "
-            "n x n distance matrix (2 GiB)"
+            "condensed distance vectors (2 GiB)"
         ]
         assert not (tmp_path / "out" / "synthetic_table.csv").exists()
 
