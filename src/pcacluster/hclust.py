@@ -25,6 +25,7 @@ infinite, so no live row's rescan lands on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,10 +77,14 @@ class DistanceMatrix:
             )
         if len(self.labels) != self.n:
             raise ValidationError("label count does not match n")
-        if not np.isfinite(condensed).all():
-            raise ValidationError("distances must be finite")
-        if np.any(condensed < 0):
-            raise ValidationError("distances must be non-negative")
+        # one min and one max and no boolean temporaries: NaN propagates
+        # into both, and any infinity is one of them
+        if condensed.size:
+            low, high = float(condensed.min()), float(condensed.max())
+            if not (math.isfinite(low) and math.isfinite(high)):
+                raise ValidationError("distances must be finite")
+            if low < 0:
+                raise ValidationError("distances must be non-negative")
         condensed.flags.writeable = False
         object.__setattr__(self, "condensed", condensed)
         object.__setattr__(self, "labels", tuple(self.labels))

@@ -124,6 +124,24 @@ def _parse_cell(text: str, decimal: str) -> float:
     return value
 
 
+def _parse_row(cells: list[str], decimal: str, out: np.ndarray) -> bool:
+    """Fill out with what _parse_cell gives for each cell, without a Python
+    call per cell. False if some cell is not a number or not finite: the
+    caller then parses the row cell by cell, and _parse_cell names the first
+    bad cell."""
+    tokens = [cell.strip() for cell in cells]
+    if decimal == ",":
+        tokens = [token.replace(",", ".") for token in tokens]
+    try:
+        out[:] = [math.nan if token == "" or token == MISSING_TOKEN else float(token)
+                  for token in tokens]
+    except ValueError:
+        return False
+    # every missing cell is NaN, so the row is clean when nothing else is
+    missing = tokens.count("") + tokens.count(MISSING_TOKEN)
+    return out.size - np.count_nonzero(np.isfinite(out)) == missing
+
+
 def load_table(path: str | Path, options: ParseOptions = ParseOptions()) -> IndicatorTable:
     """Read a delimited-text indicator table.
 
@@ -155,6 +173,8 @@ def load_table(path: str | Path, options: ParseOptions = ParseOptions()) -> Indi
                 f"{path}: row {i + 2} has {len(row)} fields, expected {len(header)}"
             )
         region_labels.append(row[0].strip())
+        if _parse_row(row[1:], options.decimal, grid[i]):
+            continue
         for j, cell in enumerate(row[1:]):
             try:
                 grid[i, j] = _parse_cell(cell, options.decimal)

@@ -11,6 +11,14 @@ deviation. G2 can reach -6 at n=4 (the plain moment estimator bottoms
 out at -2), which is what makes small-cluster excess kurtosis below -2
 representable at all. Statistics whose estimator minimum sample size or
 positive-variance requirement is not met are None and render as "n/a".
+
+A cluster's moments are whole-block reductions: its rows are copied into
+one contiguous indicators x members block, and the means, sds, m2, m3 and
+fourth-power sums are axis-1 reductions over it. Each sums one contiguous
+row in numpy's pairwise order, as a 1-D column sum does, so the figures
+match per-column code bit for bit. Only each cell's finish is scalar, and
+the 3/2 power is a scalar power on purpose: numpy's array power can use
+SIMD code that differs from libm's pow in the last bit.
 """
 
 from __future__ import annotations
@@ -40,38 +48,6 @@ class ProfileRow:
     to_country_average_percent: float | None
 
 
-def sample_sd(values: np.ndarray) -> float | None:
-    if values.size < 2:
-        return None
-    return float(values.std(ddof=1))
-
-
-def sample_skewness(values: np.ndarray) -> float | None:
-    n = values.size
-    if n < 3:
-        return None
-    centered = values - values.mean()
-    with np.errstate(over="ignore", invalid="ignore"):
-        m2 = (centered**2).mean()
-        if m2 == 0.0:
-            return None
-        g1 = float((centered**3).mean() / m2**1.5)
-    return g1 * math.sqrt(n * (n - 1)) / (n - 2)
-
-
-def sample_excess_kurtosis(values: np.ndarray) -> float | None:
-    n = values.size
-    if n < 4:
-        return None
-    sd = float(values.std(ddof=1))
-    if sd == 0.0:
-        return None
-    z4 = float((((values - values.mean()) / sd) ** 4).sum())
-    return n * (n + 1) / ((n - 1) * (n - 2) * (n - 3)) * z4 - 3 * (n - 1) ** 2 / (
-        (n - 2) * (n - 3)
-    )
-
-
 def profile(table: IndicatorTable, part: Partition) -> list[ProfileRow]:
     """Mean, sd, skewness, kurtosis, and %-to-grand-mean per (cluster, indicator).
 
@@ -86,35 +62,46 @@ def profile(table: IndicatorTable, part: Partition) -> list[ProfileRow]:
         raise ValidationError(
             f"partition covers {part.n_items} items, table has {table.n_regions} regions"
         )
-    grand_means = table.values.mean(axis=0)
+    grand_means = table.values.mean(axis=0).tolist()
+    undefined = [None] * table.n_indicators
     rows: list[ProfileRow] = []
     for cluster_id in range(1, part.k + 1):
         idx = part.members(cluster_id)
         if not idx:
             raise ValidationError(f"empty cluster {cluster_id}")
-        block = table.values[idx, :]
-        for j, indicator in enumerate(table.indicator_labels):
-            column = block[:, j]
-            mean = float(column.mean())
-            grand = float(grand_means[j])
-            row = ProfileRow(
-                cluster=cluster_id,
-                indicator=indicator,
-                average=mean,
-                standard_deviation=sample_sd(column),
-                skewness=sample_skewness(column),
-                kurtosis=sample_excess_kurtosis(column),
-                to_country_average_percent=(
-                    (mean / grand - 1.0) * 100.0 if grand != 0.0 else None
-                ),
-            )
+        n = len(idx)
+        block = np.ascontiguousarray(table.values[idx].T)
+        means = block.mean(axis=1)
+        sds = m2s = m3s = z4s = undefined
+        if n >= 2:
+            sd = block.std(axis=1, ddof=1)
+            sds = sd.tolist()
+        if n >= 3:
+            centered = block - means[:, None]
+            with np.errstate(over="ignore", invalid="ignore"):
+                m2s = (centered**2).mean(axis=1)
+                m3s = (centered**3).mean(axis=1)
+        if n >= 4:
+            # a zero-sd row's kurtosis is undefined; dividing it by 1 instead
+            # keeps its discarded sum free of division warnings
+            z4s = ((centered / np.where(sd == 0.0, 1.0, sd)[:, None]) ** 4).sum(axis=1).tolist()
+        for indicator, mean, grand, sd_j, m2, m3, z4 in zip(
+                table.indicator_labels, means.tolist(), grand_means, sds, m2s, m3s, z4s):
+            skewness = kurtosis = None
+            if m2 is not None and m2 != 0.0:
+                with np.errstate(over="ignore", invalid="ignore"):  # scalar pow, see above
+                    g1 = float(m3 / m2**1.5)
+                skewness = g1 * math.sqrt(n * (n - 1)) / (n - 2)
+            if z4 is not None and sd_j != 0.0:
+                kurtosis = n * (n + 1) / ((n - 1) * (n - 2) * (n - 3)) * z4 - 3 * (n - 1) ** 2 / (
+                    (n - 2) * (n - 3))
+            percent = (mean / grand - 1.0) * 100.0 if grand != 0.0 else None
             # the cubed deviations, or a near-zero grand mean, can overflow
-            for name in ("skewness", "to_country_average_percent"):
-                value = getattr(row, name)
+            for name, value in (("skewness", skewness), ("to_country_average_percent", percent)):
                 if value is not None and not math.isfinite(value):
                     raise NumericalError(f"cluster {cluster_id}, indicator {indicator!r}: "
                                          f"{name} overflows float64")
-            rows.append(row)
+            rows.append(ProfileRow(cluster_id, indicator, mean, sd_j, skewness, kurtosis, percent))
     return rows
 
 

@@ -9,14 +9,22 @@ implementation: it re-derives every inter-cluster distance from the
 original pairwise distances at every step (no incremental updates),
 with the same documented tie-break (lexicographically smallest merged
 leaf set).
+
+oracle_profile is the per-column profile that the whole-block one
+replaced: each (cluster, indicator) cell computes its own moments from a
+1-D column. profile must match it bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from pcacluster.errors import NumericalError
 from pcacluster.hclust import DistanceMatrix
 from pcacluster.ingest import IndicatorTable, standardize
+from pcacluster.profiles import ProfileRow
 
 REF_EIGENVALUES = [
     5.832579887, 3.232571219, 2.300940659, 1.644107304, 1.273934146,
@@ -133,3 +141,65 @@ def same_merge_sequence(actual, expected) -> bool:
         if ah != eh or {a1, a2} != {e1, e2}:
             return False
     return True
+
+
+def _oracle_sd(values: np.ndarray) -> float | None:
+    if values.size < 2:
+        return None
+    return float(values.std(ddof=1))
+
+
+def _oracle_skewness(values: np.ndarray) -> float | None:
+    n = values.size
+    if n < 3:
+        return None
+    centered = values - values.mean()
+    with np.errstate(over="ignore", invalid="ignore"):
+        m2 = (centered**2).mean()
+        if m2 == 0.0:
+            return None
+        g1 = float((centered**3).mean() / m2**1.5)
+    return g1 * math.sqrt(n * (n - 1)) / (n - 2)
+
+
+def _oracle_excess_kurtosis(values: np.ndarray) -> float | None:
+    n = values.size
+    if n < 4:
+        return None
+    sd = float(values.std(ddof=1))
+    if sd == 0.0:
+        return None
+    z4 = float((((values - values.mean()) / sd) ** 4).sum())
+    return n * (n + 1) / ((n - 1) * (n - 2) * (n - 3)) * z4 - 3 * (n - 1) ** 2 / (
+        (n - 2) * (n - 3)
+    )
+
+
+def oracle_profile(table: IndicatorTable, part) -> list[ProfileRow]:
+    """profile's rows computed one 1-D column at a time (no input checks)."""
+    grand_means = table.values.mean(axis=0)
+    rows = []
+    for cluster_id in range(1, part.k + 1):
+        block = table.values[part.members(cluster_id), :]
+        for j, indicator in enumerate(table.indicator_labels):
+            column = block[:, j]
+            mean = float(column.mean())
+            grand = float(grand_means[j])
+            row = ProfileRow(
+                cluster=cluster_id,
+                indicator=indicator,
+                average=mean,
+                standard_deviation=_oracle_sd(column),
+                skewness=_oracle_skewness(column),
+                kurtosis=_oracle_excess_kurtosis(column),
+                to_country_average_percent=(
+                    (mean / grand - 1.0) * 100.0 if grand != 0.0 else None
+                ),
+            )
+            for name in ("skewness", "to_country_average_percent"):
+                value = getattr(row, name)
+                if value is not None and not math.isfinite(value):
+                    raise NumericalError(f"cluster {cluster_id}, indicator {indicator!r}: "
+                                         f"{name} overflows float64")
+            rows.append(row)
+    return rows

@@ -437,6 +437,32 @@ class TestDistanceMatrixType:
         with pytest.raises(ValidationError, match="finite"):
             DistanceMatrix(3, [1.0, bad, 2.0], ("a", "b", "c"))
 
+    @pytest.mark.parametrize("condensed, message", [
+        ([1.0, -float("inf"), 2.0], "distances must be finite"),
+        ([-1.0, float("nan"), 2.0], "distances must be finite"),
+        ([1.0, -0.5, 2.0], "distances must be non-negative"),
+    ], ids=["-inf", "negative-and-nan", "negative"])
+    def test_validation_messages(self, condensed, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            DistanceMatrix(3, condensed, ("a", "b", "c"))
+
+    def test_negative_zero_is_a_distance(self):
+        d = DistanceMatrix(3, [1.0, -0.0, 2.0], ("a", "b", "c"))
+        assert d.condensed[1] == 0.0
+
+    def test_validation_allocates_no_temporary(self):
+        n = 2000
+        condensed = np.random.default_rng(127).uniform(size=n * (n - 1) // 2)
+        condensed.flags.writeable = False
+        labels = tuple(f"L{i}" for i in range(n))
+        tracemalloc.start()
+        try:
+            DistanceMatrix(n, condensed, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * condensed.nbytes
+
 
 class TestPartitionType:
     def test_rejects_gap_in_ids(self):

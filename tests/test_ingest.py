@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import math
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from pcacluster.errors import ValidationError
 from pcacluster.ingest import (
     IndicatorTable,
     ParseOptions,
+    _parse_cell,
     impute_means,
     load_table,
     standardize,
@@ -106,6 +108,97 @@ class TestLoadTable:
     def test_infinite_cell_rejected(self, tmp_path):
         path = write(tmp_path, "region,a,b\nr1,inf,2\nr2,3,4\nr3,5,6\n")
         with pytest.raises(ValidationError, match="non-numeric cell"):
+            load_table(path)
+
+
+# every cell kind the grammar knows: missing with and without padding, a
+# padded decimal comma, underscores, full-width digits, a signed zero, and
+# four cells that are always rejected
+TOKENS = ["", "NA", " NA ", " 2,5 ", "1_000", "\uff11\uff12", "-0", "nan", "inf", "1e400", "abc"]
+
+
+def parses(token: str, decimal: str) -> bool:
+    try:
+        _parse_cell(token, decimal)
+    except ValidationError:
+        return False
+    return True
+
+
+def reference_grid(path: Path, options: ParseOptions):
+    """The grid of one _parse_cell call per cell, or load_table's message."""
+    with path.open(newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle, delimiter=options.delimiter))
+    grid = np.empty((len(rows) - 1, len(rows[0]) - 1))
+    for i, row in enumerate(rows[1:]):
+        if len(row) != len(rows[0]):
+            return f"{path}: row {i + 2} has {len(row)} fields, expected {len(rows[0])}"
+        for j, cell in enumerate(row[1:]):
+            try:
+                grid[i, j] = _parse_cell(cell, options.decimal)
+            except ValidationError as exc:
+                return f"{path}: row {i + 2}, column {j + 2}: {exc}"
+    return grid
+
+
+def write_rows(path: Path, rows, delimiter: str) -> Path:
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, delimiter=delimiter, lineterminator="\n").writerows(rows)
+    return path
+
+
+def load_outcome(path: Path, options: ParseOptions):
+    try:
+        return load_table(path, options).values
+    except ValidationError as exc:
+        return str(exc)
+
+
+class TestRowParser:
+    @pytest.mark.parametrize("options", [ParseOptions(), ParseOptions(";", ",")],
+                             ids=["comma", "semicolon-decimal-comma"])
+    def test_same_grid_bits_or_message_as_per_cell_parse(self, tmp_path, options):
+        good = [token for token in TOKENS if parses(token, options.decimal)]
+        bad = [token for token in TOKENS if token not in good]
+        rng = np.random.default_rng(113)
+        outcomes = []
+        for case in range(150):
+            n, p = int(rng.integers(3, 7)), int(rng.integers(2, 5))
+            # about one bad cell in forty, so many tables load and many fail
+            rows = [["region", *(f"v{j}" for j in range(p))]] + [
+                [f"r{i}", *(bad[int(rng.integers(len(bad)))] if rng.random() < 0.025
+                            else good[int(rng.integers(len(good)))] for _ in range(p))]
+                for i in range(n)
+            ]
+            path = write_rows(tmp_path / f"t{case}.csv", rows, options.delimiter)
+            actual, expected = load_outcome(path, options), reference_grid(path, options)
+            if isinstance(expected, str):
+                assert actual == expected
+            else:
+                assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+            outcomes.append(isinstance(expected, str))
+        assert 0 < sum(outcomes) < len(outcomes)
+
+    def test_first_bad_row_wins_over_a_later_one(self, tmp_path):
+        rows = [["region", "a", "b"], ["r1", "inf", "1"], ["r2", "1", "2"], ["r3", "3", "4"],
+                ["r4", "abc", "5"]]
+        path = write_rows(tmp_path / "t.csv", rows, ",")
+        with pytest.raises(ValidationError, match=r"row 2, column 2: non-numeric cell 'inf'"):
+            load_table(path)
+
+    def test_bad_cell_wins_over_a_later_ragged_row(self, tmp_path):
+        rows = [["region", "a", "b"], ["r1", "1", "2"], ["r2", "NA", "x"], ["r3", "3", "4"],
+                ["r4", "5", "6"], ["r5", "7"]]
+        path = write_rows(tmp_path / "t.csv", rows, ",")
+        with pytest.raises(ValidationError, match=r"row 3, column 3: non-numeric cell 'x'"):
+            load_table(path)
+
+    @pytest.mark.parametrize("cells, column", [(["nan", "abc"], 2), (["abc", "1e400"], 2),
+                                               (["NA", "1e400"], 3)])
+    def test_first_bad_cell_in_a_row_wins(self, tmp_path, cells, column):
+        rows = [["region", "a", "b"], ["r1", *cells], ["r2", "1", "2"], ["r3", "3", "4"]]
+        path = write_rows(tmp_path / "t.csv", rows, ",")
+        with pytest.raises(ValidationError, match=f"row 2, column {column}: "):
             load_table(path)
 
 

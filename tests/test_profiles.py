@@ -7,17 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from pcacluster.errors import ValidationError
+from pcacluster.errors import NumericalError, ValidationError
 from pcacluster.hclust import Partition
 from pcacluster.ingest import standardize
-from pcacluster.profiles import (
-    format_profile_table,
-    profile,
-    sample_excess_kurtosis,
-    sample_skewness,
-)
+from pcacluster.profiles import format_profile_table, profile
 
-from helpers import make_table
+from helpers import make_table, oracle_profile
 
 
 def one_indicator_profile(values, assignment):
@@ -40,7 +35,8 @@ class TestEstimators:
         centered = values - values.mean()
         biased = (centered**4).mean() / (centered**2).mean() ** 2 - 3.0
         assert biased == -2.0
-        assert sample_excess_kurtosis(values) == pytest.approx(-6.0, abs=1e-12)
+        kurtosis = one_indicator_profile(values, [1, 1, 1, 1])[0].kurtosis
+        assert kurtosis == pytest.approx(-6.0, abs=1e-12)
 
     def test_symmetric_sample_has_zero_skewness(self):
         rows = one_indicator_profile([1, 2, 3, 4], [1, 1, 1, 1])
@@ -53,15 +49,16 @@ class TestEstimators:
         m2 = ((values - values.mean()) ** 2).mean()
         m3 = ((values - values.mean()) ** 3).mean()
         expected = (m3 / m2**1.5) * math.sqrt(n * (n - 1)) / (n - 2)
-        assert sample_skewness(values) == pytest.approx(expected, rel=1e-12)
+        skewness = one_indicator_profile(values, [1, 1, 1])[0].skewness
+        assert skewness == pytest.approx(expected, rel=1e-12)
 
     def test_minimum_sizes(self):
-        assert sample_skewness(np.array([1.0, 2.0])) is None
-        assert sample_excess_kurtosis(np.array([1.0, 2.0, 3.0])) is None
+        assert one_indicator_profile([1.0, 2.0], [1, 1])[0].skewness is None
+        assert one_indicator_profile([1.0, 2.0, 3.0], [1, 1, 1])[0].kurtosis is None
 
     def test_zero_variance_undefined(self):
-        assert sample_skewness(np.array([2.0, 2.0, 2.0])) is None
-        assert sample_excess_kurtosis(np.array([2.0, 2.0, 2.0, 2.0])) is None
+        assert one_indicator_profile([2.0, 2.0, 2.0], [1, 1, 1])[0].skewness is None
+        assert one_indicator_profile([2.0, 2.0, 2.0, 2.0], [1, 1, 1, 1])[0].kurtosis is None
 
 
 class TestProfile:
@@ -140,6 +137,55 @@ class TestProfile:
         table = make_table([[1.0, 2.0], [2.0, 3.0], [4.0, 9.0]])
         with pytest.raises(ValidationError, match="partition covers"):
             profile(table, Partition((1, 2), k=2))
+
+
+def oracle_cases(seed: int, count: int):
+    """Seeded tables with clusters of 1 to 5 members among larger ones and
+    a constant column. Column scales run from 1e-3 to 1e12, and up to 1e150
+    in every fourth table, where cubed deviations can overflow."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        sizes = [1, 2, 3, 4, 5, *rng.integers(6, 40, size=int(rng.integers(0, 3))).tolist()]
+        rng.shuffle(sizes)
+        n, p = sum(sizes), int(rng.integers(2, 14))
+        scale = 10.0 ** rng.uniform(-3.0, 12.0 if case % 4 else 150.0, size=p)
+        grid = rng.standard_normal((n, p)) * scale + rng.standard_normal(p) * scale * 3.0
+        grid[:, int(rng.integers(p))] = 2.75
+        if case % 3 == 0:
+            grid = np.round(grid)  # ties and repeated values
+        assignment = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+        rng.shuffle(assignment)
+        yield make_table(grid), Partition(tuple(assignment.tolist()), k=len(sizes))
+
+
+def profile_outcome(compute, table, part):
+    """Each row's fields with floats as hex (so -0.0 differs from 0.0), or
+    the NumericalError message."""
+    try:
+        rows = compute(table, part)
+    except NumericalError as exc:
+        return str(exc)
+    return [tuple(value.hex() if isinstance(value, float) else value
+                  for value in vars(row).values()) for row in rows]
+
+
+class TestBitwiseOracle:
+    def test_matches_per_column_oracle(self):
+        outcomes = [
+            (profile_outcome(profile, table, part), profile_outcome(oracle_profile, table, part))
+            for table, part in oracle_cases(seed=107, count=60)
+        ]
+        for actual, expected in outcomes:
+            assert actual == expected
+        raised = sum(isinstance(expected, str) for _, expected in outcomes)
+        assert 0 < raised < len(outcomes)  # both the rows and the overflow path
+
+    def test_matches_oracle_on_one_large_cluster(self):
+        # 3000 members: numpy's pairwise sums recurse past 128 elements
+        rng = np.random.default_rng(109)
+        table = make_table(rng.lognormal(3.0, 2.0, size=(3000, 4)))
+        part = Partition(tuple([1] * 2997 + [2, 2, 3]), k=3)
+        assert profile_outcome(profile, table, part) == profile_outcome(oracle_profile, table, part)
 
 
 class TestFormatProfileTable:

@@ -1,4 +1,4 @@
-"""Run twelve pipeline configs from a source tree and print each manifest's SHA-256.
+"""Run thirteen pipeline configs from a source tree and print each manifest's SHA-256.
 
     python tools/manifests.py SRC_DIR OUT_DIR
 
@@ -48,6 +48,9 @@ CONFIGS = {
                              "k_regions = 6", "k_vars = 3", "components = cumulative:80"],
     # the sample relabeled by write_quoted_labels_table: labels csv must quote
     "quoted-labels": ["input = quoted.csv"],
+    # 40 clusters of 1 to 6 regions, most of 1 to 3: the empty cells of
+    # profiles.csv and the n/a cells of profiles/cluster_<id>.csv
+    "tiny-clusters": ["input = {sample}", "k_regions = 40"],
 }
 WORKLOADS = ("paper", "wide", "regions")
 
