@@ -22,7 +22,7 @@ from .ingest import (
     standardize,
     write_table,
 )
-from .linalg import EigenDecomposition, SymmetricMatrix, correlation_matrix, jacobi_eigen
+from .linalg import EigenDecomposition, correlation_matrix, jacobi_eigen
 from .pca import (
     CumulativeThreshold,
     Fixed,
@@ -58,7 +58,6 @@ __all__ = [
     "PipelineConfig",
     "ProfileRow",
     "RunArtifacts",
-    "SymmetricMatrix",
     "SyntheticSpec",
     "ValidationError",
     "adjusted_rand_index",

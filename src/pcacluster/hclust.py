@@ -345,7 +345,7 @@ def cluster_variables(table: IndicatorTable) -> Dendrogram:
     Euclidean distance between the standardized columns rescaled by
     1/sqrt(n-1); complete linkage ranks pairs identically either way.
     """
-    corr = correlation_matrix(table).values
+    corr = correlation_matrix(table)
     p = corr.shape[0]
     iu = np.triu_indices(p, 1)
     condensed = np.sqrt(np.maximum(2.0 * (1.0 - corr[iu]), 0.0))

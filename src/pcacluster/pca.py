@@ -51,11 +51,21 @@ class PcaModel:
     """Fitted components model; immutable, k is attached via with_components."""
 
     eigen: EigenDecomposition
-    p: int
     indicator_labels: tuple[str, ...]
-    variance_percent: np.ndarray
-    cumulative_percent: np.ndarray
     k: int | None = None
+
+    @property
+    def p(self) -> int:
+        return self.eigen.order
+
+    @property
+    def variance_percent(self) -> np.ndarray:
+        """Each eigenvalue as a percent of p, the trace of the correlation matrix."""
+        return self.eigen.eigenvalues / self.p * 100.0
+
+    @property
+    def cumulative_percent(self) -> np.ndarray:
+        return np.cumsum(self.variance_percent)
 
     def with_components(self, k: int) -> PcaModel:
         if not 1 <= k <= self.p:
@@ -73,21 +83,13 @@ def component_names(k: int) -> tuple[str, ...]:
 
 
 def fit_pca(table: IndicatorTable) -> PcaModel:
-    """Eigendecompose the correlation matrix and tabulate explained variance."""
+    """Eigendecompose the correlation matrix of a standardized table."""
     if not table.standardized:
         raise ValidationError("fit_pca requires a standardized table")
     n, p = table.values.shape
     if n <= p:
         raise ValidationError(f"need more regions than indicators (n={n}, p={p})")
-    eigen = jacobi_eigen(correlation_matrix(table))
-    variance_percent = eigen.eigenvalues / p * 100.0
-    return PcaModel(
-        eigen=eigen,
-        p=p,
-        indicator_labels=table.indicator_labels,
-        variance_percent=variance_percent,
-        cumulative_percent=np.cumsum(variance_percent),
-    )
+    return PcaModel(jacobi_eigen(correlation_matrix(table)), table.indicator_labels)
 
 
 def select_components(model: PcaModel, rule: SelectionRule = Kaiser()) -> int:
@@ -136,13 +138,9 @@ def scores(model: PcaModel, table: IndicatorTable) -> np.ndarray:
 
 
 def write_variance_table(model: PcaModel, path: str | Path) -> None:
+    columns = zip(model.eigen.eigenvalues, model.variance_percent, model.cumulative_percent)
     rows = (
-        [
-            str(i + 1),
-            format_float(model.eigen.eigenvalues[i]),
-            format_float(model.variance_percent[i]),
-            format_float(model.cumulative_percent[i]),
-        ]
-        for i in range(model.p)
+        [str(dimension), format_float(value), format_float(percent), format_float(cumulative)]
+        for dimension, (value, percent, cumulative) in enumerate(columns, 1)
     )
     write_rows(path, ["dimension", "eigenvalue", "variance_percent", "cumulative_percent"], rows)

@@ -61,14 +61,7 @@ def model_from_spectrum(values):
 
     vals = np.asarray(values, dtype=float)
     p = vals.size
-    variance = vals / p * 100.0
-    return PcaModel(
-        eigen=EigenDecomposition(vals, np.eye(p)),
-        p=p,
-        indicator_labels=tuple(f"V{i + 1}" for i in range(p)),
-        variance_percent=variance,
-        cumulative_percent=np.cumsum(variance),
-    )
+    return PcaModel(EigenDecomposition(vals, np.eye(p)), tuple(f"V{i + 1}" for i in range(p)))
 
 
 def make_table(values, standardized: bool = False, prefix: str = "R") -> IndicatorTable:

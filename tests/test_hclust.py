@@ -366,7 +366,7 @@ class TestClusterVariables:
         table = random_standardized_table(47, n=50, p=4)
         from pcacluster.linalg import correlation_matrix
 
-        corr = correlation_matrix(table).values
+        corr = correlation_matrix(table)
         dend_input = cluster_variables(table)
         # verify via the first merge: its height equals sqrt(2(1-r)) of
         # the closest variable pair

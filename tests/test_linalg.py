@@ -4,30 +4,27 @@ import numpy as np
 import pytest
 
 from pcacluster.errors import NumericalError, ValidationError
-from pcacluster.linalg import (
-    EigenDecomposition,
-    SymmetricMatrix,
-    correlation_matrix,
-    jacobi_eigen,
-)
+from pcacluster.linalg import correlation_matrix, jacobi_eigen
 from pcacluster.ingest import standardize
 
 from helpers import make_table, random_standardized_table
 
 
-def random_symmetric(rng: np.random.Generator, p: int) -> SymmetricMatrix:
+def random_symmetric(rng: np.random.Generator, p: int) -> np.ndarray:
     x = rng.standard_normal((p, p))
-    return SymmetricMatrix((x + x.T) / 2.0)
+    return (x + x.T) / 2.0
 
 
 class TestSymmetricMatrix:
+    """jacobi_eigen's input checks: square, finite, exactly symmetric."""
+
     def test_rejects_asymmetry(self):
         with pytest.raises(ValidationError, match="not exactly symmetric"):
-            SymmetricMatrix([[1.0, 2.0], [2.0000001, 1.0]])
+            jacobi_eigen(np.array([[1.0, 2.0], [2.0000001, 1.0]]))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError, match="square"):
-            SymmetricMatrix(np.zeros((2, 3)))
+            jacobi_eigen(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("values", [
         [[np.inf, 1.0], [1.0, 1.0]],
@@ -36,26 +33,26 @@ class TestSymmetricMatrix:
     ])
     def test_rejects_non_finite(self, values):
         with pytest.raises(ValidationError, match="non-finite"):
-            SymmetricMatrix(values)
+            jacobi_eigen(np.array(values))
 
 
 class TestCorrelationMatrix:
     def test_identical_columns_fully_correlated(self):
         base = np.array([1.0, 4.0, 2.0, 8.0, 5.0])
         table = standardize(make_table(np.column_stack([base, base + 0.0])))
-        corr = correlation_matrix(table).values
+        corr = correlation_matrix(table)
         assert abs(corr[0, 1] - 1.0) < 1e-12
         assert corr[0, 0] == 1.0 and corr[1, 1] == 1.0
 
     def test_opposite_columns(self):
         table = standardize(make_table(np.array([[-1.0, 1.0], [0.0, 0.0], [1.0, -1.0]])))
-        corr = correlation_matrix(table).values
+        corr = correlation_matrix(table)
         assert abs(corr[0, 1] + 1.0) < 1e-12
 
     def test_independent_columns_near_zero(self):
         rng = np.random.default_rng(314)
         table = standardize(make_table(rng.standard_normal((10000, 2))))
-        corr = correlation_matrix(table).values
+        corr = correlation_matrix(table)
         assert abs(corr[0, 1]) < 0.05
 
     def test_requires_standardized(self):
@@ -65,19 +62,19 @@ class TestCorrelationMatrix:
 
     def test_exactly_symmetric_unit_diagonal(self):
         table = random_standardized_table(99, n=40, p=7)
-        corr = correlation_matrix(table).values
+        corr = correlation_matrix(table)
         assert np.array_equal(corr, corr.T)
         assert np.array_equal(np.diag(corr), np.ones(7))
 
 
 class TestJacobiEigen:
     def test_identity_is_a_fixed_point(self):
-        eig = jacobi_eigen(SymmetricMatrix(np.eye(19)))
+        eig = jacobi_eigen(np.eye(19))
         assert np.array_equal(eig.eigenvalues, np.ones(19))
         assert np.array_equal(eig.eigenvectors, np.eye(19))
 
     def test_analytic_two_by_two(self):
-        eig = jacobi_eigen(SymmetricMatrix([[1.0, 0.5], [0.5, 1.0]]))
+        eig = jacobi_eigen(np.array([[1.0, 0.5], [0.5, 1.0]]))
         assert np.allclose(eig.eigenvalues, [1.5, 0.5], atol=1e-12)
 
     def test_reconstruction_suite(self):
@@ -86,10 +83,10 @@ class TestJacobiEigen:
             m = random_symmetric(rng, 19)
             eig = jacobi_eigen(m)
             rebuilt = eig.eigenvectors @ np.diag(eig.eigenvalues) @ eig.eigenvectors.T
-            assert np.max(np.abs(rebuilt - m.values)) < 1e-9
+            assert np.max(np.abs(rebuilt - m)) < 1e-9
             gram = eig.eigenvectors.T @ eig.eigenvectors
             assert np.max(np.abs(gram - np.eye(19))) < 1e-9
-            assert abs(eig.eigenvalues.sum() - m.trace()) < 1e-9
+            assert abs(eig.eigenvalues.sum() - np.trace(m)) < 1e-9
 
     def test_eigenvalues_sorted_descending(self):
         rng = np.random.default_rng(5)
@@ -105,27 +102,27 @@ class TestJacobiEigen:
                 assert column[np.argmax(np.abs(column))] > 0
 
     def test_zero_matrix(self):
-        eig = jacobi_eigen(SymmetricMatrix(np.zeros((4, 4))))
+        eig = jacobi_eigen(np.zeros((4, 4)))
         assert np.array_equal(eig.eigenvalues, np.zeros(4))
 
     def test_known_eigenvector_recovered(self):
         # rank-1 matrix v v' has eigenpair (|v|^2, v/|v|)
         v = np.array([3.0, 0.0, 4.0])
-        m = SymmetricMatrix(np.outer(v, v))
+        m = np.outer(v, v)
         eig = jacobi_eigen(m)
         assert abs(eig.eigenvalues[0] - 25.0) < 1e-9
         assert np.allclose(eig.eigenvectors[:, 0], [0.6, 0.0, 0.8], atol=1e-9)
 
     def test_extreme_scale_spread(self):
-        m = SymmetricMatrix([[1e-20, 1.0], [1.0, 1e20]])
+        m = np.array([[1e-20, 1.0], [1.0, 1e20]])
         eig = jacobi_eigen(m)
         rebuilt = eig.eigenvectors @ np.diag(eig.eigenvalues) @ eig.eigenvectors.T
-        assert np.max(np.abs(rebuilt - m.values)) < 1e-9 * np.linalg.norm(m.values)
+        assert np.max(np.abs(rebuilt - m)) < 1e-9 * np.linalg.norm(m)
 
     def test_overflowing_eigenvalue_raises(self):
         # finite entries whose largest eigenvalue (2e308) overflows
         with pytest.raises(NumericalError, match="non-finite"):
-            jacobi_eigen(SymmetricMatrix([[1e308, 1e308], [1e308, 1e308]]))
+            jacobi_eigen(np.array([[1e308, 1e308], [1e308, 1e308]]))
 
     def test_lapack_failure_raises(self, monkeypatch):
         def fail(_):
@@ -133,7 +130,7 @@ class TestJacobiEigen:
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(NumericalError, match="did not converge"):
-            jacobi_eigen(SymmetricMatrix(np.eye(2)))
+            jacobi_eigen(np.eye(2))
 
 
 class TestCorrelationSpectrum:
@@ -144,12 +141,3 @@ class TestCorrelationSpectrum:
             assert abs(eig.eigenvalues.sum() - 11.0) < 1e-9
             assert eig.eigenvalues.min() > -1e-9
 
-
-class TestEigenDecompositionType:
-    def test_rejects_increasing_order(self):
-        with pytest.raises(ValidationError, match="non-increasing"):
-            EigenDecomposition([1.0, 2.0], np.eye(2))
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValidationError, match="shape"):
-            EigenDecomposition([1.0, 0.5], np.eye(3))

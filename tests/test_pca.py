@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pcacluster.errors import ValidationError
+from pcacluster.hclust import cluster_variables
 from pcacluster.pca import (
     CumulativeThreshold,
     Fixed,
@@ -17,7 +19,7 @@ from pcacluster.pca import (
     select_components,
     write_variance_table,
 )
-from pcacluster.ingest import standardize
+from pcacluster.ingest import IndicatorTable, impute_means, load_table, standardize
 
 from helpers import (
     REF_CUMULATIVE_PERCENT,
@@ -27,6 +29,8 @@ from helpers import (
     model_from_spectrum,
     random_standardized_table,
 )
+
+SAMPLE = Path(__file__).resolve().parents[1] / "src" / "pcacluster" / "data" / "sample_regions.csv"
 
 
 def exact_r_half_table():
@@ -79,6 +83,13 @@ class TestFitPca:
     def test_requires_standardized(self):
         with pytest.raises(ValidationError, match="standardized"):
             fit_pca(make_table([[1.0, 2.0], [2.0, 4.0], [3.0, 5.0]]))
+
+    def test_fitted_arrays_are_write_locked(self):
+        eigen = fit_pca(random_standardized_table(14, n=30, p=5)).eigen
+        with pytest.raises(ValueError):
+            eigen.eigenvalues[0] = 0.0
+        with pytest.raises(ValueError):
+            eigen.eigenvectors[0, 0] = 0.0
 
 
 class TestSelectComponents:
@@ -208,6 +219,22 @@ class TestScores:
         model = fit_pca(table).with_components(2)
         with pytest.raises(ValidationError, match="indicators"):
             scores(model, other)
+
+
+class TestSingularCorrelation:
+    """The paper's premise: an exactly collinear indicator makes R singular."""
+
+    def test_duplicated_indicator(self):
+        z = standardize(impute_means(load_table(SAMPLE)))
+        table = IndicatorTable(z.region_labels, z.indicator_labels + ("copy of 2nd",),
+                               np.column_stack([z.values, z.values[:, 1]]), standardized=True)
+        p = table.values.shape[1]
+        eigenvalues = fit_pca(table).eigen.eigenvalues
+        assert abs(eigenvalues[-1]) < 1e-12
+        assert abs(eigenvalues.sum() - p) < 1e-9
+        first = cluster_variables(table).merges[0]
+        assert {first.left, first.right} == {-2, -p}
+        assert first.height < 1e-6
 
 
 class TestVarianceTableEmission:

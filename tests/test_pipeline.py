@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import re
+import sys
 import tempfile
 import warnings
 from collections import Counter
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcacluster import cli, pipeline, tables
+from pcacluster import cli, linalg, pca, pipeline, tables
 from pcacluster.config import PipelineConfig, load_pipeline_config
 from pcacluster.errors import NumericalError, ValidationError
 from pcacluster.hclust import MAX_POINTS
@@ -24,6 +26,7 @@ from pcacluster.pipeline import run_pipeline
 from pcacluster.synth import SyntheticSpec
 
 SAMPLE = Path(__file__).resolve().parents[1] / "src" / "pcacluster" / "data" / "sample_regions.csv"
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 BASE_SYNTH_CONF = """
 synthetic = true
@@ -282,6 +285,10 @@ class TestFileInputRun:
         variance = (artifacts.output_dir / "variance_table.csv").read_text().splitlines()
         assert len(variance) == 20
         assert artifacts.model.k >= 1
+        with pytest.raises(ValueError):
+            artifacts.model.eigen.eigenvalues[0] = 0.0
+        with pytest.raises(ValueError):
+            artifacts.model.eigen.eigenvectors[0, 0] = 0.0
         text = (artifacts.output_dir / "concordance.txt").read_text()
         assert "rand=" in text and "ari_raw_truth" not in text
 
@@ -289,6 +296,26 @@ class TestFileInputRun:
         conf = write_conf(tmp_path, "input = nope.csv\noutput_dir = out\n")
         with pytest.raises(ValidationError, match="^load: "):
             run_pipeline(load_pipeline_config(conf))
+
+
+class TestBenchmarkTracing:
+    """perfbench/tracing.py wraps pcacluster functions by name and reads their results."""
+
+    def test_traced_names_resolve_and_are_restored(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
+        spec.loader.exec_module(tracing)
+        config = load_pipeline_config(write_conf(tmp_path, f"input = {SAMPLE}\noutput_dir = out\n"))
+        original = linalg.jacobi_eigen
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+            run_pipeline(config)
+        finally:
+            tracer.uninstall()
+        assert tracer.counts[0]["linalg.jacobi_eigen.order"] == 19
+        assert pca.jacobi_eigen is original and linalg.jacobi_eigen is original
 
 
 class TestClusterSpaces:

@@ -1,4 +1,4 @@
-"""Run thirteen pipeline configs from a source tree and print each manifest's SHA-256.
+"""Run fourteen pipeline configs from a source tree and print each manifest's SHA-256.
 
     python tools/manifests.py SRC_DIR OUT_DIR
 
@@ -51,21 +51,41 @@ CONFIGS = {
     # 40 clusters of 1 to 6 regions, most of 1 to 3: the empty cells of
     # profiles.csv and the n/a cells of profiles/cluster_<id>.csv
     "tiny-clusters": ["input = {sample}", "k_regions = 40"],
+    # the sample with its 2nd indicator appended again by
+    # write_collinear_table: a singular correlation matrix, the paper's premise
+    "collinear": ["input = collinear.csv"],
 }
 WORKLOADS = ("paper", "wide", "regions")
+
+
+def sample_rows(src: Path) -> list[list[str]]:
+    with (src / SAMPLE).open(newline="", encoding="utf-8") as handle:
+        return list(csv.reader(handle))
+
+
+def write_csv(path: Path, rows: list[list[str]]) -> None:
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
 def write_quoted_labels_table(src: Path, path: Path) -> None:
     """The sample with an empty region label, a region label holding a line
     break and double quotes, and an indicator label holding a comma and
     double quotes."""
-    with (src / SAMPLE).open(newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
+    rows = sample_rows(src)
     rows[0][1] = 'GRP, "per capita"'
     rows[1][0] = ""
     rows[2][0] = 'Region\n"two"'
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle, lineterminator="\n").writerows(rows)
+    write_csv(path, rows)
+
+
+def write_collinear_table(src: Path, path: Path) -> None:
+    """The sample with its 2nd indicator column appended under a new label."""
+    rows = sample_rows(src)
+    for row in rows:
+        row.append(row[2])
+    rows[0][-1] += " (copy)"
+    write_csv(path, rows)
 
 
 def write_configs(src: Path, out: Path) -> dict[str, Path]:
@@ -75,6 +95,8 @@ def write_configs(src: Path, out: Path) -> dict[str, Path]:
         directory.mkdir(parents=True)
         if name == "quoted-labels":
             write_quoted_labels_table(src, directory / "quoted.csv")
+        elif name == "collinear":
+            write_collinear_table(src, directory / "collinear.csv")
         text = "\n".join(lines + ["output_dir = out"]).format(sample=src / SAMPLE)
         configs[name] = directory / "pipeline.conf"
         configs[name].write_text(text + "\n", encoding="utf-8")
