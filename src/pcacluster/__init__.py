@@ -1,7 +1,7 @@
 """Correlation-matrix PCA, complete-linkage clustering, and cluster profiling
 for regional indicator tables, with a deterministic reporting pipeline."""
 
-from .concordance import ContingencyTable, adjusted_rand_index, contingency, rand_index
+from .concordance import adjusted_rand_index, contingency, rand_index
 from .config import PipelineConfig, load_pipeline_config
 from .errors import NumericalError, PcaClusterError, ValidationError
 from .hclust import (
@@ -41,7 +41,6 @@ from .synth import SyntheticSpec, generate_synthetic
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContingencyTable",
     "CumulativeThreshold",
     "Dendrogram",
     "DistanceMatrix",

@@ -7,30 +7,16 @@ symmetric results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .errors import ValidationError
 from .hclust import Partition
 
 
-@dataclass(frozen=True, eq=False)
-class ContingencyTable:
-    """Cross-tabulation of two partitions of the same items."""
-
-    counts: tuple[tuple[int, ...], ...]  # rows: clusters of a, cols: clusters of b
-    n: int
-
-    @property
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.counts)
-
-    @property
-    def col_sums(self) -> tuple[int, ...]:
-        return tuple(sum(col) for col in zip(*self.counts))
+Counts = tuple[tuple[int, ...], ...]
 
 
-def contingency(a: Partition, b: Partition) -> ContingencyTable:
+def contingency(a: Partition, b: Partition) -> Counts:
     """Entry (i, j) counts items in cluster i of a and cluster j of b."""
     if a.n_items != b.n_items:
         raise ValidationError(
@@ -39,23 +25,23 @@ def contingency(a: Partition, b: Partition) -> ContingencyTable:
     grid = [[0] * b.k for _ in range(a.k)]
     for ca, cb in zip(a.assignment, b.assignment):
         grid[ca - 1][cb - 1] += 1
-    return ContingencyTable(counts=tuple(tuple(row) for row in grid), n=a.n_items)
+    return tuple(tuple(row) for row in grid)
 
 
-def _pair_sums(table: ContingencyTable) -> tuple[int, int, int]:
-    same_both = sum(comb(v, 2) for row in table.counts for v in row)
-    same_a = sum(comb(v, 2) for v in table.row_sums)
-    same_b = sum(comb(v, 2) for v in table.col_sums)
+def _pair_sums(counts: Counts) -> tuple[int, int, int]:
+    same_both = sum(comb(v, 2) for row in counts for v in row)
+    same_a = sum(comb(sum(row), 2) for row in counts)
+    same_b = sum(comb(sum(col), 2) for col in zip(*counts))
     return same_both, same_a, same_b
 
 
 def rand_index(a: Partition, b: Partition) -> float:
     """Fraction of item pairs on which the two partitions agree."""
-    table = contingency(a, b)
-    total = comb(table.n, 2)
+    counts = contingency(a, b)
+    total = comb(a.n_items, 2)
     if total == 0:
         return 1.0
-    same_both, same_a, same_b = _pair_sums(table)
+    same_both, same_a, same_b = _pair_sums(counts)
     return (total + 2 * same_both - same_a - same_b) / total
 
 
@@ -66,11 +52,11 @@ def adjusted_rand_index(a: Partition, b: Partition) -> float:
     only for trivial partitions (everything in one cluster on both
     sides, or singletons on both sides).
     """
-    table = contingency(a, b)
-    total = comb(table.n, 2)
+    counts = contingency(a, b)
+    total = comb(a.n_items, 2)
     if total == 0:
         return 0.0
-    same_both, same_a, same_b = _pair_sums(table)
+    same_both, same_a, same_b = _pair_sums(counts)
     expected = same_a * same_b / total
     denominator = (same_a + same_b) / 2 - expected
     if denominator == 0.0:

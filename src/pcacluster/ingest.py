@@ -26,7 +26,7 @@ _STANDARD_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ParseOptions:
-    """Delimiter and decimal-separator settings for reading/writing tables."""
+    """Delimiter and decimal-separator settings for reading tables."""
 
     delimiter: str = ","
     decimal: str = "."
@@ -183,20 +183,15 @@ def load_table(path: str | Path, options: ParseOptions = ParseOptions()) -> Indi
     return IndicatorTable(tuple(region_labels), indicator_labels, grid)
 
 
-def write_table(
-    table: IndicatorTable,
-    path: str | Path,
-    options: ParseOptions = ParseOptions(),
-) -> None:
-    """Write a table in the same delimited format load_table reads.
+def write_table(table: IndicatorTable, path: str | Path) -> None:
+    """Write a table in load_table's default format: ',' delimiter, '.' decimal.
 
     Floats are serialized with format_float (repr: the shortest round-trip
     form, at most 17 significant digits), so write -> load reproduces values
     bit-exactly. Missing entries become empty cells.
     """
     write_labeled_matrix(path, ["region", *table.indicator_labels],
-                         labeled_rows(table.region_labels, table.values),
-                         options.delimiter, options.decimal)
+                         labeled_rows(table.region_labels, table.values))
 
 
 def impute_means(table: IndicatorTable) -> IndicatorTable:

@@ -48,11 +48,11 @@ SelectionRule = Kaiser | Fixed | CumulativeThreshold
 
 @dataclass(frozen=True, eq=False)
 class PcaModel:
-    """Fitted components model; immutable, k is attached via with_components."""
+    """Fitted components model, immutable: the first k components are retained."""
 
     eigen: EigenDecomposition
     indicator_labels: tuple[str, ...]
-    k: int | None = None
+    k: int
 
     @property
     def p(self) -> int:
@@ -72,24 +72,19 @@ class PcaModel:
             raise ValidationError(f"component count {k} outside [1, {self.p}]")
         return replace(self, k=k)
 
-    def _require_k(self) -> int:
-        if self.k is None:
-            raise ValidationError("component count not selected; call select_components")
-        return self.k
-
 
 def component_names(k: int) -> tuple[str, ...]:
     return tuple(f"f{j + 1}" for j in range(k))
 
 
 def fit_pca(table: IndicatorTable) -> PcaModel:
-    """Eigendecompose the correlation matrix of a standardized table."""
+    """Eigendecompose a standardized table's correlation matrix, retaining all p components."""
     if not table.standardized:
         raise ValidationError("fit_pca requires a standardized table")
     n, p = table.values.shape
     if n <= p:
         raise ValidationError(f"need more regions than indicators (n={n}, p={p})")
-    return PcaModel(jacobi_eigen(correlation_matrix(table)), table.indicator_labels)
+    return PcaModel(jacobi_eigen(correlation_matrix(table)), table.indicator_labels, p)
 
 
 def select_components(model: PcaModel, rule: SelectionRule = Kaiser()) -> int:
@@ -110,8 +105,7 @@ def select_components(model: PcaModel, rule: SelectionRule = Kaiser()) -> int:
 
 def coefficients(model: PcaModel) -> np.ndarray:
     """First k unit eigenvector columns (sign-normalized), p x k."""
-    k = model._require_k()
-    return model.eigen.eigenvectors[:, :k].copy()
+    return model.eigen.eigenvectors[:, :model.k].copy()
 
 
 def loadings(model: PcaModel) -> np.ndarray:
@@ -120,21 +114,20 @@ def loadings(model: PcaModel) -> np.ndarray:
     Entry (i, j) equals the sample correlation between variable i and
     score column j.
     """
-    k = model._require_k()
+    k = model.k
     scale = np.sqrt(np.maximum(model.eigen.eigenvalues[:k], 0.0))
     return model.eigen.eigenvectors[:, :k] * scale
 
 
 def scores(model: PcaModel, table: IndicatorTable) -> np.ndarray:
     """Project the standardized table onto the retained k component axes, n x k."""
-    k = model._require_k()
     if not table.standardized:
         raise ValidationError("scores require the standardized table the model was fitted on")
     if table.values.shape[1] != model.p:
         raise ValidationError(
             f"table has {table.values.shape[1]} indicators, model expects {model.p}"
         )
-    return table.values @ model.eigen.eigenvectors[:, :k]
+    return table.values @ model.eigen.eigenvectors[:, :model.k]
 
 
 def write_variance_table(model: PcaModel, path: str | Path) -> None:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .concordance import ContingencyTable, adjusted_rand_index, contingency, rand_index
+from .concordance import Counts, adjusted_rand_index, contingency, rand_index
 from .config import PipelineConfig
 from .errors import PcaClusterError, ValidationError
 from .hclust import Dendrogram, Partition, complete_linkage, cluster_variables, cut, euclidean_distances
@@ -113,11 +113,11 @@ def _merge_rows(dend: Dendrogram):
         yield [str(step), str(m.left), str(m.right), format_float(m.height), str(m.size)]
 
 
-def _contingency_text(table: ContingencyTable, rand: float, ari: float,
+def _contingency_text(counts: Counts, rand: float, ari: float,
                       extra: dict[str, float]) -> str:
     lines = ["contingency rows=raw columns=components"]
-    lines.append(",".join([""] + [f"c{j + 1}" for j in range(len(table.counts[0]))]))
-    for i, row in enumerate(table.counts, start=1):
+    lines.append(",".join([""] + [f"c{j + 1}" for j in range(len(counts[0]))]))
+    for i, row in enumerate(counts, start=1):
         lines.append(",".join([f"r{i}"] + [str(v) for v in row]))
     lines.append(f"rand={format_float(rand)} ari={format_float(ari)}")
     lines += [f"{key}={format_float(value)}" for key, value in extra.items()]

@@ -16,9 +16,13 @@ A cluster's moments are whole-block reductions: its rows are copied into
 one contiguous indicators x members block, and the means, sds, m2, m3 and
 fourth-power sums are axis-1 reductions over it. Each sums one contiguous
 row in numpy's pairwise order, as a 1-D column sum does, so the figures
-match per-column code bit for bit. Only each cell's finish is scalar, and
-the 3/2 power is a scalar power on purpose: numpy's array power can use
-SIMD code that differs from libm's pow in the last bit.
+match per-column code bit for bit. The cube and the fourth power are
+products, (x*x)*x and (z*z)*(z*z), not array powers: numpy dispatches an
+array power to SIMD code chosen for the CPU, which can differ from libm's
+pow in the last bit, so profiles.csv would change from host to host. A
+product is one correctly rounded multiply per step on every CPU. Only
+each cell's finish is scalar, and the 3/2 power there is a numpy scalar
+power, which calls libm's pow and is not dispatched.
 """
 
 from __future__ import annotations
@@ -79,12 +83,15 @@ def profile(table: IndicatorTable, part: Partition) -> list[ProfileRow]:
         if n >= 3:
             centered = block - means[:, None]
             with np.errstate(over="ignore", invalid="ignore"):
-                m2s = (centered**2).mean(axis=1)
-                m3s = (centered**3).mean(axis=1)
+                squared = centered * centered
+                m2s = squared.mean(axis=1)
+                m3s = (squared * centered).mean(axis=1)
         if n >= 4:
             # a zero-sd row's kurtosis is undefined; dividing it by 1 instead
             # keeps its discarded sum free of division warnings
-            z4s = ((centered / np.where(sd == 0.0, 1.0, sd)[:, None]) ** 4).sum(axis=1).tolist()
+            z = centered / np.where(sd == 0.0, 1.0, sd)[:, None]
+            z *= z
+            z4s = (z * z).sum(axis=1).tolist()
         for indicator, mean, grand, sd_j, m2, m3, z4 in zip(
                 table.indicator_labels, means.tolist(), grand_means, sds, m2s, m3s, z4s):
             skewness = kurtosis = None

@@ -61,7 +61,7 @@ def model_from_spectrum(values):
 
     vals = np.asarray(values, dtype=float)
     p = vals.size
-    return PcaModel(EigenDecomposition(vals, np.eye(p)), tuple(f"V{i + 1}" for i in range(p)))
+    return PcaModel(EigenDecomposition(vals, np.eye(p)), tuple(f"V{i + 1}" for i in range(p)), p)
 
 
 def make_table(values, standardized: bool = False, prefix: str = "R") -> IndicatorTable:
@@ -148,10 +148,10 @@ def _oracle_skewness(values: np.ndarray) -> float | None:
         return None
     centered = values - values.mean()
     with np.errstate(over="ignore", invalid="ignore"):
-        m2 = (centered**2).mean()
+        m2 = (centered * centered).mean()
         if m2 == 0.0:
             return None
-        g1 = float((centered**3).mean() / m2**1.5)
+        g1 = float((centered * centered * centered).mean() / m2**1.5)
     return g1 * math.sqrt(n * (n - 1)) / (n - 2)
 
 
@@ -162,7 +162,8 @@ def _oracle_excess_kurtosis(values: np.ndarray) -> float | None:
     sd = float(values.std(ddof=1))
     if sd == 0.0:
         return None
-    z4 = float((((values - values.mean()) / sd) ** 4).sum())
+    z = (values - values.mean()) / sd
+    z4 = float(((z * z) * (z * z)).sum())
     return n * (n + 1) / ((n - 1) * (n - 2) * (n - 3)) * z4 - 3 * (n - 1) ** 2 / (
         (n - 2) * (n - 3)
     )

@@ -27,21 +27,19 @@ labelings = st.lists(st.integers(0, 3), min_size=2, max_size=40)
 class TestContingency:
     def test_identical_partitions_are_diagonal(self):
         a = partition_of([1, 1, 2, 2])
-        table = contingency(a, a)
-        assert table.counts == ((2, 0), (0, 2))
-        assert table.n == 4
+        assert contingency(a, a) == ((2, 0), (0, 2))
 
     def test_crossed_partitions(self):
         a = partition_of([1, 1, 2, 2])
         b = partition_of([1, 2, 1, 2])
-        assert contingency(a, b).counts == ((1, 1), (1, 1))
+        assert contingency(a, b) == ((1, 1), (1, 1))
 
     def test_margins(self):
         a = partition_of([1, 1, 1, 2, 2, 3])
         b = partition_of([1, 2, 2, 2, 1, 1])
-        table = contingency(a, b)
-        assert table.row_sums == (3, 2, 1)
-        assert table.col_sums == (3, 3)
+        counts = contingency(a, b)
+        assert tuple(map(sum, counts)) == (3, 2, 1)
+        assert tuple(map(sum, zip(*counts))) == (3, 3)
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError, match="items"):
@@ -53,7 +51,7 @@ class TestContingency:
         n = min(len(xs), len(ys))
         a = partition_of(xs[:n])
         b = partition_of(ys[:n])
-        assert sum(map(sum, contingency(a, b).counts)) == n
+        assert sum(map(sum, contingency(a, b))) == n
 
 
 class TestAdjustedRandIndex:

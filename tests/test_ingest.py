@@ -308,15 +308,6 @@ class TestRoundTrip:
         assert back.indicator_labels == table.indicator_labels
         assert np.array_equal(back.values, table.values, equal_nan=True)
 
-    def test_round_trip_with_semicolon_and_comma_decimal(self, tmp_path):
-        rng = np.random.default_rng(13)
-        table = make_table(rng.standard_normal((5, 3)))
-        options = ParseOptions(delimiter=";", decimal=",")
-        path = tmp_path / "round.csv"
-        write_table(table, path, options)
-        back = load_table(path, options)
-        assert np.array_equal(back.values, table.values)
-
     def test_quoted_labels_survive(self, tmp_path):
         table = IndicatorTable(
             ("Region 1", "Region 2", "Region 3"),

@@ -142,10 +142,12 @@ class TestCoefficients:
         coef = coefficients(model.with_components(2))
         assert np.allclose(np.abs(coef), np.eye(2), atol=1e-9)
 
-    def test_requires_selected_k(self):
-        model = fit_pca(random_standardized_table(5))
-        with pytest.raises(ValidationError, match="not selected"):
-            coefficients(model)
+    def test_fit_retains_all_components(self):
+        table = random_standardized_table(5)
+        p = table.n_indicators
+        model = fit_pca(table)
+        assert model.k == p
+        assert coefficients(model).shape == (p, p)
 
 
 class TestLoadings:

@@ -4,7 +4,9 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -247,6 +249,21 @@ class TestDeterminism:
         second = run_pipeline(load_pipeline_config(synth_conf(tmp_path, out="out2")))
         assert first.manifest_path.read_bytes() == second.manifest_path.read_bytes()
 
+    def test_manifest_independent_of_simd_dispatch(self, tmp_path):
+        # numpy picks SIMD loops for the CPU at import; with the AVX-512 ones
+        # disabled, an AVX-512 host must write the bytes any other host writes
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("NPY_DISABLE_CPU_FEATURES", "PYTHONPATH")}
+        env["PYTHONPATH"] = str(SAMPLE.parents[2])
+        no_avx512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+        manifests = []
+        for name, extra in (("default", {}), ("no-avx512", no_avx512)):
+            conf = write_conf(tmp_path, f"input = {SAMPLE}\noutput_dir = {name}\n", f"{name}.conf")
+            subprocess.run([sys.executable, "-m", "pcacluster.cli", "run", "--config", str(conf)],
+                           env={**env, **extra}, check=True, capture_output=True)
+            manifests.append((tmp_path / name / "manifest.txt").read_bytes())
+        assert manifests[0] == manifests[1]
+
 
 class TestFileInputRun:
     def test_failed_rerun_leaves_no_stale_manifest(self, tmp_path):
@@ -262,9 +279,9 @@ class TestFileInputRun:
     def test_each_z_score_row_formatted_once(self, tmp_path, monkeypatch):
         calls, format_run = Counter(), tables.format_run
 
-        def counting(values, *args):
+        def counting(values):
             calls[tuple(values.tolist())] += 1
-            return format_run(values, *args)
+            return format_run(values)
 
         for module in (tables, pipeline):
             monkeypatch.setattr(module, "format_run", counting)

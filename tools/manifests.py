@@ -11,6 +11,13 @@ per config, so comparing two checkouts is a `diff` of two outputs:
     python tools/manifests.py . m-change > change.txt
     diff parent.txt change.txt
 
+The bytes must not depend on the SIMD code numpy dispatches to on this
+CPU, so a second run with the AVX-512 loops disabled prints the same:
+
+    NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" \
+        python tools/manifests.py . m-generic > generic.txt
+    diff change.txt generic.txt
+
 The perfbench inputs (seed 7) are written by this checkout's
 `perfbench/workloads.py`, so both sides get the same bytes. Exits 1 if
 SRC_DIR has no `src/pcacluster` or if any run fails.
