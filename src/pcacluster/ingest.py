@@ -142,44 +142,70 @@ def _parse_row(cells: list[str], decimal: str, out: np.ndarray) -> bool:
     return out.size - np.count_nonzero(np.isfinite(out)) == missing
 
 
+def _parse_values(cells: list[str], decimal: str) -> np.ndarray:
+    """The cells as floats; a ValidationError names the first bad cell's column."""
+    values = np.empty(len(cells))
+    if not _parse_row(cells, decimal, values):
+        for j, cell in enumerate(cells):
+            try:
+                values[j] = _parse_cell(cell, decimal)
+            except ValidationError as exc:
+                raise ValidationError(f"column {j + 2}: {exc}") from None
+    return values
+
+
 def load_table(path: str | Path, options: ParseOptions = ParseOptions()) -> IndicatorTable:
     """Read a delimited-text indicator table.
 
     The first header cell titles the region column and is discarded;
     remaining header cells become indicator labels. Missing cells stay
     missing (NaN), they are never zero-filled here.
+
+    Each row is parsed as it is read, into an array of its own, and the
+    arrays are stacked once at the end. The first bad row is remembered
+    and reading goes on, because a read error anywhere in the file, an
+    empty file, a short header and fewer than 3 region rows are reported
+    before it.
     """
     path = Path(path)
+    header: list[str] = []
+    region_labels: list[str] = []
+    value_rows: list[np.ndarray] = []
+    n_rows = 0
+    row_error = ""
     try:
         with path.open(newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle, delimiter=options.delimiter))
+            for row in csv.reader(handle, delimiter=options.delimiter):
+                if not row:
+                    continue
+                if not header:
+                    header = row
+                    continue
+                n_rows += 1
+                if row_error or len(header) < 3:
+                    continue
+                if len(row) != len(header):
+                    row_error = f"row {n_rows + 1} has {len(row)} fields, expected {len(header)}"
+                    continue
+                try:
+                    value_rows.append(_parse_values(row[1:], options.decimal))
+                except ValidationError as exc:
+                    row_error = f"row {n_rows + 1}, {exc}"
+                    continue
+                region_labels.append(row[0].strip())
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    rows = [row for row in rows if row]
-    if not rows:
+    if not header:
         raise ValidationError(f"{path}: empty file")
-    header = rows[0]
     if len(header) < 3:
         raise ValidationError(f"{path}: fewer than 2 indicator columns")
-    indicator_labels = tuple(cell.strip() for cell in header[1:])
-    data_rows = rows[1:]
-    if len(data_rows) < 3:
+    if n_rows < 3:
         raise ValidationError(f"{path}: fewer than 3 region rows")
-    region_labels = []
-    grid = np.empty((len(data_rows), len(indicator_labels)))
-    for i, row in enumerate(data_rows):
-        if len(row) != len(header):
-            raise ValidationError(
-                f"{path}: row {i + 2} has {len(row)} fields, expected {len(header)}"
-            )
-        region_labels.append(row[0].strip())
-        if _parse_row(row[1:], options.decimal, grid[i]):
-            continue
-        for j, cell in enumerate(row[1:]):
-            try:
-                grid[i, j] = _parse_cell(cell, options.decimal)
-            except ValidationError as exc:
-                raise ValidationError(f"{path}: row {i + 2}, column {j + 2}: {exc}") from None
+    if row_error:
+        raise ValidationError(f"{path}: {row_error}")
+    grid = np.stack(value_rows)
+    value_rows.clear()  # IndicatorTable copies the grid: hold two grids, not three
+    indicator_labels = tuple(cell.strip() for cell in header[1:])
     return IndicatorTable(tuple(region_labels), indicator_labels, grid)
 
 

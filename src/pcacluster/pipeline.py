@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -32,6 +33,9 @@ from . import svgplot
 logger = logging.getLogger(__name__)
 
 _MERGE_HEADER = ["step", "left", "right", "height", "size"]
+
+# text artifacts are buffered, and files hashed, this many bytes at a time
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +76,9 @@ class _Sink:
         path.parent.mkdir(parents=True, exist_ok=True)
         return path
 
-    def text(self, rel: str, text: str) -> None:
-        self.path(rel).write_text(text, encoding="utf-8", newline="\n")
+    def text(self, rel: str, lines: Iterable[str]) -> None:
+        """Write lines, each ending in "\n", as they come."""
+        _write_lines(self.path(rel), lines)
 
     def rows(self, rel: str, header, rows) -> None:
         write_rows(self.path(rel), header, rows)
@@ -82,7 +87,7 @@ class _Sink:
         self.rows(rel, [item_header, "cluster"],
                   ([label, str(c)] for label, c in zip(labels, part.assignment)))
 
-    def plot(self, name: str, svg: str, header, rows) -> None:
+    def plot(self, name: str, svg: Iterable[str], header, rows) -> None:
         """A figure and the CSV twin of its plotted values, rows as labeled_rows yields."""
         self.text(f"plots/{name}.svg", svg)
         write_labeled_matrix(self.path(f"plots/{name}.csv"), header, rows)
@@ -90,11 +95,24 @@ class _Sink:
     def manifest(self) -> tuple[Path, tuple[str, ...]]:
         """Write manifest.txt from the files as read back; return it and the sorted paths."""
         files = tuple(sorted(self.written))
-        lines = [f"{hashlib.sha256((self.out / rel).read_bytes()).hexdigest()}  {rel}"
-                 for rel in files]
+        lines = [f"{_sha256(self.out / rel)}  {rel}\n" for rel in files]
         path = self.out / "manifest.txt"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        _write_lines(path, lines)
         return path, files
+
+
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    with path.open("w", buffering=_CHUNK, encoding="utf-8", newline="\n") as handle:
+        handle.writelines(lines)
+
+
+def _sha256(path: Path) -> str:
+    """The file's SHA-256, read _CHUNK bytes at a time."""
+    digest = hashlib.sha256()
+    with path.open("rb") as handle:
+        while chunk := handle.read(_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 @contextmanager
@@ -113,15 +131,15 @@ def _merge_rows(dend: Dendrogram):
         yield [str(step), str(m.left), str(m.right), format_float(m.height), str(m.size)]
 
 
-def _contingency_text(counts: Counts, rand: float, ari: float,
-                      extra: dict[str, float]) -> str:
-    lines = ["contingency rows=raw columns=components"]
-    lines.append(",".join([""] + [f"c{j + 1}" for j in range(len(counts[0]))]))
+def _contingency_lines(counts: Counts, rand: float, ari: float,
+                       extra: dict[str, float]) -> Iterator[str]:
+    yield "contingency rows=raw columns=components\n"
+    yield ",".join([""] + [f"c{j + 1}" for j in range(len(counts[0]))]) + "\n"
     for i, row in enumerate(counts, start=1):
-        lines.append(",".join([f"r{i}"] + [str(v) for v in row]))
-    lines.append(f"rand={format_float(rand)} ari={format_float(ari)}")
-    lines += [f"{key}={format_float(value)}" for key, value in extra.items()]
-    return "\n".join(lines) + "\n"
+        yield ",".join([f"r{i}"] + [str(v) for v in row]) + "\n"
+    yield f"rand={format_float(rand)} ari={format_float(ari)}\n"
+    for key, value in extra.items():
+        yield f"{key}={format_float(value)}\n"
 
 
 def run_pipeline(config: PipelineConfig) -> RunArtifacts:
@@ -151,10 +169,11 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
                 f"{len(names)} component labels given but {model.k} components retained"
             )
         score = scores(model, table)
+        model_loadings = loadings(model)
         write_variance_table(model, sink.path("variance_table.csv"))
         for rel, matrix, row_header, row_labels in (
             ("coefficients.csv", coefficients(model), "indicator", model.indicator_labels),
-            ("loadings.csv", loadings(model), "indicator", model.indicator_labels),
+            ("loadings.csv", model_loadings, "indicator", model.indicator_labels),
             ("scores.csv", score, "region", table.region_labels),
         ):
             write_labeled_matrix(sink.path(rel), [row_header, *names],
@@ -202,7 +221,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
                 extra["ari_raw_truth"] = adjusted_rand_index(raw, truth)
                 extra["ari_components_truth"] = adjusted_rand_index(comp, truth)
             concordance_stats = {"rand": rand, "ari": ari, **extra}
-            sink.text("concordance.txt", _contingency_text(pair, rand, ari, extra))
+            sink.text("concordance.txt", _contingency_lines(pair, rand, ari, extra))
 
     final_partition = partitions["components" if "components" in partitions else "raw"]
     with _stage("profile"):
@@ -221,7 +240,8 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             sink.text(f"profiles/cluster_{cluster_id}.csv", format_profile_table(rows, cluster_id))
 
     with _stage("plots"):
-        emit_plots(sink, table, model, dendrograms, final_partition, names)
+        emit_plots(sink, table, model, score, model_loadings, dendrograms, final_partition,
+                   names)
 
     with _stage("manifest"):
         manifest_path, files = sink.manifest()
@@ -236,10 +256,11 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
     )
 
 
-def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
-               dendrograms: dict[str, Dendrogram], final_partition: Partition,
-               names: tuple[str, ...]) -> None:
-    """The six figures under plots/, each with its CSV twin."""
+def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel, score: np.ndarray,
+               model_loadings: np.ndarray, dendrograms: dict[str, Dendrogram],
+               final_partition: Partition, names: tuple[str, ...]) -> None:
+    """The six figures under plots/, each with its CSV twin; score and
+    model_loadings are scores(model, table) and loadings(model)."""
     final_space = "components" if "components" in dendrograms else "raw"
     leaf_order = dendrograms[final_space].leaf_order()
     assignment = final_partition.assignment
@@ -263,9 +284,11 @@ def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
 
     # first two axes drive both scatter figures even when only one
     # component was retained
-    plot_model = model if model.k >= 2 else model.with_components(2)
-    plot_loadings = loadings(plot_model)[:, :2]
-    plot_scores = scores(plot_model, table)[:, :2]
+    if model.k >= 2:
+        plot_loadings, plot_scores = model_loadings[:, :2], score[:, :2]
+    else:
+        plot_model = model.with_components(2)
+        plot_loadings, plot_scores = loadings(plot_model), scores(plot_model, table)
     axis_names = tuple(names[:2]) if len(names) >= 2 else ("f1", "f2")
     sink.plot("loadings", svgplot.loadings_svg(plot_loadings, indicators, axis_names),
               ["indicator", *axis_names], labeled_rows(indicators, plot_loadings))

@@ -27,16 +27,17 @@ power, which calls libm's pow and is not dispatched.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .hclust import Partition
 from .ingest import IndicatorTable
-from .tables import RowWriter
+from .tables import text_lines
 
 UNDEFINED = "n/a"
 
@@ -122,13 +123,11 @@ def _percent_cell(value: float | None) -> str:
     return f"{round(value)}%"
 
 
-def format_profile_table(rows: list[ProfileRow], cluster_id: int) -> str:
-    """One cluster's rows as delimited text in the report column layout."""
-    buffer = io.StringIO()
-    out = RowWriter(buffer)
-    out.rows([["Indicator", "Average", "Standard deviation", "Skewness", "kurtosis",
-               "To country average, %"]])
-    out.rows(
+def format_profile_table(rows: list[ProfileRow], cluster_id: int) -> Iterator[str]:
+    """One cluster's rows as lines of delimited text in the report column layout."""
+    header = ["Indicator", "Average", "Standard deviation", "Skewness", "kurtosis",
+              "To country average, %"]
+    return text_lines(chain([header], (
         [
             row.indicator,
             f"{row.average:.7g}",
@@ -139,5 +138,4 @@ def format_profile_table(rows: list[ProfileRow], cluster_id: int) -> str:
         ]
         for row in rows
         if row.cluster == cluster_id
-    )
-    return buffer.getvalue()
+    )))

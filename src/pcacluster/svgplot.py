@@ -1,15 +1,17 @@
 """Self-contained SVG 1.1 figure builders.
 
-All builders are pure string producers: same inputs, same bytes. Text
-labels are emitted as plain <text> nodes so tests can assert on them
-without rasterizing. Colors come from a fixed palette indexed by
-cluster id.
+Each builder returns a Document: the figure as lines of text, each ending
+in "\n", made afresh on every iteration, so a writer can put them on disk
+as they come and no copy of the whole text is ever held. ``"".join(doc)``
+is the text when a caller needs it. Same inputs, same bytes. Text labels
+are emitted as plain <text> nodes so tests can assert on them without
+rasterizing. Colors come from a fixed palette indexed by cluster id.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,14 +47,35 @@ def cluster_color(cluster_id: int) -> str:
     return PALETTE[(cluster_id - 1) % len(PALETTE)]
 
 
-def _document(width: int, height: int, body: list[str]) -> str:
-    head = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-    ]
-    return "\n".join(head + body + ["</svg>", ""])
+def _document(width: int, height: int, body: Iterable[str]) -> Iterator[str]:
+    """The document's lines: the head, each element of body, the closing tag."""
+    yield '<?xml version="1.0" encoding="UTF-8"?>\n'
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+           f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n')
+    yield f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n'
+    for element in body:
+        yield element + "\n"
+    yield "</svg>\n"
+
+
+class Document:
+    """An SVG document of the given size whose elements body() yields.
+
+    Iterating renders it afresh, one line at a time, from the values the
+    builder was given, so they must not change until it is written.
+    encode() is the whole text as bytes, which perfbench/tracing.py counts
+    as svgplot.bytes.
+    """
+
+    def __init__(self, width: int, height: int, body: Callable[[], Iterable[str]]) -> None:
+        self._size = (width, height)
+        self._body = body
+
+    def __iter__(self) -> Iterator[str]:
+        return _document(*self._size, self._body())
+
+    def encode(self, encoding: str = "utf-8") -> bytes:
+        return "".join(self).encode(encoding)
 
 
 def _text(x: float, y: float, content: str, size: float = 11, anchor: str = "middle",
@@ -113,7 +136,7 @@ def _tick_label(value: float) -> str:
     return f"{value:g}"
 
 
-def scree_svg(eigenvalues: Sequence[float]) -> str:
+def scree_svg(eigenvalues: Sequence[float]) -> Document:
     """Eigenvalue against component number, with the retain-above-1 level."""
     vals = [float(v) for v in eigenvalues]
     p = len(vals)
@@ -122,24 +145,28 @@ def scree_svg(eigenvalues: Sequence[float]) -> str:
     x_of = _scale(1, max(p, 2), left, right)
     y_hi = max(max(vals), 1.0) * 1.08
     y_of = _scale(0.0, y_hi, bottom, top)
-    body = [_text(width / 2, 28, "Scree plot", 16)]
-    for tick in _nice_ticks(0.0, y_hi):
-        body.append(_line(left, y_of(tick), right, y_of(tick), "#dddddd"))
-        body.append(_text(left - 8, y_of(tick) + 4, _tick_label(tick), 10, "end"))
-    body.append(_line(left, bottom, right, bottom))
-    body.append(_line(left, top, left, bottom))
-    one = y_of(1.0)
-    body.append(_line(left, one, right, one, "#888888", 1.0, "5,4"))
-    body.append(_text(right, one - 5, "eigenvalue = 1", 10, "end", ' fill="#555555"'))
-    points = " ".join(f"{x_of(i + 1):.2f},{y_of(v):.2f}" for i, v in enumerate(vals))
-    body.append(f'<polyline fill="none" stroke="{PALETTE[0]}" stroke-width="2" points="{points}"/>')
-    for i, v in enumerate(vals):
-        body.append(f'<circle cx="{x_of(i + 1):.2f}" cy="{y_of(v):.2f}" r="3.5" fill="{PALETTE[0]}"/>')
-        body.append(_text(x_of(i + 1), bottom + 16, str(i + 1), 9))
-    body.append(_text((left + right) / 2, bottom + 34, "component", 11))
-    body.append(_text(18, (top + bottom) / 2, "eigenvalue", 11,
-                      extra=f' transform="rotate(-90 18 {(top + bottom) / 2:.2f})"'))
-    return _document(width, height, body)
+
+    def body() -> Iterator[str]:
+        yield _text(width / 2, 28, "Scree plot", 16)
+        for tick in _nice_ticks(0.0, y_hi):
+            yield _line(left, y_of(tick), right, y_of(tick), "#dddddd")
+            yield _text(left - 8, y_of(tick) + 4, _tick_label(tick), 10, "end")
+        yield _line(left, bottom, right, bottom)
+        yield _line(left, top, left, bottom)
+        one = y_of(1.0)
+        yield _line(left, one, right, one, "#888888", 1.0, "5,4")
+        yield _text(right, one - 5, "eigenvalue = 1", 10, "end", ' fill="#555555"')
+        points = " ".join(f"{x_of(i + 1):.2f},{y_of(v):.2f}" for i, v in enumerate(vals))
+        yield f'<polyline fill="none" stroke="{PALETTE[0]}" stroke-width="2" points="{points}"/>'
+        for i, v in enumerate(vals):
+            yield (f'<circle cx="{x_of(i + 1):.2f}" cy="{y_of(v):.2f}" r="3.5" '
+                   f'fill="{PALETTE[0]}"/>')
+            yield _text(x_of(i + 1), bottom + 16, str(i + 1), 9)
+        yield _text((left + right) / 2, bottom + 34, "component", 11)
+        yield _text(18, (top + bottom) / 2, "eigenvalue", 11,
+                    extra=f' transform="rotate(-90 18 {(top + bottom) / 2:.2f})"')
+
+    return Document(width, height, body)
 
 
 def parallel_coordinates_svg(
@@ -147,7 +174,7 @@ def parallel_coordinates_svg(
     indicator_labels: Sequence[str],
     assignment: Sequence[int],
     row_order: Sequence[int],
-) -> str:
+) -> Document:
     """One polyline per region over the standardized indicator axes."""
     n, p = z_values.shape
     width, height = 900, 480
@@ -157,30 +184,29 @@ def parallel_coordinates_svg(
     hi = float(z_values.max())
     pad = 0.05 * (hi - lo if hi > lo else 1.0)
     y_of = _scale(lo - pad, hi + pad, bottom, top)
-    body = [_text(width / 2, 28, "Parallel coordinates", 16)]
-    for tick in _nice_ticks(lo, hi, 6):
-        body.append(_line(left, y_of(tick), right, y_of(tick), "#eeeeee"))
-        body.append(_text(left - 8, y_of(tick) + 4, _tick_label(tick), 10, "end"))
-    for j, label in enumerate(indicator_labels):
-        body.append(_line(x_of(j), top, x_of(j), bottom, "#cccccc"))
-        body.append(_text(
-            x_of(j), bottom + 12, label, 8, "end",
-            extra=f' transform="rotate(-55 {x_of(j):.2f} {bottom + 12:.2f})"',
-        ))
-    xs = [f"{x_of(j):.2f}," for j in range(p)]
-    for i, ys in _by_row(z_values, row_order, y_of):
-        points = " ".join([f"{x}{y:.2f}" for x, y in zip(xs, ys)])
-        body.append(
-            f'<polyline fill="none" stroke="{cluster_color(assignment[i])}" stroke-width="1" '
-            f'stroke-opacity="0.55" points="{points}"/>'
-        )
-    for cluster_id in sorted(set(assignment)):
-        y = top + 14 * cluster_id
-        body.append(_line(width - 120, y, width - 96, y, cluster_color(cluster_id), 3))
-        body.append(_text(width - 90, y + 4, f"cluster {cluster_id}", 10, "start"))
-    body.append(_text(18, (top + bottom) / 2, "z-score", 11,
-                      extra=f' transform="rotate(-90 18 {(top + bottom) / 2:.2f})"'))
-    return _document(width, height, body)
+
+    def body() -> Iterator[str]:
+        yield _text(width / 2, 28, "Parallel coordinates", 16)
+        for tick in _nice_ticks(lo, hi, 6):
+            yield _line(left, y_of(tick), right, y_of(tick), "#eeeeee")
+            yield _text(left - 8, y_of(tick) + 4, _tick_label(tick), 10, "end")
+        for j, label in enumerate(indicator_labels):
+            yield _line(x_of(j), top, x_of(j), bottom, "#cccccc")
+            yield _text(x_of(j), bottom + 12, label, 8, "end",
+                        extra=f' transform="rotate(-55 {x_of(j):.2f} {bottom + 12:.2f})"')
+        xs = [f"{x_of(j):.2f}," for j in range(p)]
+        for i, ys in _by_row(z_values, row_order, y_of):
+            points = " ".join([f"{x}{y:.2f}" for x, y in zip(xs, ys)])
+            yield (f'<polyline fill="none" stroke="{cluster_color(assignment[i])}" '
+                   f'stroke-width="1" stroke-opacity="0.55" points="{points}"/>')
+        for cluster_id in sorted(set(assignment)):
+            y = top + 14 * cluster_id
+            yield _line(width - 120, y, width - 96, y, cluster_color(cluster_id), 3)
+            yield _text(width - 90, y + 4, f"cluster {cluster_id}", 10, "start")
+        yield _text(18, (top + bottom) / 2, "z-score", 11,
+                    extra=f' transform="rotate(-90 18 {(top + bottom) / 2:.2f})"')
+
+    return Document(width, height, body)
 
 
 _BLUE = np.array([33, 102, 172])
@@ -213,7 +239,7 @@ def heatmap_svg(
     region_labels: Sequence[str],
     indicator_labels: Sequence[str],
     row_order: Sequence[int],
-) -> str:
+) -> Document:
     """Grid of z-scores, symmetric color scale clipped at +-3 sd,
     rows in dendrogram leaf order."""
     n, p = z_values.shape
@@ -222,23 +248,27 @@ def heatmap_svg(
     width = left + p * cell_w + 40
     height = top + n * cell_h + 30
     label_size = max(4, min(9, cell_h - 1))
-    body = [_text(width / 2, 28, "Heatmap of standardized indicators", 16)]
-    for j, label in enumerate(indicator_labels):
-        x = left + (j + 0.5) * cell_w
-        body.append(_text(x, top - 6, label, 8, "start",
-                          extra=f' transform="rotate(-60 {x:.2f} {top - 6:.2f})"'))
-    xs = [f'<rect x="{left + j * cell_w:.2f}" y="' for j in range(p)]
-    size = f'" width="{cell_w}" height="{cell_h}" fill="'
-    rows = _by_row(z_values, row_order, lambda block: diverging_colors(block / HEATMAP_CLIP))
-    for row, (i, colors) in enumerate(rows):
-        y = top + row * cell_h
-        body.append(_text(left - 5, y + cell_h * 0.75, region_labels[i], label_size, "end"))
-        y_attr = f"{y:.2f}"
-        body.append("\n".join([f'{x}{y_attr}{size}{color}"/>' for x, color in zip(xs, colors)]))
-    return _document(width, height, body)
+
+    def body() -> Iterator[str]:
+        yield _text(width / 2, 28, "Heatmap of standardized indicators", 16)
+        for j, label in enumerate(indicator_labels):
+            x = left + (j + 0.5) * cell_w
+            yield _text(x, top - 6, label, 8, "start",
+                        extra=f' transform="rotate(-60 {x:.2f} {top - 6:.2f})"')
+        xs = [f'<rect x="{left + j * cell_w:.2f}" y="' for j in range(p)]
+        size = f'" width="{cell_w}" height="{cell_h}" fill="'
+        rows = _by_row(z_values, row_order, lambda block: diverging_colors(block / HEATMAP_CLIP))
+        for row, (i, colors) in enumerate(rows):
+            y = top + row * cell_h
+            yield _text(left - 5, y + cell_h * 0.75, region_labels[i], label_size, "end")
+            y_attr = f"{y:.2f}"
+            yield "\n".join([f'{x}{y_attr}{size}{color}"/>' for x, color in zip(xs, colors)])
+
+    return Document(width, height, body)
 
 
-def loadings_svg(entries: np.ndarray, labels: Sequence[str], axis_names: Sequence[str]) -> str:
+def loadings_svg(entries: np.ndarray, labels: Sequence[str],
+                 axis_names: Sequence[str]) -> Document:
     """Scatter of per-variable loadings on the first two components,
     with the unit correlation circle."""
     width, height = 640, 640
@@ -248,19 +278,22 @@ def loadings_svg(entries: np.ndarray, labels: Sequence[str], axis_names: Sequenc
     y_of = _scale(-limit, limit, bottom, top)
     cx, cy = x_of(0.0), y_of(0.0)
     radius = abs(x_of(1.0) - cx)
-    body = [_text(width / 2, 28, "Loadings plot", 16)]
-    body.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{radius:.2f}" '
-                f'fill="none" stroke="#bbbbbb" stroke-dasharray="4,3"/>')
-    body.append(_line(left, cy, right, cy, "#999999"))
-    body.append(_line(cx, top, cx, bottom, "#999999"))
-    for x, y, label in zip(entries[:, 0], entries[:, 1], labels):
-        px, py = x_of(float(x)), y_of(float(y))
-        body.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" fill="{PALETTE[1]}"/>')
-        body.append(_text(px + 5, py - 4, label, 8, "start"))
-    body.append(_text((left + right) / 2, height - 14, axis_names[0], 11))
-    body.append(_text(20, (top + bottom) / 2, axis_names[1], 11,
-                      extra=f' transform="rotate(-90 20 {(top + bottom) / 2:.2f})"'))
-    return _document(width, height, body)
+
+    def body() -> Iterator[str]:
+        yield _text(width / 2, 28, "Loadings plot", 16)
+        yield (f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{radius:.2f}" '
+               f'fill="none" stroke="#bbbbbb" stroke-dasharray="4,3"/>')
+        yield _line(left, cy, right, cy, "#999999")
+        yield _line(cx, top, cx, bottom, "#999999")
+        for x, y, label in zip(entries[:, 0], entries[:, 1], labels):
+            px, py = x_of(float(x)), y_of(float(y))
+            yield f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" fill="{PALETTE[1]}"/>'
+            yield _text(px + 5, py - 4, label, 8, "start")
+        yield _text((left + right) / 2, height - 14, axis_names[0], 11)
+        yield _text(20, (top + bottom) / 2, axis_names[1], 11,
+                    extra=f' transform="rotate(-90 20 {(top + bottom) / 2:.2f})"')
+
+    return Document(width, height, body)
 
 
 def biplot_svg(
@@ -269,7 +302,7 @@ def biplot_svg(
     arrow_xy: np.ndarray,
     arrow_labels: Sequence[str],
     axis_names: Sequence[str],
-) -> str:
+) -> Document:
     """Score points with pre-scaled loading arrows sharing the frame."""
     width, height = 720, 720
     left, right, top, bottom = 70, 670, 60, 660
@@ -277,30 +310,31 @@ def biplot_svg(
     x_of = _scale(-extent, extent, left, right)
     y_of = _scale(-extent, extent, bottom, top)
     cx, cy = x_of(0.0), y_of(0.0)
-    body = [_text(width / 2, 28, "Biplot", 16)]
-    body.append(_line(left, cy, right, cy, "#999999"))
-    body.append(_line(cx, top, cx, bottom, "#999999"))
-    for (x, y), cluster_id in zip(score_xy, score_clusters):
-        body.append(
-            f'<circle cx="{x_of(float(x)):.2f}" cy="{y_of(float(y)):.2f}" r="3" '
-            f'fill="{cluster_color(cluster_id)}" fill-opacity="0.75"/>'
-        )
-    for (x, y), label in zip(arrow_xy, arrow_labels):
-        tip_x, tip_y = x_of(float(x)), y_of(float(y))
-        body.append(_line(cx, cy, tip_x, tip_y, "#333333", 1.2))
-        angle = math.atan2(tip_y - cy, tip_x - cx)
-        for side in (angle + 2.6, angle - 2.6):
-            body.append(_line(tip_x, tip_y, tip_x + 7 * math.cos(side),
-                              tip_y + 7 * math.sin(side), "#333333", 1.2))
-        body.append(_text(tip_x + 6, tip_y - 5, label, 8, "start"))
-    body.append(_text((left + right) / 2, height - 14, axis_names[0], 11))
-    body.append(_text(20, (top + bottom) / 2, axis_names[1], 11,
-                      extra=f' transform="rotate(-90 20 {(top + bottom) / 2:.2f})"'))
-    return _document(width, height, body)
+
+    def body() -> Iterator[str]:
+        yield _text(width / 2, 28, "Biplot", 16)
+        yield _line(left, cy, right, cy, "#999999")
+        yield _line(cx, top, cx, bottom, "#999999")
+        for (x, y), cluster_id in zip(score_xy, score_clusters):
+            yield (f'<circle cx="{x_of(float(x)):.2f}" cy="{y_of(float(y)):.2f}" r="3" '
+                   f'fill="{cluster_color(cluster_id)}" fill-opacity="0.75"/>')
+        for (x, y), label in zip(arrow_xy, arrow_labels):
+            tip_x, tip_y = x_of(float(x)), y_of(float(y))
+            yield _line(cx, cy, tip_x, tip_y, "#333333", 1.2)
+            angle = math.atan2(tip_y - cy, tip_x - cx)
+            for side in (angle + 2.6, angle - 2.6):
+                yield _line(tip_x, tip_y, tip_x + 7 * math.cos(side),
+                            tip_y + 7 * math.sin(side), "#333333", 1.2)
+            yield _text(tip_x + 6, tip_y - 5, label, 8, "start")
+        yield _text((left + right) / 2, height - 14, axis_names[0], 11)
+        yield _text(20, (top + bottom) / 2, axis_names[1], 11,
+                    extra=f' transform="rotate(-90 20 {(top + bottom) / 2:.2f})"')
+
+    return Document(width, height, body)
 
 
 def _dendrogram_panel(dend: Dendrogram, title: str, x0: float, panel_w: float,
-                      top: float, bottom: float) -> list[str]:
+                      top: float, bottom: float) -> Iterator[str]:
     n = dend.n_leaves
     order = dend.leaf_order()
     slot = {leaf: pos for pos, leaf in enumerate(order)}
@@ -308,7 +342,7 @@ def _dendrogram_panel(dend: Dendrogram, title: str, x0: float, panel_w: float,
     leaf_x = lambda leaf: x0 + (slot[leaf] + 0.5) * gap
     max_h = max((m.height for m in dend.merges), default=1.0) or 1.0
     y_of = _scale(0.0, max_h * 1.05, bottom, top)
-    body = [_text(x0 + panel_w / 2, top - 12, title, 12)]
+    yield _text(x0 + panel_w / 2, top - 12, title, 12)
     coords: dict[int, tuple[float, float]] = {}
     for leaf in range(n):
         coords[-(leaf + 1)] = (leaf_x(leaf), bottom)
@@ -316,27 +350,29 @@ def _dendrogram_panel(dend: Dendrogram, title: str, x0: float, panel_w: float,
         lx, ly = coords[merge.left]
         rx, ry = coords[merge.right]
         h = y_of(merge.height)
-        body.append(_line(lx, ly, lx, h, "#333333"))
-        body.append(_line(rx, ry, rx, h, "#333333"))
-        body.append(_line(lx, h, rx, h, "#333333"))
+        yield _line(lx, ly, lx, h, "#333333")
+        yield _line(rx, ry, rx, h, "#333333")
+        yield _line(lx, h, rx, h, "#333333")
         coords[step] = ((lx + rx) / 2.0, h)
     if n <= 40:
         for leaf in range(n):
             x = leaf_x(leaf)
-            body.append(_text(x, bottom + 10, dend.labels[leaf], 7, "end",
-                              extra=f' transform="rotate(-60 {x:.2f} {bottom + 10:.2f})"'))
-    return body
+            yield _text(x, bottom + 10, dend.labels[leaf], 7, "end",
+                        extra=f' transform="rotate(-60 {x:.2f} {bottom + 10:.2f})"')
 
 
-def dendrograms_svg(panels: Sequence[tuple[str, Dendrogram]]) -> str:
+def dendrograms_svg(panels: Sequence[tuple[str, Dendrogram]]) -> Document:
     """Side-by-side dendrogram panels sharing one canvas."""
     count = max(len(panels), 1)
     panel_w = 520.0
     width = int(40 + count * (panel_w + 40))
     height = 520
     top, bottom = 70, 430
-    body = [_text(width / 2, 28, "Hierarchical clustering", 16)]
-    for idx, (title, dend) in enumerate(panels):
-        x0 = 40 + idx * (panel_w + 40)
-        body.extend(_dendrogram_panel(dend, title, x0, panel_w, top, bottom))
-    return _document(width, height, body)
+
+    def body() -> Iterator[str]:
+        yield _text(width / 2, 28, "Hierarchical clustering", 16)
+        for idx, (title, dend) in enumerate(panels):
+            x0 = 40 + idx * (panel_w + 40)
+            yield from _dendrogram_panel(dend, title, x0, panel_w, top, bottom)
+
+    return Document(width, height, body)

@@ -63,6 +63,17 @@ class RowWriter:
         self._handle.write(buffer.getvalue()[:-1] + run + "\n")
 
 
+def text_lines(rows: Iterable[Sequence[str]]) -> Iterator[str]:
+    """Each row of text cells as one line, quoted as RowWriter.rows quotes it."""
+    buffer = io.StringIO()
+    out = csv.writer(buffer, lineterminator="\n")
+    for row in rows:
+        buffer.seek(0)
+        buffer.truncate()
+        out.writerow(row)
+        yield buffer.getvalue()
+
+
 @contextmanager
 def open_rows(path: str | Path, header: Sequence[str]) -> Iterator[RowWriter]:
     """A RowWriter on a new UTF-8 file at path, its header row written."""

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,37 @@ class TestLoadTable:
         path = write(tmp_path, "region,a,b\nr1,inf,2\nr2,3,4\nr3,5,6\n")
         with pytest.raises(ValidationError, match="non-numeric cell"):
             load_table(path)
+
+    def test_read_error_wins_over_an_earlier_bad_cell(self, tmp_path):
+        # the invalid byte sits far past the first chunk the reader decodes
+        lines = ["region,a,b", "r1,x,2"] + [f"r{i},{i},1" for i in range(2, 3000)]
+        path = tmp_path / "t.csv"
+        path.write_bytes("\n".join(lines).encode() + b"\nlast,\xff,1\n")
+        with pytest.raises(ValidationError, match="cannot read"):
+            load_table(path)
+
+    def test_too_few_rows_wins_over_a_short_row(self, tmp_path):
+        path = write(tmp_path, "region,a,b\nr1,1,2\nr2,3\n")
+        with pytest.raises(ValidationError, match="fewer than 3 region rows"):
+            load_table(path)
+
+    def test_peak_memory_near_the_grid(self, tmp_path):
+        # 400 x 120 in the semicolon / decimal-comma dialect, with NA cells
+        rng = np.random.default_rng(131)
+        rows = [["region", *(f"indicator {j}" for j in range(120))]] + [
+            [f"region {i}", *("NA" if rng.random() < 0.02 else f"{v:.4f}".replace(".", ",")
+                              for v in rng.standard_normal(120) * 1000)]
+            for i in range(400)
+        ]
+        path = write_rows(tmp_path / "wide.csv", rows, ";")
+        tracemalloc.start()
+        try:
+            table = load_table(path, ParseOptions(";", ","))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.values.shape == (400, 120)
+        assert peak < 3 * table.values.nbytes
 
 
 # every cell kind the grammar knows: missing with and without padding, a

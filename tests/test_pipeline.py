@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import fields
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcacluster import cli, linalg, pca, pipeline, tables
+from pcacluster import cli, linalg, pca, pipeline, svgplot, tables
 from pcacluster.config import PipelineConfig, load_pipeline_config
 from pcacluster.errors import NumericalError, ValidationError
 from pcacluster.hclust import MAX_POINTS
@@ -313,6 +314,63 @@ class TestFileInputRun:
         conf = write_conf(tmp_path, "input = nope.csv\noutput_dir = out\n")
         with pytest.raises(ValidationError, match="^load: "):
             run_pipeline(load_pipeline_config(conf))
+
+
+class TestStreamedArtifacts:
+    """No artifact is held whole: figures go to disk line by line, and the
+    manifest hashes each file a chunk at a time."""
+
+    def test_figures_written_without_holding_a_document(self, tmp_path):
+        z = np.random.default_rng(137).standard_normal((3000, 19))
+        order = list(range(3000))
+        regions = [f"R{i}" for i in range(3000)]
+        indicators = [f"V{j}" for j in range(19)]
+        assignment = [1 + i % 4 for i in range(3000)]
+        sink = pipeline._Sink(tmp_path)
+        tracemalloc.start()
+        try:
+            sink.text("heatmap.svg", svgplot.heatmap_svg(z, regions, indicators, order))
+            sink.text("parallel_coordinates.svg",
+                      svgplot.parallel_coordinates_svg(z, indicators, assignment, order))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum((tmp_path / rel).stat().st_size for rel in sink.written)
+        assert size > 4 * 2**20
+        assert peak < size / 4
+
+    def test_manifest_hashes_without_reading_a_file_whole(self, tmp_path):
+        sink = pipeline._Sink(tmp_path)
+        blob = np.random.default_rng(139).bytes(6 * 2**20)
+        sink.path("plots/big.bin").write_bytes(blob)
+        small = b"one line\n"
+        sink.path("small.txt").write_bytes(small)
+        tracemalloc.start()
+        try:
+            manifest, files = sink.manifest()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert files == ("plots/big.bin", "small.txt")
+        assert manifest.read_text() == (
+            f"{hashlib.sha256(blob).hexdigest()}  plots/big.bin\n"
+            f"{hashlib.sha256(small).hexdigest()}  small.txt\n")
+
+    @pytest.mark.parametrize("rule, calls", [("kaiser", 1), ("fixed:1", 2)])
+    def test_plots_reuse_the_pca_arrays(self, tmp_path, monkeypatch, rule, calls):
+        # only a single retained component makes the plots fit two of their own
+        counts = Counter()
+        for name in ("scores", "loadings"):
+            def counting(*args, name=name, original=getattr(pipeline, name)):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(pipeline, name, counting)
+        conf = write_conf(tmp_path, f"input = {SAMPLE}\noutput_dir = out\ncomponents = {rule}\n")
+        artifacts = run_pipeline(load_pipeline_config(conf))
+        assert (artifacts.model.k >= 2) == (rule == "kaiser")
+        assert counts == {"scores": calls, "loadings": calls}
 
 
 class TestBenchmarkTracing:

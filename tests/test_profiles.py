@@ -193,19 +193,19 @@ class TestFormatProfileTable:
 
     def test_header_and_shape(self):
         rows = one_indicator_profile([10.0, 12.0, 30.0, 32.0], [1, 1, 2, 2])
-        text = format_profile_table(rows, 1)
+        text = "".join(format_profile_table(rows, 1))
         lines = text.splitlines()
         assert lines[0] == self.HEADER
         assert len(lines) == 2
 
     def test_large_average_rendering(self):
         rows = one_indicator_profile([562686.8] * 4 + [100.0] * 4, [1] * 4 + [2] * 4)
-        cells = format_profile_table(rows, 1).splitlines()[1].split(",")
+        cells = "".join(format_profile_table(rows, 1)).splitlines()[1].split(",")
         assert cells[1] == "562686.8"
 
     def test_undefined_moments_render_na(self):
         rows = one_indicator_profile([7.0, 7.0, 7.0, 7.0, 1.0], [1, 1, 1, 1, 2])
-        line = format_profile_table(rows, 1).splitlines()[1]
+        line = "".join(format_profile_table(rows, 1)).splitlines()[1]
         cells = line.split(",")
         assert cells[3] == "n/a" and cells[4] == "n/a"
 
@@ -213,8 +213,8 @@ class TestFormatProfileTable:
         rows = one_indicator_profile(
             [1.0, 1.0, 52.0, 52.0], [1, 1, 2, 2]
         )  # grand mean 26.5; cluster means 1 and 52
-        low = format_profile_table(rows, 1).splitlines()[1].split(",")[-1]
-        high = format_profile_table(rows, 2).splitlines()[1].split(",")[-1]
+        low = "".join(format_profile_table(rows, 1)).splitlines()[1].split(",")[-1]
+        high = "".join(format_profile_table(rows, 2)).splitlines()[1].split(",")[-1]
         assert low == "-96%"
         assert high == "96%"
 
@@ -224,7 +224,7 @@ class TestFormatProfileTable:
             table.region_labels, ("GRP per capita, rubles",), table.values
         )
         rows = profile(table, Partition((1, 1, 1), k=1))
-        line = format_profile_table(rows, 1).splitlines()[1]
+        line = "".join(format_profile_table(rows, 1)).splitlines()[1]
         assert line.startswith('"GRP per capita, rubles"')
 
     def test_label_with_comma_and_quote_round_trips(self):
@@ -232,12 +232,12 @@ class TestFormatProfileTable:
         table = make_table([[1.0], [2.0], [3.0]])
         table = type(table)(table.region_labels, (label,), table.values)
         rows = profile(table, Partition((1, 1, 1), k=1))
-        text = format_profile_table(rows, 1)
+        text = "".join(format_profile_table(rows, 1))
         parsed = list(csv.reader(io.StringIO(text)))
         assert [len(row) for row in parsed] == [6, 6]
         assert parsed[1][0] == label
 
     def test_other_cluster_filtered_out(self):
         rows = one_indicator_profile([1.0, 2.0, 3.0, 4.0], [1, 1, 2, 2])
-        text = format_profile_table(rows, 3)
+        text = "".join(format_profile_table(rows, 3))
         assert text.splitlines() == [self.HEADER]

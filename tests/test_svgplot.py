@@ -68,7 +68,7 @@ def oracle_heatmap_svg(z_values, region_labels, indicator_labels, row_order) -> 
                 f'<rect x="{left + j * cell_w:.2f}" y="{y:.2f}" width="{cell_w}" '
                 f'height="{cell_h}" fill="{color}"/>'
             )
-    return _document(width, height, body)
+    return "".join(_document(width, height, body))
 
 
 def oracle_parallel_coordinates_svg(z_values, indicator_labels, assignment, row_order) -> str:
@@ -104,7 +104,7 @@ def oracle_parallel_coordinates_svg(z_values, indicator_labels, assignment, row_
         body.append(_text(width - 90, y + 4, f"cluster {cluster_id}", 10, "start"))
     body.append(_text(18, (top + bottom) / 2, "z-score", 11,
                       extra=f' transform="rotate(-90 18 {(top + bottom) / 2:.2f})"'))
-    return _document(width, height, body)
+    return "".join(_document(width, height, body))
 
 
 def seeded_grid(seed: int, n: int, p: int) -> np.ndarray:
@@ -126,7 +126,7 @@ def assert_well_formed(svg: str) -> None:
 
 class TestScree:
     def test_structure(self):
-        svg = scree_svg([4.0, 2.0, 1.0, 0.5])
+        svg = "".join(scree_svg([4.0, 2.0, 1.0, 0.5]))
         assert_well_formed(svg)
         assert "Scree plot" in svg
         assert "eigenvalue = 1" in svg
@@ -134,14 +134,21 @@ class TestScree:
 
     def test_deterministic(self):
         values = [3.0, 1.5, 0.5]
-        assert scree_svg(values) == scree_svg(values)
+        assert "".join(scree_svg(values)) == "".join(scree_svg(values))
+
+    def test_document_renders_afresh_on_each_iteration(self):
+        doc = scree_svg([3.0, 1.5, 0.5])
+        text = "".join(doc)
+        assert "".join(doc) == text
+        assert doc.encode("utf-8") == text.encode("utf-8")
 
 
 class TestParallelCoordinates:
     def test_one_polyline_per_region(self):
         rng = np.random.default_rng(3)
         z = rng.standard_normal((6, 4))
-        svg = parallel_coordinates_svg(z, ["a", "b", "c", "d"], [1, 1, 2, 2, 3, 3], range(6))
+        svg = "".join(parallel_coordinates_svg(z, ["a", "b", "c", "d"], [1, 1, 2, 2, 3, 3],
+                                               range(6)))
         assert_well_formed(svg)
         assert svg.count("<polyline") == 6
         assert "cluster 1" in svg and "cluster 3" in svg
@@ -149,7 +156,7 @@ class TestParallelCoordinates:
     def test_single_cluster_uses_one_color(self):
         rng = np.random.default_rng(4)
         z = rng.standard_normal((5, 3))
-        svg = parallel_coordinates_svg(z, ["a", "b", "c"], [1] * 5, range(5))
+        svg = "".join(parallel_coordinates_svg(z, ["a", "b", "c"], [1] * 5, range(5)))
         strokes = set(re.findall(r'<polyline[^>]*stroke="(#\w+)"', svg))
         assert strokes == {PALETTE[0]}
 
@@ -157,7 +164,7 @@ class TestParallelCoordinates:
 class TestHeatmap:
     def test_cell_count_and_row_order(self):
         z = np.array([[0.0, 1.0], [2.0, -2.0], [1.0, 1.0]])
-        svg = heatmap_svg(z, ["r1", "r2", "r3"], ["a", "b"], [2, 0, 1])
+        svg = "".join(heatmap_svg(z, ["r1", "r2", "r3"], ["a", "b"], [2, 0, 1]))
         assert_well_formed(svg)
         assert svg.count("<rect") == 1 + 6  # background + cells
         # first row label drawn is the first in leaf order
@@ -182,7 +189,7 @@ class TestRowBlocksMatchPerCellOracle:
         order = list(np.random.default_rng(seed).permutation(n))
         regions = [f"R{i}" for i in range(n)]
         indicators = [f"V{j}" for j in range(p)]
-        assert heatmap_svg(z, regions, indicators, order) == \
+        assert "".join(heatmap_svg(z, regions, indicators, order)) == \
             oracle_heatmap_svg(z, regions, indicators, order)
 
     def test_parallel_coordinates_bytes(self, seed, n, p):
@@ -191,7 +198,7 @@ class TestRowBlocksMatchPerCellOracle:
         order = list(rng.permutation(n))
         assignment = [int(c) for c in rng.integers(1, 6, n)]
         indicators = [f"V{j}" for j in range(p)]
-        assert parallel_coordinates_svg(z, indicators, assignment, order) == \
+        assert "".join(parallel_coordinates_svg(z, indicators, assignment, order)) == \
             oracle_parallel_coordinates_svg(z, indicators, assignment, order)
 
 
@@ -201,15 +208,15 @@ def test_3000_by_19_figures_within_budget():
     regions = [f"R{i}" for i in range(3000)]
     indicators = [f"V{j}" for j in range(19)]
     start = time.perf_counter()
-    heatmap_svg(z, regions, indicators, order)
-    parallel_coordinates_svg(z, indicators, [1 + i % 4 for i in range(3000)], order)
+    "".join(heatmap_svg(z, regions, indicators, order))
+    "".join(parallel_coordinates_svg(z, indicators, [1 + i % 4 for i in range(3000)], order))
     assert time.perf_counter() - start < RENDER_3000_BUDGET_S
 
 
 class TestLoadings:
     def test_labels_present(self):
         entries = np.array([[0.9, 0.1], [-0.4, 0.6]])
-        svg = loadings_svg(entries, ["alpha", "beta"], ("f1", "f2"))
+        svg = "".join(loadings_svg(entries, ["alpha", "beta"], ("f1", "f2")))
         assert_well_formed(svg)
         assert "alpha" in svg and "beta" in svg
         assert svg.count("<circle") == 3  # unit circle + 2 points
@@ -219,7 +226,7 @@ class TestBiplot:
     def test_arrow_direction_matches_loading_angle(self):
         scores = np.array([[1.0, 1.0], [-1.0, -1.0]])
         arrows = np.array([[0.336, 0.163]])
-        svg = biplot_svg(scores, [1, 2], arrows, ["GRP"], ("f1", "f2"))
+        svg = "".join(biplot_svg(scores, [1, 2], arrows, ["GRP"], ("f1", "f2")))
         assert_well_formed(svg)
         lines = re.findall(
             r'<line x1="([\d.-]+)" y1="([\d.-]+)" x2="([\d.-]+)" y2="([\d.-]+)" '
@@ -232,7 +239,7 @@ class TestBiplot:
 
     def test_points_colored_by_cluster(self):
         scores = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        svg = biplot_svg(scores, [1, 2, 2], np.array([[0.5, 0.5]]), ["v"], ("f1", "f2"))
+        svg = "".join(biplot_svg(scores, [1, 2, 2], np.array([[0.5, 0.5]]), ["v"], ("f1", "f2")))
         assert svg.count(cluster_color(2)) == 2
 
 
@@ -240,7 +247,7 @@ class TestDendrograms:
     def test_two_panels(self):
         left = complete_linkage(euclidean_distances([[0.0], [1.0], [5.0]]))
         right = complete_linkage(euclidean_distances([[0.0], [4.0], [5.0]]))
-        svg = dendrograms_svg([("initial variables", left), ("component scores", right)])
+        svg = "".join(dendrograms_svg([("initial variables", left), ("component scores", right)]))
         assert_well_formed(svg)
         assert "initial variables" in svg
         assert "component scores" in svg
@@ -249,6 +256,6 @@ class TestDendrograms:
 
     def test_leaf_labels_when_few(self):
         dend = complete_linkage(euclidean_distances([[0.0], [1.0], [5.0]]))
-        svg = dendrograms_svg([("initial variables", dend)])
+        svg = "".join(dendrograms_svg([("initial variables", dend)]))
         for label in dend.labels:
             assert f">{label}</text>" in svg
