@@ -10,17 +10,18 @@ is the smallest slot pair i < j: the distance matrix's first minimum.
 
 Linkage follows the generic algorithm of Müllner 2011 ("Modern
 hierarchical, agglomerative clustering algorithms", arXiv:1109.2378), in
-condensed storage: one working copy of the upper triangle, row-major. Each
-row caches the first minimum of its part right of the diagonal. The
-matrix is symmetric, so the first row that holds the global minimum holds
-it right of its diagonal, and that row's cached column is the first
-minimum in row-major order: the tie rule above. After merging i < j only
-row i and the rows whose cached column was i or j can move their first
-minimum: complete-linkage distances never shrink, and any other row's
-cached column keeps its value. Retired slot j leaves the cache at once:
-mind[j] = inf, so it is never picked; nn[j] = -1, so no merge marks it
-stale and no rescan revives it; and its entries above the diagonal turn
-infinite, so no live row's rescan lands on it.
+condensed storage: the upper triangle, row-major, merged in the vector
+the distances came in. Each row caches the first minimum of its part
+right of the diagonal. The matrix is symmetric, so the first row that
+holds the global minimum holds it right of its diagonal, and that row's
+cached column is the first minimum in row-major order: the tie rule
+above. After merging i < j only row i and the rows whose cached column
+was i or j can move their first minimum: complete-linkage distances
+never shrink, and any other row's cached column keeps its value. Retired
+slot j leaves the cache at once: mind[j] = inf, so it is never picked;
+nn[j] = -1, so no merge marks it stale and no rescan revives it; and its
+entries above the diagonal turn infinite, so no live row's rescan lands
+on it.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ _HEIGHT_SLACK = 1e-12
 # fast at 48 columns and 1.3x faster at 120
 _COLUMN_KERNEL_MAX_D = 32
 _BLOCK_CELLS = 16384
-# the condensed distance vectors of MAX_POINTS points, the distances and the
-# working copy complete linkage merges in, take 2 GiB
+# the condensed distance vector of MAX_POINTS points, which complete linkage
+# merges in, takes 1 GiB
 MAX_POINTS = 16384
 
 
@@ -51,13 +52,17 @@ def check_points(n: int, noun: str) -> None:
     if n > MAX_POINTS:
         raise ValidationError(
             f"{n} {noun} exceed the {MAX_POINTS}-point limit of the "
-            f"condensed distance vectors ({8 * MAX_POINTS**2 / 2**30:g} GiB)"
+            f"condensed distance vector ({4 * MAX_POINTS**2 / 2**30:g} GiB)"
         )
 
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Condensed pairwise distances over n labeled items."""
+    """Condensed pairwise distances over n labeled items.
+
+    complete_linkage merges in `condensed` itself: it overwrites the vector
+    and uses up the matrix, so each matrix can be linked once.
+    """
 
     n: int
     condensed: np.ndarray  # upper triangle, row-major, length n(n-1)/2
@@ -65,10 +70,11 @@ class DistanceMatrix:
 
     def __post_init__(self) -> None:
         condensed = self.condensed
-        # a write-locked float64 array that owns its data cannot change
-        # under the matrix; anything else is copied
+        # a float64 array that owns its data becomes the matrix's own, made
+        # writable so the linkage can merge in it; anything else (a list, a
+        # view, another dtype) is copied
         if not (isinstance(condensed, np.ndarray) and condensed.dtype == np.float64
-                and condensed.flags.owndata and not condensed.flags.writeable):
+                and condensed.flags.owndata):
             condensed = np.array(condensed, dtype=float)
         expected = self.n * (self.n - 1) // 2
         if condensed.shape != (expected,):
@@ -85,7 +91,7 @@ class DistanceMatrix:
                 raise ValidationError("distances must be finite")
             if low < 0:
                 raise ValidationError("distances must be non-negative")
-        condensed.flags.writeable = False
+        condensed.flags.writeable = True
         object.__setattr__(self, "condensed", condensed)
         object.__setattr__(self, "labels", tuple(self.labels))
 
@@ -199,7 +205,6 @@ def euclidean_distances(points, labels: tuple[str, ...] | None = None) -> Distan
         else:
             _squared_distances_by_row(grid, condensed)
         np.sqrt(condensed, out=condensed)
-    condensed.flags.writeable = False
     return DistanceMatrix(n=n, condensed=condensed, labels=labels)
 
 
@@ -247,9 +252,11 @@ def _squared_distances_by_column(grid: np.ndarray, condensed: np.ndarray) -> Non
             else:
                 acc[c % 8] += square_diff(c, a, b, sq)
         if paired:
-            acc[0::2] += acc[1::2]
-            acc[0::4] += acc[2::4]
-            acc[0] += acc[4]
+            # ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)) a pair at a time: a strided
+            # view added into an overlapping one would be copied first
+            for step in (1, 2, 4):
+                for k in range(0, 8, 2 * step):
+                    acc[k] += acc[k + step]
         total = acc[0]
         for c in range(paired, d):
             if c == 0:
@@ -264,9 +271,20 @@ def _squared_distances_by_column(grid: np.ndarray, condensed: np.ndarray) -> Non
 
 def complete_linkage(d: DistanceMatrix) -> Dendrogram:
     """Agglomerate by repeatedly merging the closest pair of clusters,
-    with inter-cluster distance the maximum pairwise item distance."""
+    with inter-cluster distance the maximum pairwise item distance.
+
+    The merging happens in d.condensed: the linkage overwrites the vector
+    and uses up the matrix. Linking a used-up matrix raises ValidationError.
+    """
     n = d.n
-    dist = d.condensed.copy()
+    dist = d.condensed
+    # a finished linkage leaves every entry infinite, an interrupted one
+    # some; a fresh matrix has none
+    if dist.size and not math.isfinite(float(dist.max())):
+        raise ValidationError(
+            "distance matrix already used up: complete_linkage merges in its "
+            "vector, so each matrix can be linked once"
+        )
     # row r right of the diagonal is dist[start[r] : start[r] + n-1-r]; entry
     # (k, c) with k < c sits at start[k] - k + c - 1, so column c above the
     # diagonal is dist[c - 1 :][above[:c]] (empty for c = 0)

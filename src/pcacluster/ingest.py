@@ -56,7 +56,12 @@ class IndicatorTable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "region_labels", tuple(self.region_labels))
         object.__setattr__(self, "indicator_labels", tuple(self.indicator_labels))
-        grid = np.array(self.values, dtype=float)
+        grid = self.values
+        # a write-locked float64 array that owns its data cannot change
+        # under the table; anything else is copied
+        if not (isinstance(grid, np.ndarray) and grid.dtype == np.float64
+                and grid.flags.owndata and not grid.flags.writeable):
+            grid = np.array(grid, dtype=float)
         if grid.ndim != 2:
             raise ValidationError("values must be a 2-D grid")
         n, p = grid.shape
@@ -204,7 +209,7 @@ def load_table(path: str | Path, options: ParseOptions = ParseOptions()) -> Indi
     if row_error:
         raise ValidationError(f"{path}: {row_error}")
     grid = np.stack(value_rows)
-    value_rows.clear()  # IndicatorTable copies the grid: hold two grids, not three
+    grid.flags.writeable = False
     indicator_labels = tuple(cell.strip() for cell in header[1:])
     return IndicatorTable(tuple(region_labels), indicator_labels, grid)
 
@@ -237,6 +242,7 @@ def impute_means(table: IndicatorTable) -> IndicatorTable:
         if not np.isfinite(mean):
             raise NumericalError(f"indicator {label!r} overflows float64: its mean is not finite")
         grid[col_missing, j] = mean
+    grid.flags.writeable = False
     return replace(table, values=grid)
 
 
@@ -256,4 +262,6 @@ def standardize(table: IndicatorTable) -> IndicatorTable:
     zero = np.flatnonzero(sd == 0.0)
     if zero.size:
         raise ValidationError(f"zero-variance indicator {labels[zero[0]]!r}")
-    return replace(table, values=(grid - mean) / sd, standardized=True)
+    z = (grid - mean) / sd
+    z.flags.writeable = False
+    return replace(table, values=z, standardized=True)

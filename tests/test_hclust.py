@@ -146,6 +146,20 @@ class TestEuclideanDistances:
             tracemalloc.stop()
         assert peak < 1.5 * condensed_bytes
 
+    def test_peak_memory_above_the_output_at_paper_width(self):
+        # the lanes, one squared-difference block and the transposed grid:
+        # 1.45 MiB over the output, against 1.83 MiB when the lanes were
+        # combined as overlapping strided views, which numpy copies first;
+        # the bound leaves 0.15 MiB of margin
+        points = np.random.default_rng(83).standard_normal((1000, 19))
+        tracemalloc.start()
+        try:
+            d = euclidean_distances(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - d.condensed.nbytes < 1.6 * 2**20
+
 
 class TestCompleteLinkage:
     def test_line_points_merge_sequence(self):
@@ -171,8 +185,8 @@ class TestCompleteLinkage:
         rng = np.random.default_rng(23)
         for _ in range(100):
             d = random_distance_matrix(rng)
+            expected = oracle_complete_linkage(d)  # before the linkage uses d up
             actual = dendrogram_as_member_merges(complete_linkage(d))
-            expected = oracle_complete_linkage(d)
             assert same_merge_sequence(actual, expected)
 
     def test_tie_break_prefers_lowest_leaf(self):
@@ -219,15 +233,17 @@ class TestCompleteLinkage:
         distinct = rng.integers(0, 4, size=(10, 2)).astype(float)
         points = np.vstack([distinct, distinct[rng.integers(0, 10, size=30)]])
         d = euclidean_distances(points[rng.permutation(40)])
+        expected = oracle_complete_linkage(d)  # before the linkage uses d up
         actual = dendrogram_as_member_merges(complete_linkage(d))
-        assert same_merge_sequence(actual, oracle_complete_linkage(d))
+        assert same_merge_sequence(actual, expected)
 
     def test_tie_heavy_inputs_match_oracle(self):
         rng = np.random.default_rng(61)
         for _ in range(300):
             d = tie_heavy_distance_matrix(rng)
+            expected = oracle_complete_linkage(d)  # before the linkage uses d up
             actual = dendrogram_as_member_merges(complete_linkage(d))
-            assert same_merge_sequence(actual, oracle_complete_linkage(d))
+            assert same_merge_sequence(actual, expected)
 
     def test_peak_memory_one_condensed_copy(self):
         # one working copy of the condensed distances; an n x n matrix is 2x
@@ -239,6 +255,25 @@ class TestCompleteLinkage:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * d.condensed.nbytes
+
+    def test_peak_memory_merges_in_the_distances_given(self):
+        # the caches, the merge records and a column of the triangle: about
+        # 0.05x the vector, against 1.05x when the linkage copied it
+        d = euclidean_distances(np.random.default_rng(97).standard_normal((2000, 19)))
+        tracemalloc.start()
+        try:
+            complete_linkage(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * d.condensed.nbytes
+
+    def test_used_up_matrix_rejected(self):
+        d = euclidean_distances(line_points([0, 1, 5, 6]))
+        complete_linkage(d)
+        assert np.isinf(d.condensed).all()
+        with pytest.raises(ValidationError, match="^distance matrix already used up"):
+            complete_linkage(d)
 
     @pytest.mark.parametrize("points", [
         np.random.default_rng(67).standard_normal((3000, 19)),
@@ -265,7 +300,8 @@ class TestScipyOracle:
         hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
         points = np.random.default_rng(request.param).standard_normal((request.param, 3))
         d = euclidean_distances(points)
-        return d, complete_linkage(d), hierarchy.linkage(d.condensed, "complete"), hierarchy
+        z = hierarchy.linkage(d.condensed, "complete")  # before the linkage uses d up
+        return d, complete_linkage(d), z, hierarchy
 
     def test_heights_bit_equal(self, case):
         _, dend, z, _ = case
@@ -425,12 +461,20 @@ class TestDendrogramType:
 
 
 class TestDistanceMatrixType:
-    def test_callers_writeable_input_never_aliases_the_matrix(self):
-        condensed = np.array([1.0, 2.0, 3.0])
-        d = DistanceMatrix(3, condensed, ("a", "b", "c"))
-        condensed[0] = 9.0
-        assert d.condensed.tolist() == [1.0, 2.0, 3.0]
-        assert not d.condensed.flags.writeable
+    def test_adopts_an_owned_float64_vector_and_copies_anything_else(self):
+        labels = ("a", "b", "c")
+        owned = np.array([1.0, 2.0, 3.0])
+        locked = np.array([1.0, 2.0, 3.0])
+        locked.flags.writeable = False
+        for condensed in (owned, locked):
+            d = DistanceMatrix(3, condensed, labels)
+            assert d.condensed is condensed and d.condensed.flags.writeable
+        for condensed in (np.array([0.0, 1.0, 2.0, 3.0])[1:], np.array([1, 2, 3]),
+                          np.array([1.0, 2.0, 3.0], dtype=np.float32)):
+            d = DistanceMatrix(3, condensed, labels)
+            assert not np.shares_memory(d.condensed, condensed)
+            assert d.condensed.dtype == np.float64 and d.condensed.flags.owndata
+        assert DistanceMatrix(3, [1.0, 2.0, 3.0], labels).condensed.tolist() == [1.0, 2.0, 3.0]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_distance(self, bad):

@@ -240,6 +240,13 @@ class TestIndicatorTable:
         with pytest.raises(ValueError):
             table.values[0, 0] = 9.0
 
+    def test_adopts_a_locked_grid_and_copies_a_writable_one(self):
+        grid = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        table = make_table(grid)
+        assert not np.shares_memory(table.values, grid)
+        grid.flags.writeable = False
+        assert np.shares_memory(make_table(grid).values, grid)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError, match="region labels"):
             IndicatorTable(("a",), ("x", "y"), np.zeros((2, 2)))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import importlib.util
 import io
@@ -13,6 +14,7 @@ import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +69,18 @@ GAP_CELLS = [["1e308", "1"], ["1e308", "2"], ["", "3"], ["0", "5"]]
 SKEW_CELLS = [["0", "1e154"], ["1", "0"], ["2", "0"], ["3", "0"], ["4", "0"], ["5", "1"]]
 # column a's grand mean is subnormal, so cluster 1's ratio to it overflows
 TINY_MEAN_CELLS = [["1", "1"], ["-1", "2"], ["1e-320", "3"], ["0", "5"]]
+
+
+def run_sample_cli(tmp_path: Path, name: str, extra_env: dict[str, str]) -> Path:
+    """Run the CLI on the bundled sample in a child process whose CPU and
+    BLAS dispatch settings are only those in extra_env; returns its output."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE", "PYTHONPATH")}
+    env["PYTHONPATH"] = str(SAMPLE.parents[2])
+    conf = write_conf(tmp_path, f"input = {SAMPLE}\noutput_dir = {name}\n", f"{name}.conf")
+    subprocess.run([sys.executable, "-m", "pcacluster.cli", "run", "--config", str(conf)],
+                   env={**env, **extra_env}, check=True, capture_output=True)
+    return tmp_path / name
 
 
 def csv_text(cells) -> str:
@@ -253,17 +267,35 @@ class TestDeterminism:
     def test_manifest_independent_of_simd_dispatch(self, tmp_path):
         # numpy picks SIMD loops for the CPU at import; with the AVX-512 ones
         # disabled, an AVX-512 host must write the bytes any other host writes
-        env = {key: value for key, value in os.environ.items()
-               if key not in ("NPY_DISABLE_CPU_FEATURES", "PYTHONPATH")}
-        env["PYTHONPATH"] = str(SAMPLE.parents[2])
         no_avx512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
-        manifests = []
-        for name, extra in (("default", {}), ("no-avx512", no_avx512)):
-            conf = write_conf(tmp_path, f"input = {SAMPLE}\noutput_dir = {name}\n", f"{name}.conf")
-            subprocess.run([sys.executable, "-m", "pcacluster.cli", "run", "--config", str(conf)],
-                           env={**env, **extra}, check=True, capture_output=True)
-            manifests.append((tmp_path / name / "manifest.txt").read_bytes())
+        manifests = [(run_sample_cli(tmp_path, name, extra) / "manifest.txt").read_bytes()
+                     for name, extra in (("default", {}), ("no-avx512", no_avx512))]
         assert manifests[0] == manifests[1]
+
+    def test_only_float_csvs_depend_on_the_blas_kernel(self, tmp_path):
+        """OpenBLAS picks its kernels for the CPU at load, and the correlation
+        matrix, the eigensolver and the scores go through them. Under the
+        Haswell kernels, which an AVX2-only host runs, the partitions,
+        profiles, concordance.txt and every SVG keep their bytes; the other
+        CSVs keep their text and their numbers agree within 1e-12 relative.
+        On a BLAS built without DYNAMIC_ARCH the variable does nothing, and
+        this test cannot fail."""
+        runs = [run_sample_cli(tmp_path, name, extra) for name, extra in
+                (("default", {}), ("haswell", {"OPENBLAS_CORETYPE": "Haswell"}))]
+        listed = [[line.split("  ", 1)[1] for line in (run / "manifest.txt").read_text().splitlines()]
+                  for run in runs]
+        assert listed[0] == listed[1]
+        for rel in listed[0]:
+            first, second = (run / rel for run in runs)
+            if not rel.endswith(".csv") or rel.startswith(("partition_", "profiles")):
+                assert first.read_bytes() == second.read_bytes(), rel
+                continue
+            cells = [list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"), newline="")))
+                     for path in (first, second)]
+            assert [len(row) for row in cells[0]] == [len(row) for row in cells[1]], rel
+            for a, b in zip(chain.from_iterable(cells[0]), chain.from_iterable(cells[1])):
+                if a != b:
+                    assert abs(float(a) - float(b)) <= 1e-12 * max(1.0, abs(float(a))), (rel, a, b)
 
 
 class TestFileInputRun:
@@ -390,6 +422,9 @@ class TestBenchmarkTracing:
         finally:
             tracer.uninstall()
         assert tracer.counts[0]["linalg.jacobi_eigen.order"] == 19
+        # two spaces of 85 regions, then 19 indicators
+        assert tracer.counts[0]["hclust.euclidean_distances.pairs"] == 7140
+        assert tracer.counts[0]["hclust.complete_linkage.merges"] == 186
         assert pca.jacobi_eigen is original and linalg.jacobi_eigen is original
 
 
@@ -577,7 +612,7 @@ class TestCli:
         assert cli.main(["run", "--config", str(conf)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: 16385 regions exceed the 16384-point limit of the "
-            "condensed distance vectors (2 GiB)"
+            "condensed distance vector (1 GiB)"
         ]
         assert not (tmp_path / "out" / "synthetic_table.csv").exists()
 

@@ -18,6 +18,19 @@ CPU, so a second run with the AVX-512 loops disabled prints the same:
         python tools/manifests.py . m-generic > generic.txt
     diff change.txt generic.txt
 
+OpenBLAS picks its kernels for the CPU as well, and a run under the ones
+an AVX2-only host gets may print other hashes:
+
+    OPENBLAS_CORETYPE=Haswell python tools/manifests.py . m-haswell > haswell.txt
+    diff -rq m-change m-haswell
+
+Only the CSVs that carry the correlation matrix, the eigenvectors or the
+scores may differ, in their last digits: variance_table.csv,
+coefficients.csv, loadings.csv, scores.csv, dendrogram_components.csv,
+dendrogram_variables.csv and plots/scree.csv, plots/loadings.csv,
+plots/biplot.csv and plots/dendrograms.csv (and manifest.txt with them).
+On a BLAS built without DYNAMIC_ARCH the variable does nothing.
+
 The perfbench inputs (seed 7) are written by this checkout's
 `perfbench/workloads.py`, so both sides get the same bytes. Exits 1 if
 SRC_DIR has no `src/pcacluster` or if any run fails.
