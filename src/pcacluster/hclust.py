@@ -70,11 +70,11 @@ class DistanceMatrix:
 
     def __post_init__(self) -> None:
         condensed = self.condensed
-        # a float64 array that owns its data becomes the matrix's own, made
-        # writable so the linkage can merge in it; anything else (a list, a
-        # view, another dtype) is copied
+        # a writable float64 array that owns its data becomes the matrix's
+        # own, for the linkage to merge in; anything else (a list, a view,
+        # another dtype, a write-locked array) is copied, never unlocked
         if not (isinstance(condensed, np.ndarray) and condensed.dtype == np.float64
-                and condensed.flags.owndata):
+                and condensed.flags.owndata and condensed.flags.writeable):
             condensed = np.array(condensed, dtype=float)
         expected = self.n * (self.n - 1) // 2
         if condensed.shape != (expected,):
@@ -91,7 +91,6 @@ class DistanceMatrix:
                 raise ValidationError("distances must be finite")
             if low < 0:
                 raise ValidationError("distances must be non-negative")
-        condensed.flags.writeable = True
         object.__setattr__(self, "condensed", condensed)
         object.__setattr__(self, "labels", tuple(self.labels))
 

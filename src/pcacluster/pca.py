@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ValidationError
 from .ingest import IndicatorTable
 from .linalg import EigenDecomposition, correlation_matrix, jacobi_eigen
-from .tables import format_float, write_rows
+from .tables import labeled_rows, write_labeled_matrix
 
 
 @dataclass(frozen=True)
@@ -131,9 +131,7 @@ def scores(model: PcaModel, table: IndicatorTable) -> np.ndarray:
 
 
 def write_variance_table(model: PcaModel, path: str | Path) -> None:
-    columns = zip(model.eigen.eigenvalues, model.variance_percent, model.cumulative_percent)
-    rows = (
-        [str(dimension), format_float(value), format_float(percent), format_float(cumulative)]
-        for dimension, (value, percent, cumulative) in enumerate(columns, 1)
-    )
-    write_rows(path, ["dimension", "eigenvalue", "variance_percent", "cumulative_percent"], rows)
+    columns = np.column_stack(
+        [model.eigen.eigenvalues, model.variance_percent, model.cumulative_percent])
+    write_labeled_matrix(path, ["dimension", "eigenvalue", "variance_percent", "cumulative_percent"],
+                         labeled_rows([str(d) for d in range(1, model.p + 1)], columns))

@@ -150,6 +150,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
         if config.synthetic is not None:
             raw_table, truth = generate_synthetic(config.synthetic)
             write_table(raw_table, sink.path("synthetic_table.csv"))
+            sink.partition("partition_truth.csv", raw_table.region_labels, truth)
         else:
             raw_table = load_table(config.input_path, config.parse_options)
 
@@ -210,7 +211,6 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
     concordance_stats: dict[str, float] = {}
     if truth is not None:
         partitions["truth"] = truth
-        sink.partition("partition_truth.csv", table.region_labels, truth)
     with _stage("concordance"):
         if "raw" in partitions and "components" in partitions:
             raw, comp = partitions["raw"], partitions["components"]
@@ -226,18 +226,17 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
     final_partition = partitions["components" if "components" in partitions else "raw"]
     with _stage("profile"):
         rows = profile(imputed, final_partition)
-        sink.rows(
-            "profiles.csv",
+        statistics = np.array([[r.average, r.standard_deviation, r.skewness, r.kurtosis,
+                                r.to_country_average_percent] for r in rows], dtype=float)
+        write_labeled_matrix(
+            sink.path("profiles.csv"),
             ["cluster", "indicator", "average", "standard_deviation", "skewness",
              "kurtosis", "to_country_average_percent"],
-            ([str(r.cluster), r.indicator, format_float(r.average),
-              *("" if v is None else format_float(v)
-                for v in (r.standard_deviation, r.skewness, r.kurtosis,
-                          r.to_country_average_percent))]
-             for r in rows),
+            zip(((str(r.cluster), r.indicator) for r in rows), statistics),  # None is NaN
         )
         for cluster_id in range(1, final_partition.k + 1):
-            sink.text(f"profiles/cluster_{cluster_id}.csv", format_profile_table(rows, cluster_id))
+            header, *table_rows = format_profile_table(rows, cluster_id)
+            sink.rows(f"profiles/cluster_{cluster_id}.csv", header, table_rows)
 
     with _stage("plots"):
         emit_plots(sink, table, model, score, model_loadings, dendrograms, final_partition,
@@ -289,7 +288,7 @@ def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel, score: np.nd
     else:
         plot_model = model.with_components(2)
         plot_loadings, plot_scores = loadings(plot_model), scores(plot_model, table)
-    axis_names = tuple(names[:2]) if len(names) >= 2 else ("f1", "f2")
+    axis_names = (*names, "f2")[:2]
     sink.plot("loadings", svgplot.loadings_svg(plot_loadings, indicators, axis_names),
               ["indicator", *axis_names], labeled_rows(indicators, plot_loadings))
 

@@ -29,15 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterator
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .hclust import Partition
 from .ingest import IndicatorTable
-from .tables import text_lines
 
 UNDEFINED = "n/a"
 
@@ -123,11 +120,11 @@ def _percent_cell(value: float | None) -> str:
     return f"{round(value)}%"
 
 
-def format_profile_table(rows: list[ProfileRow], cluster_id: int) -> Iterator[str]:
-    """One cluster's rows as lines of delimited text in the report column layout."""
+def format_profile_table(rows: list[ProfileRow], cluster_id: int) -> list[list[str]]:
+    """One cluster's rows as rows of text cells in the report column layout, header first."""
     header = ["Indicator", "Average", "Standard deviation", "Skewness", "kurtosis",
               "To country average, %"]
-    return text_lines(chain([header], (
+    return [header, *(
         [
             row.indicator,
             f"{row.average:.7g}",
@@ -138,4 +135,4 @@ def format_profile_table(rows: list[ProfileRow], cluster_id: int) -> Iterator[st
         ]
         for row in rows
         if row.cluster == cluster_id
-    )))
+    )]

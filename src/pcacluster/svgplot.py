@@ -11,6 +11,7 @@ rasterizing. Colors come from a fixed palette indexed by cluster id.
 from __future__ import annotations
 
 import math
+import re
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -33,14 +34,19 @@ _FONT = 'font-family="Helvetica, Arial, sans-serif"'
 # the n x p figures convert this many cells at a time, bounding their temporaries
 _BLOCK_CELLS = 4096
 
+# the characters XML 1.0 forbids: C0 controls other than tab, LF and CR,
+# and U+FFFE, U+FFFF; none of them is printable
+_XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+
 
 def _esc(text: str) -> str:
-    return (
+    text = (
         text.replace("&", "&amp;")
         .replace("<", "&lt;")
         .replace(">", "&gt;")
         .replace('"', "&quot;")
     )
+    return text if text.isprintable() else _XML_FORBIDDEN.sub("\ufffd", text)
 
 
 def cluster_color(cluster_id: int) -> str:

@@ -1,7 +1,10 @@
 """Comma-delimited text: the one place where rows become artifact text.
 
-A row is text cells (region, indicator and cluster labels, ids) and,
-after them, an optional run of floats. Two rules make the bytes:
+Every CSV artifact is written by RowWriter. A row is text cells
+(region, indicator and cluster labels, ids, and figures a caller has
+already made text, such as a merge height by format_float or a rounded
+profile report cell) and, after them, an optional run of floats. Two
+rules make the bytes:
 
 - Text cells are quoted by ``csv`` (minimal quoting) with the real
   "\\n" line terminator, so a cell is quoted exactly when
@@ -61,17 +64,6 @@ class RowWriter:
         # a lone empty label unquoted, as it is inside a longer row
         self._cells.writerow([*cells, ""])
         self._handle.write(buffer.getvalue()[:-1] + run + "\n")
-
-
-def text_lines(rows: Iterable[Sequence[str]]) -> Iterator[str]:
-    """Each row of text cells as one line, quoted as RowWriter.rows quotes it."""
-    buffer = io.StringIO()
-    out = csv.writer(buffer, lineterminator="\n")
-    for row in rows:
-        buffer.seek(0)
-        buffer.truncate()
-        out.writerow(row)
-        yield buffer.getvalue()
 
 
 @contextmanager

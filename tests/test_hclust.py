@@ -22,6 +22,7 @@ from pcacluster.hclust import (
     euclidean_distances,
 )
 from pcacluster.ingest import standardize
+from pcacluster.pca import fit_pca
 
 from helpers import (
     dendrogram_as_member_merges,
@@ -464,17 +465,27 @@ class TestDistanceMatrixType:
     def test_adopts_an_owned_float64_vector_and_copies_anything_else(self):
         labels = ("a", "b", "c")
         owned = np.array([1.0, 2.0, 3.0])
+        d = DistanceMatrix(3, owned, labels)
+        assert d.condensed is owned and d.condensed.flags.writeable
         locked = np.array([1.0, 2.0, 3.0])
         locked.flags.writeable = False
-        for condensed in (owned, locked):
-            d = DistanceMatrix(3, condensed, labels)
-            assert d.condensed is condensed and d.condensed.flags.writeable
-        for condensed in (np.array([0.0, 1.0, 2.0, 3.0])[1:], np.array([1, 2, 3]),
+        for condensed in (locked, np.array([0.0, 1.0, 2.0, 3.0])[1:], np.array([1, 2, 3]),
                           np.array([1.0, 2.0, 3.0], dtype=np.float32)):
             d = DistanceMatrix(3, condensed, labels)
             assert not np.shares_memory(d.condensed, condensed)
             assert d.condensed.dtype == np.float64 and d.condensed.flags.owndata
+            assert d.condensed.flags.writeable
+        assert not locked.flags.writeable
         assert DistanceMatrix(3, [1.0, 2.0, 3.0], labels).condensed.tolist() == [1.0, 2.0, 3.0]
+
+    def test_locked_vectors_keep_their_values_and_lock_through_a_linkage(self):
+        locked = np.array([1.0, 2.0, 3.0])
+        locked.flags.writeable = False
+        eigenvalues = fit_pca(random_standardized_table(53, n=20, p=3)).eigen.eigenvalues
+        for vector in (locked, eigenvalues):
+            before = vector.copy()
+            complete_linkage(DistanceMatrix(3, vector, ("a", "b", "c")))
+            assert np.array_equal(vector, before) and not vector.flags.writeable
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_distance(self, bad):
@@ -496,8 +507,8 @@ class TestDistanceMatrixType:
 
     def test_validation_allocates_no_temporary(self):
         n = 2000
+        # writable, so the matrix adopts it and only the checks could allocate
         condensed = np.random.default_rng(127).uniform(size=n * (n - 1) // 2)
-        condensed.flags.writeable = False
         labels = tuple(f"L{i}" for i in range(n))
         tracemalloc.start()
         try:

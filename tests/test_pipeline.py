@@ -492,6 +492,15 @@ class TestBoundaries:
         header = (artifacts.output_dir / "scores.csv").read_text().splitlines()[0]
         assert header == "region,capital,demography"
 
+    def test_one_labeled_component_names_the_first_scatter_axis(self, tmp_path):
+        conf = synth_conf(tmp_path, extra="components = fixed:1\ncomponent_labels = capital\n")
+        out = run_pipeline(load_pipeline_config(conf)).output_dir
+        assert (out / "scores.csv").read_text().splitlines()[0] == "region,capital"
+        assert (out / "plots" / "loadings.csv").read_text().splitlines()[0] == "indicator,capital,f2"
+        for figure in ("loadings.svg", "biplot.svg"):
+            svg = (out / "plots" / figure).read_text()
+            assert ">capital</text>" in svg and ">f2</text>" in svg and ">f1</text>" not in svg
+
 
 class TestCli:
     def test_version(self, capsys):
@@ -519,6 +528,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: load:")
         assert len(err.strip().splitlines()) == 1
+
+    def test_unwritable_truth_partition_names_the_load_stage(self, tmp_path, capsys):
+        conf = synth_conf(tmp_path)
+        (tmp_path / "out" / "partition_truth.csv").mkdir(parents=True)
+        with pytest.raises(ValidationError, match="^load: "):
+            run_pipeline(load_pipeline_config(conf))
+        assert cli.main(["run", "--config", str(conf)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: load: "), err
 
     @pytest.mark.parametrize("files", [
         {"t.csv": "region,a,b\nr\xe9,1,2\n".encode("latin-1"),

@@ -9,7 +9,9 @@ import pytest
 
 from pcacluster.errors import NumericalError, ValidationError
 from pcacluster.hclust import Partition
+from pcacluster.config import load_pipeline_config
 from pcacluster.ingest import standardize
+from pcacluster.pipeline import run_pipeline
 from pcacluster.profiles import format_profile_table, profile
 
 from helpers import make_table, oracle_profile
@@ -188,56 +190,68 @@ class TestBitwiseOracle:
         assert profile_outcome(profile, table, part) == profile_outcome(oracle_profile, table, part)
 
 
+# two indicators whose labels csv must quote: a comma, and a comma with a
+# quote, read from the input header cell "a,""b"
+QUOTED_LABELS = ("GRP per capita, rubles", 'a,"b')
+
+
+@pytest.fixture(scope="module")
+def written_cluster_table(tmp_path_factory) -> bytes:
+    """The bytes of profiles/cluster_1.csv from a pipeline run whose one
+    cluster holds every region, the indicators labeled QUOTED_LABELS."""
+    root = tmp_path_factory.mktemp("quoted")
+    grid = [[1.0, 4.0], [2.0, 3.0], [3.0, 5.0], [4.0, 1.0], [5.0, 2.0], [6.0, 6.0]]
+    with (root / "regions.csv").open("w", newline="", encoding="utf-8") as handle:
+        out = csv.writer(handle, lineterminator="\n")
+        out.writerow(["region", *QUOTED_LABELS])
+        out.writerows([f"R{i + 1}", *map(repr, row)] for i, row in enumerate(grid))
+    (root / "pipe.conf").write_text(
+        "input = regions.csv\nk_regions = 1\nk_vars = 1\noutput_dir = out\n", encoding="utf-8")
+    run_pipeline(load_pipeline_config(root / "pipe.conf"))
+    return (root / "out" / "profiles" / "cluster_1.csv").read_bytes()
+
+
 class TestFormatProfileTable:
-    HEADER = 'Indicator,Average,Standard deviation,Skewness,kurtosis,"To country average, %"'
+    HEADER = ["Indicator", "Average", "Standard deviation", "Skewness", "kurtosis",
+              "To country average, %"]
 
     def test_header_and_shape(self):
         rows = one_indicator_profile([10.0, 12.0, 30.0, 32.0], [1, 1, 2, 2])
-        text = "".join(format_profile_table(rows, 1))
-        lines = text.splitlines()
-        assert lines[0] == self.HEADER
-        assert len(lines) == 2
+        table = format_profile_table(rows, 1)
+        assert table[0] == self.HEADER
+        assert [len(row) for row in table] == [6, 6]
 
     def test_large_average_rendering(self):
         rows = one_indicator_profile([562686.8] * 4 + [100.0] * 4, [1] * 4 + [2] * 4)
-        cells = "".join(format_profile_table(rows, 1)).splitlines()[1].split(",")
-        assert cells[1] == "562686.8"
+        assert format_profile_table(rows, 1)[1][1] == "562686.8"
 
     def test_undefined_moments_render_na(self):
         rows = one_indicator_profile([7.0, 7.0, 7.0, 7.0, 1.0], [1, 1, 1, 1, 2])
-        line = "".join(format_profile_table(rows, 1)).splitlines()[1]
-        cells = line.split(",")
+        cells = format_profile_table(rows, 1)[1]
         assert cells[3] == "n/a" and cells[4] == "n/a"
 
     def test_percent_rendering_with_sign(self):
         rows = one_indicator_profile(
             [1.0, 1.0, 52.0, 52.0], [1, 1, 2, 2]
         )  # grand mean 26.5; cluster means 1 and 52
-        low = "".join(format_profile_table(rows, 1)).splitlines()[1].split(",")[-1]
-        high = "".join(format_profile_table(rows, 2)).splitlines()[1].split(",")[-1]
+        low = format_profile_table(rows, 1)[1][-1]
+        high = format_profile_table(rows, 2)[1][-1]
         assert low == "-96%"
         assert high == "96%"
 
-    def test_quoted_indicator_label(self):
-        table = make_table([[1.0], [2.0], [3.0]])
-        table = type(table)(
-            table.region_labels, ("GRP per capita, rubles",), table.values
-        )
-        rows = profile(table, Partition((1, 1, 1), k=1))
-        line = "".join(format_profile_table(rows, 1)).splitlines()[1]
-        assert line.startswith('"GRP per capita, rubles"')
+    def test_quoted_indicator_label(self, written_cluster_table):
+        lines = written_cluster_table.split(b"\n")
+        assert lines[0] == b'Indicator,Average,Standard deviation,Skewness,kurtosis,"To country average, %"'
+        assert lines[1].startswith(b'"GRP per capita, rubles",3.5,')
 
-    def test_label_with_comma_and_quote_round_trips(self):
-        label = 'a,"b'  # read from a quoted input header such as "a,""b"
-        table = make_table([[1.0], [2.0], [3.0]])
-        table = type(table)(table.region_labels, (label,), table.values)
-        rows = profile(table, Partition((1, 1, 1), k=1))
-        text = "".join(format_profile_table(rows, 1))
-        parsed = list(csv.reader(io.StringIO(text)))
-        assert [len(row) for row in parsed] == [6, 6]
-        assert parsed[1][0] == label
+    def test_label_with_comma_and_quote_round_trips(self, written_cluster_table):
+        lines = written_cluster_table.split(b"\n")
+        assert lines[2].startswith(b'"a,""b",3.5,')
+        assert lines[3:] == [b""]  # every line ends in "\n", none in "\r\n"
+        parsed = list(csv.reader(io.StringIO(written_cluster_table.decode("utf-8"))))
+        assert [len(row) for row in parsed] == [6, 6, 6]
+        assert [row[0] for row in parsed[1:]] == list(QUOTED_LABELS)
 
     def test_other_cluster_filtered_out(self):
         rows = one_indicator_profile([1.0, 2.0, 3.0, 4.0], [1, 1, 2, 2])
-        text = "".join(format_profile_table(rows, 3))
-        assert text.splitlines() == [self.HEADER]
+        assert format_profile_table(rows, 3) == [self.HEADER]

@@ -243,6 +243,35 @@ class TestBiplot:
         assert svg.count(cluster_color(2)) == 2
 
 
+class TestLabelsXmlForbids:
+    # a vertical tab, a C0 control, and a noncharacter beside the escaped
+    # markup characters and the controls XML allows
+    REGIONS = ["North\x0bWest", "R<2>", "R3", "R4"]
+    INDICATORS = ["GRP\x01 & \"x\"", "tab\there", "V\ufffe\uffff"]
+
+    def test_every_labeled_figure_is_well_formed(self):
+        rng = np.random.default_rng(97)
+        z = rng.standard_normal((4, 3))
+        pair = rng.standard_normal((4, 2))
+        dend = complete_linkage(euclidean_distances(z, self.REGIONS))
+        figures = [
+            parallel_coordinates_svg(z, self.INDICATORS, [1, 1, 2, 2], range(4)),
+            heatmap_svg(z, self.REGIONS, self.INDICATORS, range(4)),
+            loadings_svg(pair[:3], self.INDICATORS, ("f\x1f1", "f2")),
+            biplot_svg(pair, [1, 1, 2, 2], pair[:3], self.INDICATORS, ("f1", "f2")),
+            dendrograms_svg([("initial\x0cvariables", dend)]),
+        ]
+        for figure in figures:
+            svg = "".join(figure)
+            assert_well_formed(svg)
+            texts = {node.firstChild.data
+                     for node in xml.dom.minidom.parseString(svg).getElementsByTagName("text")
+                     if node.firstChild is not None}
+            assert not any(ch in text for text in texts for ch in "\x0b\x01\x1f\x0c\ufffe\uffff")
+        assert {"North\ufffdWest", "R<2>"} <= texts  # the dendrogram's leaf labels
+        assert "tab\there" in "".join(figures[1])
+
+
 class TestDendrograms:
     def test_two_panels(self):
         left = complete_linkage(euclidean_distances([[0.0], [1.0], [5.0]]))
