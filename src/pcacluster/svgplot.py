@@ -35,7 +35,7 @@ _FONT = 'font-family="Helvetica, Arial, sans-serif"'
 _BLOCK_CELLS = 4096
 
 # the characters XML 1.0 forbids: C0 controls other than tab, LF and CR,
-# and U+FFFE, U+FFFF; none of them is printable
+# and U+FFFE, U+FFFF
 _XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 
 
@@ -46,7 +46,7 @@ def _esc(text: str) -> str:
         .replace(">", "&gt;")
         .replace('"', "&quot;")
     )
-    return text if text.isprintable() else _XML_FORBIDDEN.sub("\ufffd", text)
+    return _XML_FORBIDDEN.sub("\ufffd", text)
 
 
 def cluster_color(cluster_id: int) -> str:

@@ -589,7 +589,6 @@ class TestCli:
             "error: out of memory: Unable to allocate 74.5 TiB for an array"
         ]
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_column_exit_2(self, tmp_path, capsys):
         rng = np.random.default_rng(67)
         grid = np.column_stack([np.tile([1e300, -1e300], 5), rng.standard_normal(10)])
@@ -600,7 +599,6 @@ class TestCli:
             "error: standardize: indicator 'V1' overflows float64: its mean or sd is not finite"
         ]
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("extra", ["within_sd = 1e300\n", "separation = 1e308\n"])
     def test_overflowing_synthetic_table_exit_2(self, tmp_path, capsys, extra):
         conf = write_conf(tmp_path, "synthetic = true\noutput_dir = out\n" + extra)
@@ -609,7 +607,6 @@ class TestCli:
             "error: standardize: indicator 'V01' overflows float64: its mean or sd is not finite"
         ]
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("extra, message", [
         ("seed = -1", "seed must be non-negative, got -1"),
         ("within_sd = inf", "within-cluster sd must be finite and positive, got inf"),
@@ -634,7 +631,6 @@ class TestCli:
         ]
         assert not (tmp_path / "out" / "synthetic_table.csv").exists()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("cells, k, message", [
         (GAP_CELLS, 2, "impute: indicator 'a' overflows float64: its mean is not finite"),
         (SKEW_CELLS, 1, "profile: cluster 1, indicator 'b': skewness overflows float64"),
