@@ -52,7 +52,7 @@ class PipelineConfig:
 def read_key_values(path: str | Path) -> dict[str, str]:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a byte-order mark is dropped
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     pairs: dict[str, str] = {}
@@ -130,32 +130,32 @@ def _convert(pairs: dict[str, str], converters: dict) -> dict:
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
+    """The configuration in the file at path; an error in a key or value names the file."""
     path = Path(path)
     pairs = read_key_values(path)
-    unknown = sorted(set(pairs) - _PIPELINE_KEYS)
-    if unknown:
-        raise ValidationError(f"{path}: unknown keys {unknown}")
-    base = path.parent
-
-    synthetic_mode = pairs.get("synthetic", "false").lower()
-    if synthetic_mode not in ("true", "false"):
-        raise ValidationError(f"synthetic must be true or false, got {pairs['synthetic']!r}")
-    if synthetic_mode == "false":
-        stray = sorted(set(pairs) & set(_SYNTH_KEYS))
-        if stray:
-            raise ValidationError(
-                f"{path}: keys {stray} require synthetic = true"
-            )
-    if "output_dir" not in pairs:
-        raise ValidationError(f"{path}: output_dir is required")
-    run = _convert(pairs, _RUN_KEYS)
-    if "components" in run:
-        run["component_rule"] = run.pop("components")
-    return PipelineConfig(
-        output_dir=base / pairs["output_dir"],
-        input_path=base / pairs["input"] if "input" in pairs else None,
-        synthetic=(SyntheticSpec(**_convert(pairs, _SYNTH_KEYS))
-                   if synthetic_mode == "true" else None),
-        parse_options=ParseOptions(**_convert(pairs, _PARSE_KEYS)),
-        **run,
-    )
+    try:
+        unknown = sorted(set(pairs) - _PIPELINE_KEYS)
+        if unknown:
+            raise ValidationError(f"unknown keys {unknown}")
+        synthetic_mode = pairs.get("synthetic", "false").lower()
+        if synthetic_mode not in ("true", "false"):
+            raise ValidationError(f"synthetic must be true or false, got {pairs['synthetic']!r}")
+        if synthetic_mode == "false":
+            stray = sorted(set(pairs) & set(_SYNTH_KEYS))
+            if stray:
+                raise ValidationError(f"keys {stray} require synthetic = true")
+        if "output_dir" not in pairs:
+            raise ValidationError("output_dir is required")
+        run = _convert(pairs, _RUN_KEYS)
+        if "components" in run:
+            run["component_rule"] = run.pop("components")
+        return PipelineConfig(
+            output_dir=path.parent / pairs["output_dir"],
+            input_path=path.parent / pairs["input"] if "input" in pairs else None,
+            synthetic=(SyntheticSpec(**_convert(pairs, _SYNTH_KEYS))
+                       if synthetic_mode == "true" else None),
+            parse_options=ParseOptions(**_convert(pairs, _PARSE_KEYS)),
+            **run,
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc

@@ -129,33 +129,28 @@ def _parse_cell(text: str, decimal: str) -> float:
     return value
 
 
-def _parse_row(cells: list[str], decimal: str, out: np.ndarray) -> bool:
-    """Fill out with what _parse_cell gives for each cell, without a Python
-    call per cell. False if some cell is not a number or not finite: the
-    caller then parses the row cell by cell, and _parse_cell names the first
-    bad cell."""
+def _parse_values(cells: list[str], decimal: str) -> np.ndarray:
+    """The cells as floats, as _parse_cell gives each, without a Python call
+    per cell; a ValidationError names the first bad cell's column."""
     tokens = [cell.strip() for cell in cells]
     if decimal == ",":
         tokens = [token.replace(",", ".") for token in tokens]
-    try:
-        out[:] = [math.nan if token == "" or token == MISSING_TOKEN else float(token)
-                  for token in tokens]
-    except ValueError:
-        return False
-    # every missing cell is NaN, so the row is clean when nothing else is
-    missing = tokens.count("") + tokens.count(MISSING_TOKEN)
-    return out.size - np.count_nonzero(np.isfinite(out)) == missing
-
-
-def _parse_values(cells: list[str], decimal: str) -> np.ndarray:
-    """The cells as floats; a ValidationError names the first bad cell's column."""
     values = np.empty(len(cells))
-    if not _parse_row(cells, decimal, values):
-        for j, cell in enumerate(cells):
-            try:
-                values[j] = _parse_cell(cell, decimal)
-            except ValidationError as exc:
-                raise ValidationError(f"column {j + 2}: {exc}") from None
+    try:
+        values[:] = [math.nan if token == "" or token == MISSING_TOKEN else float(token)
+                     for token in tokens]
+        # every missing cell is NaN, so the row is clean when nothing else is
+        missing = tokens.count("") + tokens.count(MISSING_TOKEN)
+        if values.size - np.count_nonzero(np.isfinite(values)) == missing:
+            return values
+    except ValueError:
+        pass
+    # some cell is not a number or not finite: _parse_cell names the first
+    for j, cell in enumerate(cells):
+        try:
+            values[j] = _parse_cell(cell, decimal)
+        except ValidationError as exc:
+            raise ValidationError(f"column {j + 2}: {exc}") from None
     return values
 
 
@@ -264,4 +259,8 @@ def standardize(table: IndicatorTable) -> IndicatorTable:
         raise ValidationError(f"zero-variance indicator {labels[zero[0]]!r}")
     z = (grid - mean) / sd
     z.flags.writeable = False
-    return replace(table, values=z, standardized=True)
+    try:
+        return replace(table, values=z, standardized=True)
+    except ValidationError as exc:
+        # every column is finite with a nonzero sd, so only rounding leaves one off
+        raise NumericalError(f"{exc} (its spread is lost to float64 rounding)") from None

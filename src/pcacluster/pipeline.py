@@ -131,15 +131,14 @@ def _merge_rows(dend: Dendrogram):
         yield [str(step), str(m.left), str(m.right), format_float(m.height), str(m.size)]
 
 
-def _contingency_lines(counts: Counts, rand: float, ari: float,
-                       extra: dict[str, float]) -> Iterator[str]:
+def _contingency_lines(counts: Counts, stats: dict[str, float]) -> Iterator[str]:
     yield "contingency rows=raw columns=components\n"
     yield ",".join([""] + [f"c{j + 1}" for j in range(len(counts[0]))]) + "\n"
     for i, row in enumerate(counts, start=1):
         yield ",".join([f"r{i}"] + [str(v) for v in row]) + "\n"
-    yield f"rand={format_float(rand)} ari={format_float(ari)}\n"
-    for key, value in extra.items():
-        yield f"{key}={format_float(value)}\n"
+    figures = [f"{key}={format_float(value)}" for key, value in stats.items()]
+    yield " ".join(figures[:2]) + "\n"  # rand and ari share a line
+    yield from (f"{figure}\n" for figure in figures[2:])
 
 
 def run_pipeline(config: PipelineConfig) -> RunArtifacts:
@@ -170,11 +169,10 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
                 f"{len(names)} component labels given but {model.k} components retained"
             )
         score = scores(model, table)
-        model_loadings = loadings(model)
         write_variance_table(model, sink.path("variance_table.csv"))
         for rel, matrix, row_header, row_labels in (
             ("coefficients.csv", coefficients(model), "indicator", model.indicator_labels),
-            ("loadings.csv", model_loadings, "indicator", model.indicator_labels),
+            ("loadings.csv", loadings(model), "indicator", model.indicator_labels),
             ("scores.csv", score, "region", table.region_labels),
         ):
             write_labeled_matrix(sink.path(rel), [row_header, *names],
@@ -214,14 +212,13 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
     with _stage("concordance"):
         if "raw" in partitions and "components" in partitions:
             raw, comp = partitions["raw"], partitions["components"]
-            pair = contingency(raw, comp)
-            rand, ari = rand_index(raw, comp), adjusted_rand_index(raw, comp)
-            extra: dict[str, float] = {}
+            concordance_stats = {"rand": rand_index(raw, comp),
+                                 "ari": adjusted_rand_index(raw, comp)}
             if truth is not None:
-                extra["ari_raw_truth"] = adjusted_rand_index(raw, truth)
-                extra["ari_components_truth"] = adjusted_rand_index(comp, truth)
-            concordance_stats = {"rand": rand, "ari": ari, **extra}
-            sink.text("concordance.txt", _contingency_lines(pair, rand, ari, extra))
+                concordance_stats["ari_raw_truth"] = adjusted_rand_index(raw, truth)
+                concordance_stats["ari_components_truth"] = adjusted_rand_index(comp, truth)
+            sink.text("concordance.txt",
+                      _contingency_lines(contingency(raw, comp), concordance_stats))
 
     final_partition = partitions["components" if "components" in partitions else "raw"]
     with _stage("profile"):
@@ -239,8 +236,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             sink.rows(f"profiles/cluster_{cluster_id}.csv", header, table_rows)
 
     with _stage("plots"):
-        emit_plots(sink, table, model, score, model_loadings, dendrograms, final_partition,
-                   names)
+        emit_plots(sink, table, model, score, dendrograms, final_partition, names)
 
     with _stage("manifest"):
         manifest_path, files = sink.manifest()
@@ -256,10 +252,10 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
 
 
 def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel, score: np.ndarray,
-               model_loadings: np.ndarray, dendrograms: dict[str, Dendrogram],
-               final_partition: Partition, names: tuple[str, ...]) -> None:
-    """The six figures under plots/, each with its CSV twin; score and
-    model_loadings are scores(model, table) and loadings(model)."""
+               dendrograms: dict[str, Dendrogram], final_partition: Partition,
+               names: tuple[str, ...]) -> None:
+    """The six figures under plots/, each with its CSV twin; score is
+    scores(model, table)."""
     final_space = "components" if "components" in dendrograms else "raw"
     leaf_order = dendrograms[final_space].leaf_order()
     assignment = final_partition.assignment
@@ -281,13 +277,13 @@ def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel, score: np.nd
             heatmap.row((regions[i],), run)
             parallel.row((regions[i], str(assignment[i])), run)
 
-    # first two axes drive both scatter figures even when only one
-    # component was retained
-    if model.k >= 2:
-        plot_loadings, plot_scores = model_loadings[:, :2], score[:, :2]
-    else:
-        plot_model = model.with_components(2)
-        plot_loadings, plot_scores = loadings(plot_model), scores(plot_model, table)
+    # both scatter figures plot the first two axes, even when only one component
+    # was retained. With two or more, the scores are the pca stage's: a second
+    # product would match them, but it wakes BLAS's threads again (0.07 to 0.1 s
+    # of CPU for a 400 x 120 table with k = 47, on two cores)
+    plot_model = model.with_components(max(model.k, 2))
+    plot_loadings = loadings(plot_model)[:, :2]
+    plot_scores = score[:, :2] if model.k >= 2 else scores(plot_model, table)
     axis_names = (*names, "f2")[:2]
     sink.plot("loadings", svgplot.loadings_svg(plot_loadings, indicators, axis_names),
               ["indicator", *axis_names], labeled_rows(indicators, plot_loadings))

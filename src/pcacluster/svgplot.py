@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -65,7 +66,7 @@ def _document(width: int, height: int, body: Iterable[str]) -> Iterator[str]:
 
 
 class Document:
-    """An SVG document of the given size whose elements body() yields.
+    """An SVG document of the given size: its title, then the elements body() yields.
 
     Iterating renders it afresh, one line at a time, from the values the
     builder was given, so they must not change until it is written.
@@ -73,12 +74,14 @@ class Document:
     as svgplot.bytes.
     """
 
-    def __init__(self, width: int, height: int, body: Callable[[], Iterable[str]]) -> None:
+    def __init__(self, width: int, height: int, title: str,
+                 body: Callable[[], Iterable[str]]) -> None:
         self._size = (width, height)
+        self._title = _text(width / 2, 28, title, 16)
         self._body = body
 
     def __iter__(self) -> Iterator[str]:
-        return _document(*self._size, self._body())
+        return _document(*self._size, chain((self._title,), self._body()))
 
     def encode(self, encoding: str = "utf-8") -> bytes:
         return "".join(self).encode(encoding)
@@ -153,7 +156,6 @@ def scree_svg(eigenvalues: Sequence[float]) -> Document:
     y_of = _scale(0.0, y_hi, bottom, top)
 
     def body() -> Iterator[str]:
-        yield _text(width / 2, 28, "Scree plot", 16)
         for tick in _nice_ticks(0.0, y_hi):
             yield _line(left, y_of(tick), right, y_of(tick), "#dddddd")
             yield _text(left - 8, y_of(tick) + 4, _tick_label(tick), 10, "end")
@@ -172,7 +174,7 @@ def scree_svg(eigenvalues: Sequence[float]) -> Document:
         yield _text(18, (top + bottom) / 2, "eigenvalue", 11,
                     extra=f' transform="rotate(-90 18 {(top + bottom) / 2:.2f})"')
 
-    return Document(width, height, body)
+    return Document(width, height, "Scree plot", body)
 
 
 def parallel_coordinates_svg(
@@ -192,7 +194,6 @@ def parallel_coordinates_svg(
     y_of = _scale(lo - pad, hi + pad, bottom, top)
 
     def body() -> Iterator[str]:
-        yield _text(width / 2, 28, "Parallel coordinates", 16)
         for tick in _nice_ticks(lo, hi, 6):
             yield _line(left, y_of(tick), right, y_of(tick), "#eeeeee")
             yield _text(left - 8, y_of(tick) + 4, _tick_label(tick), 10, "end")
@@ -212,7 +213,7 @@ def parallel_coordinates_svg(
         yield _text(18, (top + bottom) / 2, "z-score", 11,
                     extra=f' transform="rotate(-90 18 {(top + bottom) / 2:.2f})"')
 
-    return Document(width, height, body)
+    return Document(width, height, "Parallel coordinates", body)
 
 
 _BLUE = np.array([33, 102, 172])
@@ -256,7 +257,6 @@ def heatmap_svg(
     label_size = max(4, min(9, cell_h - 1))
 
     def body() -> Iterator[str]:
-        yield _text(width / 2, 28, "Heatmap of standardized indicators", 16)
         for j, label in enumerate(indicator_labels):
             x = left + (j + 0.5) * cell_w
             yield _text(x, top - 6, label, 8, "start",
@@ -270,7 +270,7 @@ def heatmap_svg(
             y_attr = f"{y:.2f}"
             yield "\n".join([f'{x}{y_attr}{size}{color}"/>' for x, color in zip(xs, colors)])
 
-    return Document(width, height, body)
+    return Document(width, height, "Heatmap of standardized indicators", body)
 
 
 def loadings_svg(entries: np.ndarray, labels: Sequence[str],
@@ -286,7 +286,6 @@ def loadings_svg(entries: np.ndarray, labels: Sequence[str],
     radius = abs(x_of(1.0) - cx)
 
     def body() -> Iterator[str]:
-        yield _text(width / 2, 28, "Loadings plot", 16)
         yield (f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{radius:.2f}" '
                f'fill="none" stroke="#bbbbbb" stroke-dasharray="4,3"/>')
         yield _line(left, cy, right, cy, "#999999")
@@ -299,7 +298,7 @@ def loadings_svg(entries: np.ndarray, labels: Sequence[str],
         yield _text(20, (top + bottom) / 2, axis_names[1], 11,
                     extra=f' transform="rotate(-90 20 {(top + bottom) / 2:.2f})"')
 
-    return Document(width, height, body)
+    return Document(width, height, "Loadings plot", body)
 
 
 def biplot_svg(
@@ -318,7 +317,6 @@ def biplot_svg(
     cx, cy = x_of(0.0), y_of(0.0)
 
     def body() -> Iterator[str]:
-        yield _text(width / 2, 28, "Biplot", 16)
         yield _line(left, cy, right, cy, "#999999")
         yield _line(cx, top, cx, bottom, "#999999")
         for (x, y), cluster_id in zip(score_xy, score_clusters):
@@ -336,7 +334,7 @@ def biplot_svg(
         yield _text(20, (top + bottom) / 2, axis_names[1], 11,
                     extra=f' transform="rotate(-90 20 {(top + bottom) / 2:.2f})"')
 
-    return Document(width, height, body)
+    return Document(width, height, "Biplot", body)
 
 
 def _dendrogram_panel(dend: Dendrogram, title: str, x0: float, panel_w: float,
@@ -376,9 +374,8 @@ def dendrograms_svg(panels: Sequence[tuple[str, Dendrogram]]) -> Document:
     top, bottom = 70, 430
 
     def body() -> Iterator[str]:
-        yield _text(width / 2, 28, "Hierarchical clustering", 16)
         for idx, (title, dend) in enumerate(panels):
             x0 = 40 + idx * (panel_w + 40)
             yield from _dendrogram_panel(dend, title, x0, panel_w, top, bottom)
 
-    return Document(width, height, body)
+    return Document(width, height, "Hierarchical clustering", body)

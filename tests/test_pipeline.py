@@ -32,6 +32,7 @@ from pcacluster.synth import SyntheticSpec
 
 SAMPLE = Path(__file__).resolve().parents[1] / "src" / "pcacluster" / "data" / "sample_regions.csv"
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 BASE_SYNTH_CONF = """
 synthetic = true
@@ -172,11 +173,31 @@ class TestConfigParsing:
         ("synthetic = true\ndelimiter = tab", "unknown delimiter 'tab'"),
         ("synthetic = true\ndecimal = x", "unknown decimal separator 'x'"),
         ("synthetic = maybe", "synthetic must be true or false, got 'maybe'"),
+        ("synthetic = true\ncomponents = kaiserr", "unknown component rule 'kaiserr'"),
+        ("synthetic = true\ncluster_space = everywhere",
+         "cluster_space must be one of ('raw', 'components', 'both'), got 'everywhere'"),
     ])
     def test_bad_values_rejected(self, tmp_path, text, message):
         conf = write_conf(tmp_path, f"{text}\noutput_dir = out\n")
-        with pytest.raises(ValidationError, match=re.escape(message)):
+        with pytest.raises(ValidationError) as excinfo:
             load_pipeline_config(conf)
+        assert str(excinfo.value) == f"{conf}: {message}"
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        conf = tmp_path / "bom.conf"
+        conf.write_bytes("\ufeffinput = x.csv\noutput_dir = out\n".encode("utf-8"))
+        assert load_pipeline_config(conf).input_path == tmp_path / "x.csv"
+
+    def test_readme_examples_load_and_run(self, tmp_path):
+        blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert len(blocks) == 2
+        for i, block in enumerate(blocks):
+            (tmp_path / str(i)).mkdir()
+            (tmp_path / str(i) / "regions.csv").write_bytes(SAMPLE.read_bytes())
+            conf = write_conf(tmp_path / str(i), block)
+            artifacts = run_pipeline(load_pipeline_config(conf))
+            assert artifacts.output_dir == tmp_path / str(i) / "out"
+            assert artifacts.manifest_path.is_file()
 
     def test_component_labels_split_on_bars(self, tmp_path):
         conf = write_conf(tmp_path, "synthetic = true\ncomponent_labels = a | b\noutput_dir = out\n")
@@ -342,6 +363,27 @@ class TestFileInputRun:
         text = (artifacts.output_dir / "concordance.txt").read_text()
         assert "rand=" in text and "ari_raw_truth" not in text
 
+    # at 150 x 40 the first two score columns of a 2-wide product differ
+    # in their last digits from those of the 12-wide one the pca stage writes
+    @pytest.mark.parametrize("lines, k", [("synthetic = true\nn = 150\np = 40", 12),
+                                          (f"input = {SAMPLE}\ncomponents = fixed:1", 1)],
+                             ids=["twelve-components", "one-component"])
+    def test_scatter_twins_match_the_pca_artifacts(self, tmp_path, lines, k):
+        conf = write_conf(tmp_path, f"{lines}\noutput_dir = out\n")
+        artifacts = run_pipeline(load_pipeline_config(conf))
+        assert artifacts.model.k == k
+
+        def rows(rel):
+            text = (artifacts.output_dir / rel).read_text(encoding="utf-8")
+            return list(csv.reader(io.StringIO(text, newline="")))[1:]
+
+        axes = min(k, 2)
+        assert ([row[1:1 + axes] for row in rows("plots/loadings.csv")]
+                == [row[1:1 + axes] for row in rows("loadings.csv")])
+        if axes == 2:
+            score_rows = [row[1:] for row in rows("plots/biplot.csv") if row[0] == "score"]
+            assert score_rows == [row[:3] for row in rows("scores.csv")]
+
     def test_missing_input_names_failing_stage(self, tmp_path):
         conf = write_conf(tmp_path, "input = nope.csv\noutput_dir = out\n")
         with pytest.raises(ValidationError, match="^load: "):
@@ -391,18 +433,19 @@ class TestStreamedArtifacts:
 
     @pytest.mark.parametrize("rule, calls", [("kaiser", 1), ("fixed:1", 2)])
     def test_plots_reuse_the_pca_arrays(self, tmp_path, monkeypatch, rule, calls):
-        # only a single retained component makes the plots fit two of their own
+        # only a single retained component makes the plots take a score
+        # product of their own; loadings are scaled eigenvectors, made twice
         counts = Counter()
-        for name in ("scores", "loadings"):
-            def counting(*args, name=name, original=getattr(pipeline, name)):
-                counts[name] += 1
-                return original(*args)
 
-            monkeypatch.setattr(pipeline, name, counting)
+        def counting(*args, original=pipeline.scores):
+            counts["scores"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, "scores", counting)
         conf = write_conf(tmp_path, f"input = {SAMPLE}\noutput_dir = out\ncomponents = {rule}\n")
         artifacts = run_pipeline(load_pipeline_config(conf))
         assert (artifacts.model.k >= 2) == (rule == "kaiser")
-        assert counts == {"scores": calls, "loadings": calls}
+        assert counts == {"scores": calls}
 
 
 class TestBenchmarkTracing:
@@ -564,7 +607,7 @@ class TestCli:
     def test_meaningless_component_setting_exit_1(self, tmp_path, capsys, line, message):
         conf = write_conf(tmp_path, f"synthetic = true\n{line}\noutput_dir = out\n")
         assert cli.main(["run", "--config", str(conf)]) == 1
-        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {conf}: {message}"]
         assert not (tmp_path / "out").exists()
 
     def test_numerical_failure_exit_2(self, tmp_path, monkeypatch, capsys):
@@ -618,7 +661,7 @@ class TestCli:
     def test_bad_synthetic_spec_exit_1(self, tmp_path, capsys, extra, message):
         conf = write_conf(tmp_path, f"synthetic = true\noutput_dir = out\n{extra}\n")
         assert cli.main(["run", "--config", str(conf)]) == 1
-        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {conf}: {message}"]
         assert not (tmp_path / "out" / "synthetic_table.csv").exists()
 
     def test_synthetic_regions_past_the_matrix_ceiling_exit_1_before_drawing(self, tmp_path,
@@ -626,7 +669,7 @@ class TestCli:
         conf = write_conf(tmp_path, "synthetic = true\nn = 16385\np = 2\noutput_dir = out\n")
         assert cli.main(["run", "--config", str(conf)]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: 16385 regions exceed the 16384-point limit of the "
+            f"error: {conf}: 16385 regions exceed the 16384-point limit of the "
             "condensed distance vector (1 GiB)"
         ]
         assert not (tmp_path / "out" / "synthetic_table.csv").exists()
@@ -643,17 +686,23 @@ class TestCli:
         assert cli.main(["run", "--config", str(conf)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
-    def test_column_too_narrow_to_z_score_exit_1(self, tmp_path, capsys):
-        # sd 1.3 at mean 1e12 sits near float64's spacing there, so the
-        # z-scores miss mean 0 by about 1e-5
+    # sd 1.3 at mean 1e12 sits near float64's spacing there, so the z-scores
+    # miss mean 0 by about 1e-5; steps of 0.125 are a few units in the last
+    # place at 1e15, so the mean is rounded off by a large part of the spread
+    @pytest.mark.parametrize("column, message", [
+        (lambda rng: 1e12 + 1.3 * rng.standard_normal(10), "mean 4.94e-05, sd 1"),
+        (lambda rng: [1e15 + (i % 3) * 0.125 for i in range(10)], "mean 0.697, sd 0.678"),
+    ], ids=["sd-1.3-at-1e12", "steps-at-1e15"])
+    def test_column_too_narrow_to_z_score_exit_2(self, tmp_path, capsys, column, message):
         rng = np.random.default_rng(71)
-        grid = np.column_stack([rng.standard_normal(10), 1e12 + 1.3 * rng.standard_normal(10)])
+        grid = np.column_stack([rng.standard_normal(10), column(rng)])
         write_grid_csv(tmp_path / "offset.csv", grid)
         conf = write_conf(tmp_path, "input = offset.csv\noutput_dir = out\n")
-        assert cli.main(["run", "--config", str(conf)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: standardize: indicator 'V2' is not z-scored: mean ")
+        assert cli.main(["run", "--config", str(conf)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: standardize: indicator 'V2' is not z-scored: {message} "
+            "(its spread is lost to float64 rounding)"
+        ]
 
 
 FUZZ_CELLS = st.one_of(
