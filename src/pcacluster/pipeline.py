@@ -236,7 +236,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             sink.rows(f"profiles/cluster_{cluster_id}.csv", header, table_rows)
 
     with _stage("plots"):
-        emit_plots(sink, table, model, score, dendrograms, final_partition, names)
+        emit_plots(sink, table, model, dendrograms, final_partition, names)
 
     with _stage("manifest"):
         manifest_path, files = sink.manifest()
@@ -251,11 +251,10 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
     )
 
 
-def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel, score: np.ndarray,
+def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
                dendrograms: dict[str, Dendrogram], final_partition: Partition,
                names: tuple[str, ...]) -> None:
-    """The six figures under plots/, each with its CSV twin; score is
-    scores(model, table)."""
+    """The six figures under plots/, each with its CSV twin."""
     final_space = "components" if "components" in dendrograms else "raw"
     leaf_order = dendrograms[final_space].leaf_order()
     assignment = final_partition.assignment
@@ -278,12 +277,11 @@ def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel, score: np.nd
             parallel.row((regions[i], str(assignment[i])), run)
 
     # both scatter figures plot the first two axes, even when only one component
-    # was retained. With two or more, the scores are the pca stage's: a second
-    # product would match them, but it wakes BLAS's threads again (0.07 to 0.1 s
-    # of CPU for a 400 x 120 table with k = 47, on two cores)
+    # was retained. The product keeps the retained width, so its first two
+    # columns are scores.csv's; a 2-wide product differs in the last digits
     plot_model = model.with_components(max(model.k, 2))
     plot_loadings = loadings(plot_model)[:, :2]
-    plot_scores = score[:, :2] if model.k >= 2 else scores(plot_model, table)
+    plot_scores = scores(plot_model, table)[:, :2]
     axis_names = (*names, "f2")[:2]
     sink.plot("loadings", svgplot.loadings_svg(plot_loadings, indicators, axis_names),
               ["indicator", *axis_names], labeled_rows(indicators, plot_loadings))

@@ -72,15 +72,23 @@ SKEW_CELLS = [["0", "1e154"], ["1", "0"], ["2", "0"], ["3", "0"], ["4", "0"], ["
 TINY_MEAN_CELLS = [["1", "1"], ["-1", "2"], ["1e-320", "3"], ["0", "5"]]
 
 
-def run_sample_cli(tmp_path: Path, name: str, extra_env: dict[str, str]) -> Path:
-    """Run the CLI on the bundled sample in a child process whose CPU and
-    BLAS dispatch settings are only those in extra_env; returns its output."""
+def child_env(extra_env: dict[str, str]) -> dict[str, str]:
+    """The environment for a child running this checkout's pcacluster: its
+    CPU dispatch, BLAS kernel and BLAS thread settings are only those in
+    extra_env, whatever the shell that ran the tests set."""
     env = {key: value for key, value in os.environ.items()
-           if key not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE", "PYTHONPATH")}
-    env["PYTHONPATH"] = str(SAMPLE.parents[2])
-    conf = write_conf(tmp_path, f"input = {SAMPLE}\noutput_dir = {name}\n", f"{name}.conf")
+           if key not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS",
+                          "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "PYTHONPATH")}
+    return {**env, "PYTHONPATH": str(SAMPLE.parents[2]), **extra_env}
+
+
+def run_sample_cli(tmp_path: Path, name: str, extra_env: dict[str, str],
+                   source: Path = SAMPLE) -> Path:
+    """Run the CLI on source (the bundled sample by default) in a child with
+    child_env(extra_env); returns its output."""
+    conf = write_conf(tmp_path, f"input = {source}\noutput_dir = {name}\n", f"{name}.conf")
     subprocess.run([sys.executable, "-m", "pcacluster.cli", "run", "--config", str(conf)],
-                   env={**env, **extra_env}, check=True, capture_output=True)
+                   env=child_env(extra_env), check=True, capture_output=True)
     return tmp_path / name
 
 
@@ -293,6 +301,15 @@ class TestDeterminism:
                      for name, extra in (("default", {}), ("no-avx512", no_avx512))]
         assert manifests[0] == manifests[1]
 
+    def test_manifest_independent_of_blas_threads(self, tmp_path):
+        # at 400 x 120 OpenBLAS splits the correlation matrix, the
+        # eigensolver and the k-wide score product over its threads
+        write_grid_csv(tmp_path / "wide.csv", np.random.default_rng(19).standard_normal((400, 120)))
+        manifests = [(run_sample_cli(tmp_path, f"threads-{count}",
+                                     {"OPENBLAS_NUM_THREADS": count}, tmp_path / "wide.csv")
+                      / "manifest.txt").read_bytes() for count in ("1", "2")]
+        assert manifests[0] == manifests[1]
+
     def test_only_float_csvs_depend_on_the_blas_kernel(self, tmp_path):
         """OpenBLAS picks its kernels for the CPU at load, and the correlation
         matrix, the eigensolver and the scores go through them. Under the
@@ -317,6 +334,42 @@ class TestDeterminism:
             for a, b in zip(chain.from_iterable(cells[0]), chain.from_iterable(cells[1])):
                 if a != b:
                     assert abs(float(a) - float(b)) <= 1e-12 * max(1.0, abs(float(a))), (rel, a, b)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="threads are counted in /proc")
+class TestBlasThreads:
+    """Importing pcacluster loads numpy's BLAS with one thread, unless the
+    caller set a thread count or loaded numpy first."""
+
+    # after a 400 x 120 product, which OpenBLAS splits over its threads, the
+    # child prints its thread count and whether its environment is unchanged
+    CHILD = """\
+import os
+before = dict(os.environ)
+{imports}
+import numpy as np
+x = np.random.default_rng(0).standard_normal((400, 120))
+x.T @ x
+print(len(os.listdir("/proc/self/task")), dict(os.environ) == before)
+"""
+
+    def child(self, imports: str, extra_env: dict[str, str]) -> tuple[int, bool]:
+        out = subprocess.run([sys.executable, "-c", self.CHILD.format(imports=imports)],
+                             env=child_env(extra_env), check=True, capture_output=True,
+                             text=True).stdout.split()
+        return int(out[0]), out[1] == "True"
+
+    def test_one_thread_and_the_environment_untouched(self):
+        assert self.child("import pcacluster", {}) == (1, True)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS starts no more threads than cores")
+    def test_thread_variable_kept(self):
+        threads, unchanged = self.child("import pcacluster", {"OPENBLAS_NUM_THREADS": "2"})
+        assert threads > 1 and unchanged
+
+    def test_numpy_loaded_first_keeps_its_default(self):
+        assert (self.child("import numpy\nimport pcacluster", {})
+                == self.child("import numpy", {}))
 
 
 class TestFileInputRun:
@@ -431,10 +484,8 @@ class TestStreamedArtifacts:
             f"{hashlib.sha256(blob).hexdigest()}  plots/big.bin\n"
             f"{hashlib.sha256(small).hexdigest()}  small.txt\n")
 
-    @pytest.mark.parametrize("rule, calls", [("kaiser", 1), ("fixed:1", 2)])
-    def test_plots_reuse_the_pca_arrays(self, tmp_path, monkeypatch, rule, calls):
-        # only a single retained component makes the plots take a score
-        # product of their own; loadings are scaled eigenvectors, made twice
+    @pytest.mark.parametrize("rule", ["kaiser", "fixed:1"])
+    def test_pca_stage_and_plots_take_one_score_product_each(self, tmp_path, monkeypatch, rule):
         counts = Counter()
 
         def counting(*args, original=pipeline.scores):
@@ -445,7 +496,7 @@ class TestStreamedArtifacts:
         conf = write_conf(tmp_path, f"input = {SAMPLE}\noutput_dir = out\ncomponents = {rule}\n")
         artifacts = run_pipeline(load_pipeline_config(conf))
         assert (artifacts.model.k >= 2) == (rule == "kaiser")
-        assert counts == {"scores": calls}
+        assert counts == {"scores": 2}
 
 
 class TestBenchmarkTracing:

@@ -18,6 +18,12 @@ CPU, so a second run with the AVX-512 loops disabled prints the same:
         python tools/manifests.py . m-generic > generic.txt
     diff change.txt generic.txt
 
+pcacluster loads BLAS with one thread unless a thread count is set, and
+the bytes must not depend on that count either:
+
+    OPENBLAS_NUM_THREADS=2 python tools/manifests.py . m-threads > threads.txt
+    diff change.txt threads.txt
+
 OpenBLAS picks its kernels for the CPU as well, and a run under the ones
 an AVX2-only host gets may print other hashes:
 
