@@ -60,7 +60,7 @@ from .pca import (
     select_components,
 )
 from .pipeline import RunArtifacts, run_pipeline
-from .profiles import ProfileRow, format_profile_table, profile
+from .profiles import format_profile_table, profile
 from .synth import SyntheticSpec, generate_synthetic
 
 __version__ = "0.1.0"
@@ -80,7 +80,6 @@ __all__ = [
     "PcaClusterError",
     "PcaModel",
     "PipelineConfig",
-    "ProfileRow",
     "RunArtifacts",
     "SyntheticSpec",
     "ValidationError",

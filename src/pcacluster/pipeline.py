@@ -24,7 +24,7 @@ from .errors import PcaClusterError, ValidationError
 from .hclust import Dendrogram, Partition, complete_linkage, cluster_variables, cut, euclidean_distances
 from .ingest import IndicatorTable, impute_means, load_table, standardize, write_table
 from .pca import PcaModel, coefficients, component_names, fit_pca, loadings, scores, select_components, write_variance_table
-from .profiles import format_profile_table, profile
+from .profiles import STATISTICS, format_profile_table, profile
 from .synth import generate_synthetic
 from .tables import (format_float, format_run, labeled_rows, open_rows, write_labeled_matrix,
                      write_rows)
@@ -222,17 +222,15 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
 
     final_partition = partitions["components" if "components" in partitions else "raw"]
     with _stage("profile"):
-        rows = profile(imputed, final_partition)
-        statistics = np.array([[r.average, r.standard_deviation, r.skewness, r.kurtosis,
-                                r.to_country_average_percent] for r in rows], dtype=float)
+        grid = profile(imputed, final_partition)
+        labels = imputed.indicator_labels
         write_labeled_matrix(
-            sink.path("profiles.csv"),
-            ["cluster", "indicator", "average", "standard_deviation", "skewness",
-             "kurtosis", "to_country_average_percent"],
-            zip(((str(r.cluster), r.indicator) for r in rows), statistics),  # None is NaN
+            sink.path("profiles.csv"), ["cluster", "indicator", *STATISTICS],
+            chain.from_iterable(labeled_rows(labels, block, str(cluster_id))
+                                for cluster_id, block in enumerate(grid, start=1)),
         )
-        for cluster_id in range(1, final_partition.k + 1):
-            header, *table_rows = format_profile_table(rows, cluster_id)
+        for cluster_id, block in enumerate(grid, start=1):
+            header, *table_rows = format_profile_table(block, labels)
             sink.rows(f"profiles/cluster_{cluster_id}.csv", header, table_rows)
 
     with _stage("plots"):

@@ -10,7 +10,7 @@ with m2, m3 the n-divisor central moments and s the n-1 sample standard
 deviation. G2 can reach -6 at n=4 (the plain moment estimator bottoms
 out at -2), which is what makes small-cluster excess kurtosis below -2
 representable at all. Statistics whose estimator minimum sample size or
-positive-variance requirement is not met are None and render as "n/a".
+positive-variance requirement is not met are NaN and render as "n/a".
 
 A cluster's moments are whole-block reductions: its rows are copied into
 one contiguous indicators x members block, and the means, sds, m2, m3 and
@@ -28,7 +28,7 @@ power, which calls libm's pow and is not dispatched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -38,23 +38,19 @@ from .ingest import IndicatorTable
 
 UNDEFINED = "n/a"
 
-
-@dataclass(frozen=True)
-class ProfileRow:
-    cluster: int
-    indicator: str
-    average: float
-    standard_deviation: float | None
-    skewness: float | None
-    kurtosis: float | None
-    to_country_average_percent: float | None
+# the last axis of profile's grid, and the header of profiles.csv after
+# the cluster and indicator columns
+STATISTICS = ("average", "standard_deviation", "skewness", "kurtosis",
+              "to_country_average_percent")
 
 
-def profile(table: IndicatorTable, part: Partition) -> list[ProfileRow]:
+def profile(table: IndicatorTable, part: Partition) -> np.ndarray:
     """Mean, sd, skewness, kurtosis, and %-to-grand-mean per (cluster, indicator).
 
-    Expects the imputed table in original units; grand means are
-    unweighted over all regions (each region counts once).
+    Returns a k x p x 5 grid, the last axis in STATISTICS order, NaN
+    where a statistic is undefined. Expects the imputed table in original
+    units; grand means are unweighted over all regions (each region
+    counts once).
     """
     if table.standardized:
         raise ValidationError("profile expects original (unstandardized) units")
@@ -65,19 +61,16 @@ def profile(table: IndicatorTable, part: Partition) -> list[ProfileRow]:
             f"partition covers {part.n_items} items, table has {table.n_regions} regions"
         )
     grand_means = table.values.mean(axis=0).tolist()
-    undefined = [None] * table.n_indicators
-    rows: list[ProfileRow] = []
-    for cluster_id in range(1, part.k + 1):
+    grid = np.full((part.k, table.n_indicators, len(STATISTICS)), np.nan)
+    for cluster_id, stats in enumerate(grid, start=1):
         idx = part.members(cluster_id)
         if not idx:
             raise ValidationError(f"empty cluster {cluster_id}")
         n = len(idx)
         block = np.ascontiguousarray(table.values[idx].T)
-        means = block.mean(axis=1)
-        sds = m2s = m3s = z4s = undefined
+        stats[:, 0] = means = block.mean(axis=1)
         if n >= 2:
-            sd = block.std(axis=1, ddof=1)
-            sds = sd.tolist()
+            stats[:, 1] = sd = block.std(axis=1, ddof=1)
         if n >= 3:
             centered = block - means[:, None]
             with np.errstate(over="ignore", invalid="ignore"):
@@ -90,49 +83,44 @@ def profile(table: IndicatorTable, part: Partition) -> list[ProfileRow]:
             z = centered / np.where(sd == 0.0, 1.0, sd)[:, None]
             z *= z
             z4s = (z * z).sum(axis=1).tolist()
-        for indicator, mean, grand, sd_j, m2, m3, z4 in zip(
-                table.indicator_labels, means.tolist(), grand_means, sds, m2s, m3s, z4s):
-            skewness = kurtosis = None
-            if m2 is not None and m2 != 0.0:
+        for j, (indicator, mean, grand) in enumerate(
+                zip(table.indicator_labels, means.tolist(), grand_means)):
+            if n >= 3 and m2s[j] != 0.0:
                 with np.errstate(over="ignore", invalid="ignore"):  # scalar pow, see above
-                    g1 = float(m3 / m2**1.5)
-                skewness = g1 * math.sqrt(n * (n - 1)) / (n - 2)
-            if z4 is not None and sd_j != 0.0:
-                kurtosis = n * (n + 1) / ((n - 1) * (n - 2) * (n - 3)) * z4 - 3 * (n - 1) ** 2 / (
-                    (n - 2) * (n - 3))
-            percent = (mean / grand - 1.0) * 100.0 if grand != 0.0 else None
-            # the cubed deviations, or a near-zero grand mean, can overflow
-            for name, value in (("skewness", skewness), ("to_country_average_percent", percent)):
-                if value is not None and not math.isfinite(value):
-                    raise NumericalError(f"cluster {cluster_id}, indicator {indicator!r}: "
-                                         f"{name} overflows float64")
-            rows.append(ProfileRow(cluster_id, indicator, mean, sd_j, skewness, kurtosis, percent))
-    return rows
+                    g1 = float(m3s[j] / m2s[j]**1.5)
+                stats[j, 2] = _finite(g1 * math.sqrt(n * (n - 1)) / (n - 2),
+                                      cluster_id, indicator, "skewness")
+            if n >= 4 and sd[j] != 0.0:
+                stats[j, 3] = n * (n + 1) / ((n - 1) * (n - 2) * (n - 3)) * z4s[j] - 3 * (
+                    n - 1) ** 2 / ((n - 2) * (n - 3))
+            if grand != 0.0:
+                stats[j, 4] = _finite((mean / grand - 1.0) * 100.0,
+                                      cluster_id, indicator, "to_country_average_percent")
+    return grid
 
 
-def _stat_cell(value: float | None) -> str:
-    return UNDEFINED if value is None else f"{value:.2f}"
+def _finite(value: float, cluster_id: int, indicator: str, name: str) -> float:
+    # the cubed deviations, or a near-zero grand mean, can overflow
+    if not math.isfinite(value):
+        raise NumericalError(f"cluster {cluster_id}, indicator {indicator!r}: "
+                             f"{name} overflows float64")
+    return value
 
 
-def _percent_cell(value: float | None) -> str:
-    if value is None:
+# one format spec per STATISTICS entry; "%" is a whole percent
+_SPECS = (".7g", ".7g", ".2f", ".2f", "%")
+
+
+def _cell(value: float, spec: str) -> str:
+    if math.isnan(value):
         return UNDEFINED
-    return f"{round(value)}%"
+    return f"{round(value)}%" if spec == "%" else format(value, spec)
 
 
-def format_profile_table(rows: list[ProfileRow], cluster_id: int) -> list[list[str]]:
-    """One cluster's rows as rows of text cells in the report column layout, header first."""
+def format_profile_table(block: np.ndarray, indicator_labels: Sequence[str]) -> list[list[str]]:
+    """One cluster's p x 5 block of profile's grid as rows of text cells
+    in the report column layout, header first."""
     header = ["Indicator", "Average", "Standard deviation", "Skewness", "kurtosis",
               "To country average, %"]
-    return [header, *(
-        [
-            row.indicator,
-            f"{row.average:.7g}",
-            UNDEFINED if row.standard_deviation is None else f"{row.standard_deviation:.7g}",
-            _stat_cell(row.skewness),
-            _stat_cell(row.kurtosis),
-            _percent_cell(row.to_country_average_percent),
-        ]
-        for row in rows
-        if row.cluster == cluster_id
-    )]
+    return [header, *([label, *map(_cell, values, _SPECS)]
+                      for label, values in zip(indicator_labels, block.tolist()))]

@@ -15,8 +15,9 @@ rules make the bytes:
   format_float's rule per cell (``repr`` of a Python float: the shortest
   decimal that round-trips to the same float64, never more than 17
   significant digits), then one ``join``. No repr holds a quote, a line
-  break or ',', so a run is never quoted and is written as it is. A
-  missing value (NaN) is an empty cell, as load_table reads it.
+  break or ',', so a run is never quoted and is written as it is. NaN,
+  a missing value or an undefined profile statistic, is an empty cell,
+  as load_table reads it.
 
 Files produced from the same values are therefore byte-identical across
 runs.

@@ -24,7 +24,6 @@ import numpy as np
 from pcacluster.errors import NumericalError
 from pcacluster.hclust import DistanceMatrix
 from pcacluster.ingest import IndicatorTable, standardize
-from pcacluster.profiles import ProfileRow
 
 REF_EIGENVALUES = [
     5.832579887, 3.232571219, 2.300940659, 1.644107304, 1.273934146,
@@ -169,31 +168,28 @@ def _oracle_excess_kurtosis(values: np.ndarray) -> float | None:
     )
 
 
-def oracle_profile(table: IndicatorTable, part) -> list[ProfileRow]:
-    """profile's rows computed one 1-D column at a time (no input checks)."""
+def oracle_profile(table: IndicatorTable, part) -> np.ndarray:
+    """profile's k x p x 5 grid computed one 1-D column at a time (no input
+    checks), NaN where a statistic is undefined."""
     grand_means = table.values.mean(axis=0)
-    rows = []
+    grid = np.full((part.k, table.n_indicators, 5), np.nan)
     for cluster_id in range(1, part.k + 1):
         block = table.values[part.members(cluster_id), :]
         for j, indicator in enumerate(table.indicator_labels):
             column = block[:, j]
             mean = float(column.mean())
             grand = float(grand_means[j])
-            row = ProfileRow(
-                cluster=cluster_id,
-                indicator=indicator,
-                average=mean,
-                standard_deviation=_oracle_sd(column),
-                skewness=_oracle_skewness(column),
-                kurtosis=_oracle_excess_kurtosis(column),
-                to_country_average_percent=(
-                    (mean / grand - 1.0) * 100.0 if grand != 0.0 else None
-                ),
-            )
+            stats = {
+                "average": mean,
+                "standard_deviation": _oracle_sd(column),
+                "skewness": _oracle_skewness(column),
+                "kurtosis": _oracle_excess_kurtosis(column),
+                "to_country_average_percent": (mean / grand - 1.0) * 100.0 if grand != 0.0 else None,
+            }
             for name in ("skewness", "to_country_average_percent"):
-                value = getattr(row, name)
+                value = stats[name]
                 if value is not None and not math.isfinite(value):
                     raise NumericalError(f"cluster {cluster_id}, indicator {indicator!r}: "
                                          f"{name} overflows float64")
-            rows.append(row)
-    return rows
+            grid[cluster_id - 1, j] = [math.nan if v is None else v for v in stats.values()]
+    return grid

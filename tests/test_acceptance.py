@@ -28,7 +28,7 @@ from pcacluster.pca import (
     select_components,
 )
 from pcacluster.pipeline import run_pipeline
-from pcacluster.profiles import profile
+from pcacluster.profiles import STATISTICS, profile
 from pcacluster.synth import SyntheticSpec
 
 from helpers import (
@@ -164,9 +164,9 @@ def test_07_cluster_structure_preserved(tmp_path):
 def test_08_kurtosis_estimator_witness():
     with reported("08 profile of [0,0,1,1]: excess kurtosis -6, skewness 0"):
         table = make_table(np.array([0.0, 0.0, 1.0, 1.0]).reshape(-1, 1))
-        row = profile(table, Partition((1, 1, 1, 1), k=1))[0]
-        assert abs(row.kurtosis - (-6.0)) < 1e-9
-        assert abs(row.skewness - 0.0) < 1e-9
+        stats = dict(zip(STATISTICS, profile(table, Partition((1, 1, 1, 1), k=1))[0, 0]))
+        assert abs(stats["kurtosis"] - (-6.0)) < 1e-9
+        assert abs(stats["skewness"] - 0.0) < 1e-9
 
 
 def test_09_profile_consistency():
@@ -179,14 +179,13 @@ def test_09_profile_consistency():
         for c in range(1, 5):
             assignment[c - 1] = c
         part = Partition(tuple(assignment), k=4)
-        rows = profile(table, part)
+        stats = profile(table, part)
+        averages = stats[:, :, STATISTICS.index("average")]
+        sizes = [len(part.members(c)) for c in range(1, 5)]
         for j in range(5):
-            indicator_rows = [r for r in rows if r.indicator == f"V{j + 1}"]
-            total = sum(r.average * len(part.members(r.cluster)) for r in indicator_rows)
+            total = sum(averages[c, j] * sizes[c] for c in range(4))
             assert abs(total - 48 * grid[:, j].mean()) < 1e-9 * max(1.0, abs(grid[:, j].mean()) * 48)
-        for r in rows:
-            if r.indicator == "V3":
-                assert r.to_country_average_percent == 0.0
+        assert (stats[:, 2, STATISTICS.index("to_country_average_percent")] == 0.0).all()
 
 
 def test_10_ari_suite():

@@ -207,6 +207,14 @@ class TestConfigParsing:
             assert artifacts.output_dir == tmp_path / str(i) / "out"
             assert artifacts.manifest_path.is_file()
 
+    def test_readme_library_example_runs(self, tmp_path, monkeypatch, capsys):
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert len(blocks) == 1
+        (tmp_path / "regions.csv").write_bytes(SAMPLE.read_bytes())
+        monkeypatch.chdir(tmp_path)
+        exec(compile(blocks[0], str(README), "exec"), {})
+        assert -1.0 <= float(capsys.readouterr().out) <= 1.0
+
     def test_component_labels_split_on_bars(self, tmp_path):
         conf = write_conf(tmp_path, "synthetic = true\ncomponent_labels = a | b\noutput_dir = out\n")
         assert load_pipeline_config(conf).component_labels == ("a", "b")
@@ -549,6 +557,16 @@ class TestBoundaries:
         assert final.k == 12
         text = (artifacts.output_dir / "profiles/cluster_1.csv").read_text()
         assert ",n/a," in text  # singleton clusters: undefined spread stats
+
+    def test_zero_grand_mean_and_constant_clusters(self, tmp_path):
+        # column a has grand mean 0.0 and is constant within each cluster:
+        # no percent, and no skewness or kurtosis of a zero spread
+        cells = [[a, b] for a in ("3", "-3") for b in ("1", "2", "1.5", "2.5")]
+        (tmp_path / "t.csv").write_text(csv_text(cells), encoding="utf-8")
+        conf = write_conf(tmp_path, "input = t.csv\nk_regions = 2\nk_vars = 1\noutput_dir = out\n")
+        out = run_pipeline(load_pipeline_config(conf)).output_dir
+        assert (out / "profiles.csv").read_text().splitlines()[1] == "1,a,3.0,0.0,,,"
+        assert (out / "profiles/cluster_1.csv").read_text().splitlines()[1] == "a,3,0,n/a,n/a,n/a"
 
     def test_k_regions_above_n_fails_in_cluster_stage(self, tmp_path):
         conf = write_conf(

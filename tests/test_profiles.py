@@ -12,24 +12,34 @@ from pcacluster.hclust import Partition
 from pcacluster.config import load_pipeline_config
 from pcacluster.ingest import standardize
 from pcacluster.pipeline import run_pipeline
-from pcacluster.profiles import format_profile_table, profile
+from pcacluster.profiles import STATISTICS, format_profile_table, profile
 
 from helpers import make_table, oracle_profile
 
 
-def one_indicator_profile(values, assignment):
+AVERAGE, SD, SKEWNESS, KURTOSIS, PERCENT = (
+    STATISTICS.index(name) for name in (
+        "average", "standard_deviation", "skewness", "kurtosis", "to_country_average_percent"))
+
+
+def one_indicator_grid(values, assignment):
+    """profile's k x 1 x 5 grid of a one-indicator table labeled V1."""
     table = make_table(np.asarray(values, dtype=float).reshape(-1, 1))
     part = Partition(assignment=tuple(assignment), k=max(assignment))
     return profile(table, part)
 
 
+def one_indicator_profile(values, assignment):
+    """The k x 5 statistics of a one-indicator table, one row per cluster."""
+    return one_indicator_grid(values, assignment)[:, 0, :]
+
+
 class TestEstimators:
     def test_bimodal_four_sample(self):
-        rows = one_indicator_profile([0, 0, 1, 1], [1, 1, 1, 1])
-        row = rows[0]
-        assert abs(row.standard_deviation - math.sqrt(1 / 3)) < 1e-9
-        assert abs(row.skewness - 0.0) < 1e-9
-        assert abs(row.kurtosis - (-6.0)) < 1e-9
+        row = one_indicator_profile([0, 0, 1, 1], [1, 1, 1, 1])[0]
+        assert abs(row[SD] - math.sqrt(1 / 3)) < 1e-9
+        assert abs(row[SKEWNESS] - 0.0) < 1e-9
+        assert abs(row[KURTOSIS] - (-6.0)) < 1e-9
 
     def test_adjusted_estimator_escapes_biased_floor(self):
         # plain moment estimator: m4/m2^2 - 3, bounded below by -2
@@ -37,12 +47,11 @@ class TestEstimators:
         centered = values - values.mean()
         biased = (centered**4).mean() / (centered**2).mean() ** 2 - 3.0
         assert biased == -2.0
-        kurtosis = one_indicator_profile(values, [1, 1, 1, 1])[0].kurtosis
+        kurtosis = one_indicator_profile(values, [1, 1, 1, 1])[0, KURTOSIS]
         assert kurtosis == pytest.approx(-6.0, abs=1e-12)
 
     def test_symmetric_sample_has_zero_skewness(self):
-        rows = one_indicator_profile([1, 2, 3, 4], [1, 1, 1, 1])
-        assert abs(rows[0].skewness) < 1e-12
+        assert abs(one_indicator_profile([1, 2, 3, 4], [1, 1, 1, 1])[0, SKEWNESS]) < 1e-12
 
     def test_against_closed_form_normal_like(self):
         # independent check on a hand-computable sample
@@ -51,35 +60,40 @@ class TestEstimators:
         m2 = ((values - values.mean()) ** 2).mean()
         m3 = ((values - values.mean()) ** 3).mean()
         expected = (m3 / m2**1.5) * math.sqrt(n * (n - 1)) / (n - 2)
-        skewness = one_indicator_profile(values, [1, 1, 1])[0].skewness
+        skewness = one_indicator_profile(values, [1, 1, 1])[0, SKEWNESS]
         assert skewness == pytest.approx(expected, rel=1e-12)
 
     def test_minimum_sizes(self):
-        assert one_indicator_profile([1.0, 2.0], [1, 1])[0].skewness is None
-        assert one_indicator_profile([1.0, 2.0, 3.0], [1, 1, 1])[0].kurtosis is None
+        assert math.isnan(one_indicator_profile([1.0, 2.0], [1, 1])[0, SKEWNESS])
+        assert math.isnan(one_indicator_profile([1.0, 2.0, 3.0], [1, 1, 1])[0, KURTOSIS])
 
     def test_zero_variance_undefined(self):
-        assert one_indicator_profile([2.0, 2.0, 2.0], [1, 1, 1])[0].skewness is None
-        assert one_indicator_profile([2.0, 2.0, 2.0, 2.0], [1, 1, 1, 1])[0].kurtosis is None
+        assert math.isnan(one_indicator_profile([2.0, 2.0, 2.0], [1, 1, 1])[0, SKEWNESS])
+        assert math.isnan(one_indicator_profile([2.0] * 4, [1, 1, 1, 1])[0, KURTOSIS])
 
 
 class TestProfile:
+    def test_grid_shape_and_axis_order(self):
+        grid = profile(make_table(np.arange(12.0).reshape(4, 3)), Partition((1, 2, 1, 2), k=2))
+        assert grid.shape == (2, 3, len(STATISTICS)) and grid.dtype == np.float64
+        assert STATISTICS == ("average", "standard_deviation", "skewness", "kurtosis",
+                              "to_country_average_percent")
+        assert grid[1, 2, AVERAGE] == 8.0  # cluster 2 holds rows 2 and 4 of column 3
+
     def test_percent_zero_when_cluster_mean_is_grand_mean(self):
         rows = one_indicator_profile([5.0, 5.0, 5.0, 5.0], [1, 1, 2, 2])
-        assert rows[0].to_country_average_percent == 0.0
-        assert rows[1].to_country_average_percent == 0.0
+        assert rows[0, PERCENT] == 0.0
+        assert rows[1, PERCENT] == 0.0
 
     def test_percent_sign(self):
         rows = one_indicator_profile([10.0, 10.0, 30.0, 30.0], [1, 1, 2, 2])
-        assert rows[0].to_country_average_percent == pytest.approx(-50.0)
-        assert rows[1].to_country_average_percent == pytest.approx(50.0)
+        assert rows[0, PERCENT] == pytest.approx(-50.0)
+        assert rows[1, PERCENT] == pytest.approx(50.0)
 
     def test_singleton_cluster_has_undefined_spread(self):
         rows = one_indicator_profile([1.0, 2.0, 3.0], [1, 2, 3])
-        for row in rows:
-            assert row.standard_deviation is None
-            assert row.skewness is None
-            assert row.kurtosis is None
+        assert np.isnan(rows[:, [SD, SKEWNESS, KURTOSIS]]).all()
+        assert not np.isnan(rows[:, [AVERAGE, PERCENT]]).any()
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(61)
@@ -88,13 +102,11 @@ class TestProfile:
         base = one_indicator_profile(values, assignment)
         scaled = one_indicator_profile(values * 7.5, assignment)
         for b, s in zip(base, scaled):
-            assert s.average == pytest.approx(7.5 * b.average, rel=1e-9)
-            assert s.standard_deviation == pytest.approx(7.5 * b.standard_deviation, rel=1e-9)
-            assert s.skewness == pytest.approx(b.skewness, abs=1e-9)
-            assert s.kurtosis == pytest.approx(b.kurtosis, abs=1e-9)
-            assert s.to_country_average_percent == pytest.approx(
-                b.to_country_average_percent, abs=1e-9
-            )
+            assert s[AVERAGE] == pytest.approx(7.5 * b[AVERAGE], rel=1e-9)
+            assert s[SD] == pytest.approx(7.5 * b[SD], rel=1e-9)
+            assert s[SKEWNESS] == pytest.approx(b[SKEWNESS], abs=1e-9)
+            assert s[KURTOSIS] == pytest.approx(b[KURTOSIS], abs=1e-9)
+            assert s[PERCENT] == pytest.approx(b[PERCENT], abs=1e-9)
 
     def test_translation_invariance_of_shape(self):
         rng = np.random.default_rng(67)
@@ -103,10 +115,10 @@ class TestProfile:
         base = one_indicator_profile(values, assignment)
         shifted = one_indicator_profile(values + 100.0, assignment)
         for b, s in zip(base, shifted):
-            assert s.average == pytest.approx(b.average + 100.0, rel=1e-9)
-            assert s.standard_deviation == pytest.approx(b.standard_deviation, rel=1e-6)
-            assert s.skewness == pytest.approx(b.skewness, abs=1e-6)
-            assert s.kurtosis == pytest.approx(b.kurtosis, abs=1e-6)
+            assert s[AVERAGE] == pytest.approx(b[AVERAGE] + 100.0, rel=1e-9)
+            assert s[SD] == pytest.approx(b[SD], rel=1e-6)
+            assert s[SKEWNESS] == pytest.approx(b[SKEWNESS], abs=1e-6)
+            assert s[KURTOSIS] == pytest.approx(b[KURTOSIS], abs=1e-6)
 
     def test_weighted_cluster_means_recover_grand_mean(self):
         rng = np.random.default_rng(71)
@@ -116,13 +128,10 @@ class TestProfile:
         for c in range(1, 5):  # force every cluster non-empty
             assignment[c] = c
         part = Partition(assignment=tuple(int(c) for c in assignment), k=4)
-        rows = profile(table, part)
+        averages = profile(table, part)[:, :, AVERAGE]
+        sizes = [len(part.members(c)) for c in range(1, 5)]
         for j in range(6):
-            total = sum(
-                r.average * len(part.members(r.cluster))
-                for r in rows
-                if r.indicator == f"V{j + 1}"
-            )
+            total = sum(averages[c, j] * sizes[c] for c in range(4))
             assert total / 40 == pytest.approx(grid[:, j].mean(), abs=1e-9)
 
     def test_rejects_standardized_table(self):
@@ -161,14 +170,13 @@ def oracle_cases(seed: int, count: int):
 
 
 def profile_outcome(compute, table, part):
-    """Each row's fields with floats as hex (so -0.0 differs from 0.0), or
-    the NumericalError message."""
+    """The grid's shape and every cell as float.hex (so -0.0 differs from
+    0.0, and NaN matches only NaN), or the NumericalError message."""
     try:
-        rows = compute(table, part)
+        grid = compute(table, part)
     except NumericalError as exc:
         return str(exc)
-    return [tuple(value.hex() if isinstance(value, float) else value
-                  for value in vars(row).values()) for row in rows]
+    return grid.shape, [value.hex() for value in grid.ravel().tolist()]
 
 
 class TestBitwiseOracle:
@@ -216,26 +224,27 @@ class TestFormatProfileTable:
               "To country average, %"]
 
     def test_header_and_shape(self):
-        rows = one_indicator_profile([10.0, 12.0, 30.0, 32.0], [1, 1, 2, 2])
-        table = format_profile_table(rows, 1)
+        grid = profile(make_table([[10.0, 1.0], [12.0, 2.0], [30.0, 3.0], [32.0, 4.0]]),
+                       Partition((1, 1, 2, 2), k=2))
+        table = format_profile_table(grid[0], ["first", "second"])
         assert table[0] == self.HEADER
-        assert [len(row) for row in table] == [6, 6]
+        assert [row[0] for row in table[1:]] == ["first", "second"]
+        assert [len(row) for row in table] == [6, 6, 6]
 
     def test_large_average_rendering(self):
-        rows = one_indicator_profile([562686.8] * 4 + [100.0] * 4, [1] * 4 + [2] * 4)
-        assert format_profile_table(rows, 1)[1][1] == "562686.8"
+        grid = one_indicator_grid([562686.8] * 4 + [100.0] * 4, [1] * 4 + [2] * 4)
+        assert format_profile_table(grid[0], ["V1"])[1][1] == "562686.8"
 
     def test_undefined_moments_render_na(self):
-        rows = one_indicator_profile([7.0, 7.0, 7.0, 7.0, 1.0], [1, 1, 1, 1, 2])
-        cells = format_profile_table(rows, 1)[1]
-        assert cells[3] == "n/a" and cells[4] == "n/a"
+        grid = one_indicator_grid([7.0, 7.0, 7.0, 7.0, 1.0], [1, 1, 1, 1, 2])
+        assert format_profile_table(grid[0], ["V1"])[1] == ["V1", "7", "0", "n/a", "n/a", "21%"]
 
     def test_percent_rendering_with_sign(self):
-        rows = one_indicator_profile(
+        grid = one_indicator_grid(
             [1.0, 1.0, 52.0, 52.0], [1, 1, 2, 2]
         )  # grand mean 26.5; cluster means 1 and 52
-        low = format_profile_table(rows, 1)[1][-1]
-        high = format_profile_table(rows, 2)[1][-1]
+        low = format_profile_table(grid[0], ["V1"])[1][-1]
+        high = format_profile_table(grid[1], ["V1"])[1][-1]
         assert low == "-96%"
         assert high == "96%"
 
@@ -251,7 +260,3 @@ class TestFormatProfileTable:
         parsed = list(csv.reader(io.StringIO(written_cluster_table.decode("utf-8"))))
         assert [len(row) for row in parsed] == [6, 6, 6]
         assert [row[0] for row in parsed[1:]] == list(QUOTED_LABELS)
-
-    def test_other_cluster_filtered_out(self):
-        rows = one_indicator_profile([1.0, 2.0, 3.0, 4.0], [1, 1, 2, 2])
-        assert format_profile_table(rows, 3) == [self.HEADER]

@@ -1,4 +1,4 @@
-"""Run fourteen pipeline configs from a source tree and print each manifest's SHA-256.
+"""Run fifteen pipeline configs from a source tree and print each manifest's SHA-256.
 
     python tools/manifests.py SRC_DIR OUT_DIR
 
@@ -80,6 +80,9 @@ CONFIGS = {
     # the sample with its 2nd indicator appended again by
     # write_collinear_table: a singular correlation matrix, the paper's premise
     "collinear": ["input = collinear.csv"],
+    # the sample with an indicator of grand mean exactly 0.0 appended by
+    # write_zero_mean_table: the n/a percent cells of the profiles
+    "zero-mean": ["input = zero_mean.csv"],
 }
 WORKLOADS = ("paper", "wide", "regions")
 
@@ -114,6 +117,16 @@ def write_collinear_table(src: Path, path: Path) -> None:
     write_csv(path, rows)
 
 
+def write_zero_mean_table(src: Path, path: Path) -> None:
+    """The sample with one more indicator: 1.5 in the first 42 regions,
+    -1.5 in the next 42, and 0 in the rest, so its grand mean is 0.0."""
+    rows = sample_rows(src)
+    rows[0].append("Balance, zero mean")
+    for i, row in enumerate(rows[1:]):
+        row.append("1.5" if i < 42 else "-1.5" if i < 84 else "0")
+    write_csv(path, rows)
+
+
 def write_configs(src: Path, out: Path) -> dict[str, Path]:
     configs = {}
     for name, lines in CONFIGS.items():
@@ -123,6 +136,8 @@ def write_configs(src: Path, out: Path) -> dict[str, Path]:
             write_quoted_labels_table(src, directory / "quoted.csv")
         elif name == "collinear":
             write_collinear_table(src, directory / "collinear.csv")
+        elif name == "zero-mean":
+            write_zero_mean_table(src, directory / "zero_mean.csv")
         text = "\n".join(lines + ["output_dir = out"]).format(sample=src / SAMPLE)
         configs[name] = directory / "pipeline.conf"
         configs[name].write_text(text + "\n", encoding="utf-8")
