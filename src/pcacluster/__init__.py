@@ -12,8 +12,14 @@ wall time within run-to-run noise; the artifacts' bytes are the same
 either way. To choose another count, set OPENBLAS_NUM_THREADS (or import
 numpy first). The environment is left as the caller set it, for this
 process and its children.
+
+Importing pcacluster loads numpy and this module only. An exported name,
+or a submodule such as pcacluster.svgplot, loads its home module on first
+use, so an error inside a submodule shows up at that first use, not at
+import.
 """
 
+import importlib
 import os
 import sys
 
@@ -26,84 +32,39 @@ if "numpy" not in sys.modules and not {
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .concordance import adjusted_rand_index, contingency, rand_index
-from .config import PipelineConfig, load_pipeline_config
-from .errors import NumericalError, PcaClusterError, ValidationError
-from .hclust import (
-    Dendrogram,
-    DistanceMatrix,
-    Merge,
-    Partition,
-    cluster_variables,
-    complete_linkage,
-    cut,
-    euclidean_distances,
-)
-from .ingest import (
-    IndicatorTable,
-    ParseOptions,
-    impute_means,
-    load_table,
-    standardize,
-    write_table,
-)
-from .linalg import EigenDecomposition, correlation_matrix, jacobi_eigen
-from .pca import (
-    CumulativeThreshold,
-    Fixed,
-    Kaiser,
-    PcaModel,
-    coefficients,
-    fit_pca,
-    loadings,
-    scores,
-    select_components,
-)
-from .pipeline import RunArtifacts, run_pipeline
-from .profiles import format_profile_table, profile
-from .synth import SyntheticSpec, generate_synthetic
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "CumulativeThreshold",
-    "Dendrogram",
-    "DistanceMatrix",
-    "EigenDecomposition",
-    "Fixed",
-    "IndicatorTable",
-    "Kaiser",
-    "Merge",
-    "NumericalError",
-    "ParseOptions",
-    "Partition",
-    "PcaClusterError",
-    "PcaModel",
-    "PipelineConfig",
-    "RunArtifacts",
-    "SyntheticSpec",
-    "ValidationError",
-    "adjusted_rand_index",
-    "cluster_variables",
-    "coefficients",
-    "complete_linkage",
-    "contingency",
-    "correlation_matrix",
-    "cut",
-    "euclidean_distances",
-    "fit_pca",
-    "format_profile_table",
-    "generate_synthetic",
-    "impute_means",
-    "jacobi_eigen",
-    "load_pipeline_config",
-    "load_table",
-    "loadings",
-    "profile",
-    "rand_index",
-    "run_pipeline",
-    "scores",
-    "select_components",
-    "standardize",
-    "write_table",
-]
+# home module -> the names it exports here
+_EXPORTS = {
+    "concordance": ("adjusted_rand_index", "contingency", "rand_index"),
+    "config": ("PipelineConfig", "load_pipeline_config"),
+    "errors": ("NumericalError", "PcaClusterError", "ValidationError"),
+    "hclust": ("Dendrogram", "DistanceMatrix", "Merge", "Partition", "cluster_variables",
+               "complete_linkage", "cut", "euclidean_distances"),
+    "ingest": ("IndicatorTable", "ParseOptions", "impute_means", "load_table", "standardize",
+               "write_table"),
+    "linalg": ("EigenDecomposition", "correlation_matrix", "jacobi_eigen"),
+    "pca": ("CumulativeThreshold", "Fixed", "Kaiser", "PcaModel", "coefficients", "fit_pca",
+            "loadings", "scores", "select_components"),
+    "pipeline": ("RunArtifacts", "run_pipeline"),
+    "profiles": ("format_profile_table", "profile"),
+    "synth": ("SyntheticSpec", "generate_synthetic"),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "cli", "svgplot", "tables"}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    # not bound here: a name reads its home module's binding on each access,
+    # so a function patched there is the one this package returns
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOMES:
+        return getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES, *_SUBMODULES})

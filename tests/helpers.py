@@ -13,17 +13,36 @@ leaf set).
 oracle_profile is the per-column profile that the whole-block one
 replaced: each (cluster, indicator) cell computes its own moments from a
 1-D column. profile must match it bit for bit.
+
+manifest_config_digests runs the configs of tools/manifests.py in-process
+and digests the artifacts whose bytes must not depend on the BLAS kernel.
 """
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
+from pcacluster.config import load_pipeline_config
 from pcacluster.errors import NumericalError
 from pcacluster.hclust import DistanceMatrix
 from pcacluster.ingest import IndicatorTable, standardize
+from pcacluster.pipeline import run_pipeline
+
+MANIFESTS_TOOL = Path(__file__).resolve().parents[1] / "tools" / "manifests.py"
+
+# the CSVs that carry the correlation matrix, the eigenvectors or the
+# scores, whose last digits may differ under another OpenBLAS kernel
+KERNEL_DEPENDENT_CSVS = frozenset({
+    "variance_table.csv", "coefficients.csv", "loadings.csv", "scores.csv",
+    "dendrogram_components.csv", "dendrogram_variables.csv", "plots/scree.csv",
+    "plots/loadings.csv", "plots/biplot.csv", "plots/dendrograms.csv",
+})
 
 REF_EIGENVALUES = [
     5.832579887, 3.232571219, 2.300940659, 1.644107304, 1.273934146,
@@ -193,3 +212,24 @@ def oracle_profile(table: IndicatorTable, part) -> np.ndarray:
                                          f"{name} overflows float64")
             grid[cluster_id - 1, j] = [math.nan if v is None else v for v in stats.values()]
     return grid
+
+
+def manifest_config_digests(checkout: Path, out: Path) -> dict[str, str]:
+    """Write the configs of tools/manifests.py (CONFIGS, then the perfbench
+    workloads) into out, reading the sample of the checkout, and run each
+    in this process. Per config: the SHA-256 of its manifest's lines for
+    every artifact but the KERNEL_DEPENDENT_CSVS."""
+    spec = importlib.util.spec_from_file_location("manifests_tool", MANIFESTS_TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    path = list(sys.path)
+    try:
+        spec.loader.exec_module(tool)  # it puts perfbench/ on sys.path
+    finally:
+        sys.path[:] = path
+    digests = {}
+    for name, conf in tool.write_configs(checkout, out).items():
+        manifest = run_pipeline(load_pipeline_config(conf)).manifest_path.read_text(encoding="utf-8")
+        kept = [line for line in manifest.splitlines(keepends=True)
+                if line.rstrip("\n").split("  ", 1)[1] not in KERNEL_DEPENDENT_CSVS]
+        digests[name] = hashlib.sha256("".join(kept).encode("utf-8")).hexdigest()
+    return digests

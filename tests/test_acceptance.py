@@ -38,6 +38,7 @@ from helpers import (
     REF_VARIANCE_PERCENT,
     dendrogram_as_member_merges,
     make_table,
+    manifest_config_digests,
     model_from_spectrum,
     oracle_complete_linkage,
     random_standardized_table,
@@ -295,3 +296,34 @@ def test_12_pinned_artifact_bytes(tmp_path):
             changed = sorted(rel for rel in pinned.keys() | PINNED_ARTIFACTS[name].keys()
                              if pinned.get(rel) != PINNED_ARTIFACTS[name].get(rel))
             assert not changed, f"{name}: bytes changed in {changed}"
+
+
+# One SHA-256 per config of tools/manifests.py over its manifest's lines for
+# every artifact but the CSVs whose last digits follow the BLAS kernel
+# (helpers.KERNEL_DEPENDENT_CSVS), so these hold on any OpenBLAS kernel. A
+# change that alters bytes on purpose re-records them and names the files.
+CONFIG_DIGESTS = {
+    "sample": "02e437b601d94add93ab56278661327c0cd3b782d952d7c30a74681dcb425ee1",
+    "synthetic": "cf2d8c28acb711f0d68d32da72bf63cd990f5e5c6793c537a496b764b8e88098",
+    "raw": "d78ed7c78dad18ae66f19cec48c78c4e60b40ce6403ce59a850d5d94fcd6ba58",
+    "components": "9e01ff35971cd47202507cf4c0887339604ebb2804c65f7a2ba8f8d64442ac33",
+    "fixed1": "79d25c2eda43e6b26e222cc6cb1f1b7b97c3a79c89bb536b047b0d47284926f0",
+    "fixed2-labels": "8b6add427aa0262bee4836b5f8413b756fcabc9fe7a62a61edd6af27d427330f",
+    "cumulative70": "46d0c1bf6a8502872c5693f1f7af8e49a48b2b8f16859f1ddbe6ef07ba121ae4",
+    "synthetic-typed-keys": "26e3a9503502e56937957a22cab45ecb4fe4375c6ed75b29ad7782130e5851d4",
+    "quoted-labels": "d38d5994a49b9081b138c05e0aac269b2672516ceb80ed1373cb227939887f1c",
+    "tiny-clusters": "a22338fa3a406063c2780a16b2b0a9aa9a80a28fb107eafc530f9dc9372f05d3",
+    "collinear": "1d62a385706638598c5af5e3c930e86df750d37fd4217d6810fa0816574bd024",
+    "zero-mean": "622b235c4b49028e6443e532bc0e65bac892a49cd21db664fe98d36f009b951f",
+    "perfbench-paper": "f15778dcc0ecb1601f8530ac605f43b4b54f9dbfb6712dc802ba1e61bb589f2d",
+    "perfbench-wide": "80e6f0d4af7d6629cc67d9af12a3a421ff2a98f1418b1c1da78f5e1b0f279a39",
+    "perfbench-regions": "97490992f5208102a82144333a881307f018a5173dcdbbaf59ab5a01b42a37f6",
+}
+
+
+def test_13_every_manifest_config_keeps_its_bytes(tmp_path):
+    with reported("13 every manifest config keeps its kernel-independent bytes"):
+        digests = manifest_config_digests(SAMPLE.parents[3], tmp_path)
+        changed = sorted(name for name in digests.keys() | CONFIG_DIGESTS.keys()
+                         if digests.get(name) != CONFIG_DIGESTS.get(name))
+        assert not changed, f"bytes changed under {changed}"

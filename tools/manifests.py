@@ -40,6 +40,10 @@ On a BLAS built without DYNAMIC_ARCH the variable does nothing.
 The perfbench inputs (seed 7) are written by this checkout's
 `perfbench/workloads.py`, so both sides get the same bytes. Exits 1 if
 SRC_DIR has no `src/pcacluster` or if any run fails.
+
+The config table, CONFIGS, and its writer, write_configs, are also what
+the tier-1 test `test_13_every_manifest_config_keeps_its_bytes` runs in
+process, so the tool and the test cover the same fifteen configs.
 """
 
 from __future__ import annotations
