@@ -39,7 +39,7 @@ _EXPORTS = {
     "concordance": ("adjusted_rand_index", "contingency", "rand_index"),
     "config": ("PipelineConfig", "load_pipeline_config"),
     "errors": ("NumericalError", "PcaClusterError", "ValidationError"),
-    "hclust": ("Dendrogram", "DistanceMatrix", "Merge", "Partition", "cluster_variables",
+    "hclust": ("Dendrogram", "DistanceMatrix", "Partition", "cluster_variables",
                "complete_linkage", "cut", "euclidean_distances"),
     "ingest": ("IndicatorTable", "ParseOptions", "impute_means", "load_table", "standardize",
                "write_table"),

@@ -17,9 +17,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import __version__
-from .config import load_pipeline_config
 from .errors import NumericalError, ValidationError
-from .pipeline import run_pipeline
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,6 +45,11 @@ def main(argv: list[str] | None = None) -> int:
                             format="%(name)s: %(message)s")
     try:
         args = _build_parser().parse_args(argv)
+        # loaded once the arguments parse: --version and usage errors need
+        # neither the pipeline's submodules nor hashlib's OpenSSL
+        from .config import load_pipeline_config
+        from .pipeline import run_pipeline
+
         artifacts = run_pipeline(load_pipeline_config(args.config))
         print(f"wrote {len(artifacts.files)} artifacts to {artifacts.output_dir}")
         print(f"manifest: {artifacts.manifest_path}")

@@ -1,12 +1,14 @@
 """Agglomerative hierarchical clustering: complete linkage, Euclidean distance.
 
-Merge records use signed node ids: -(i+1) is leaf i, a positive id is
-the 1-based step that produced the cluster. Tie-breaks are fixed so
-dendrograms are deterministic: among pairs at the minimal distance, the
-pair whose combined leaf-index set is lexicographically smallest wins
-(lowest original leaf index, then second-lowest, and so on). Clusters
-are disjoint and each keeps the slot of its smallest leaf, so that pair
-is the smallest slot pair i < j: the distance matrix's first minimum.
+A dendrogram's merges are an (n-1) x 4 float64 array, a row per step, in
+the columns of SciPy's linkage matrix: left, right, height, size. Node
+ids are signed: -(i+1) is leaf i, a positive id the 1-based step that
+made the cluster. Tie-breaks are fixed so dendrograms are deterministic:
+among pairs at the minimal distance, the pair whose combined leaf-index
+set is lexicographically smallest wins (lowest original leaf index, then
+second-lowest, and so on). Clusters are disjoint and each keeps the slot
+of its smallest leaf, so that pair is the smallest slot pair i < j: the
+distance matrix's first minimum.
 
 Linkage follows the generic algorithm of Müllner 2011 ("Modern
 hierarchical, agglomerative clustering algorithms", arXiv:1109.2378), in
@@ -95,38 +97,34 @@ class DistanceMatrix:
         object.__setattr__(self, "labels", tuple(self.labels))
 
 
-@dataclass(frozen=True)
-class Merge:
-    left: int
-    right: int
-    height: float
-    size: int
-
-
 @dataclass(frozen=True, eq=False)
 class Dendrogram:
     """Full agglomeration history over the labeled leaves."""
 
-    merges: tuple[Merge, ...]
+    merges: np.ndarray  # (n-1) x 4, write-locked: left, right, height, size
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "merges", tuple(self.merges))
+        merges = np.array(self.merges, dtype=float)
+        merges.flags.writeable = False
+        object.__setattr__(self, "merges", merges)
         object.__setattr__(self, "labels", tuple(self.labels))
         n = len(self.labels)
-        if len(self.merges) != n - 1:
+        if merges.shape != (n - 1, 4):
             raise ValidationError(f"expected {n - 1} merges for {n} leaves")
-        seen: set[int] = set()
-        for step, merge in enumerate(self.merges, start=1):
-            for node in (merge.left, merge.right):
+        rows = merges.tolist()
+        seen: set[float] = set()
+        for step, (left, right, height, _) in enumerate(rows, start=1):
+            for node in (left, right):
+                name = int(node) if node.is_integer() else node
                 if node in seen:
-                    raise ValidationError(f"node {node} merged twice")
-                if node >= step or node == 0 or node < -n:
-                    raise ValidationError(f"node id {node} invalid at step {step}")
+                    raise ValidationError(f"node {name} merged twice")
+                if node % 1 or node >= step or node == 0 or node < -n:
+                    raise ValidationError(f"node id {name} invalid at step {step}")
                 seen.add(node)
-            if step > 1 and merge.height < self.merges[step - 2].height - _HEIGHT_SLACK:
+            if step > 1 and height < rows[step - 2][2] - _HEIGHT_SLACK:
                 raise ValidationError("merge heights must be non-decreasing")
-        if self.merges and self.merges[-1].size != n:
+        if rows and rows[-1][3] != n:
             raise ValidationError("final merge must contain every leaf")
 
     @property
@@ -137,15 +135,15 @@ class Dendrogram:
         """Left-to-right leaf indices as drawn, left child before right."""
         # an explicit stack, not recursion: duplicate rows chain merges
         # deeper than the recursion limit; with no merges the root is leaf 0
+        children = self.merges[:, :2].astype(int).tolist()
         order: list[int] = []
-        stack = [len(self.merges) or -1]
+        stack = [len(children) or -1]
         while stack:
             node = stack.pop()
             if node < 0:
                 order.append(-node - 1)
             else:
-                merge = self.merges[node - 1]
-                stack += [merge.right, merge.left]
+                stack += children[node - 1][::-1]  # right, then left
         return order
 
 
@@ -305,14 +303,14 @@ def complete_linkage(d: DistanceMatrix) -> Dendrogram:
         rescan(r)
     size = [1] * n
     node_id = [-(i + 1) for i in range(n)]
-    merges: list[Merge] = []
+    merges = []
     for step in range(1, n):
         # the first row holding the minimum, at its first column: the
         # distance matrix's row-major first minimum
         i = int(mind.argmin())
         j = int(nn[i])
         size[i] += size[j]
-        merges.append(Merge(node_id[i], node_id[j], float(mind[i]), size[i]))
+        merges.append((node_id[i], node_id[j], mind[i], size[i]))
         # slot i inherits the merged cluster via the complete-linkage
         # (maximum) distance update, in three parts: the rows k < i above
         # both, the rows i < k < j between them and the columns k > j
@@ -334,7 +332,7 @@ def complete_linkage(d: DistanceMatrix) -> Dendrogram:
         # stale; every other row's first argmin stands
         for r in ((nn == i) | (nn == j)).nonzero()[0].tolist():
             rescan(r)
-    return Dendrogram(merges=tuple(merges), labels=d.labels)
+    return Dendrogram(merges=np.reshape(merges, (n - 1, 4)), labels=d.labels)
 
 
 def cut(dend: Dendrogram, k: int) -> Partition:
@@ -344,8 +342,8 @@ def cut(dend: Dendrogram, k: int) -> Partition:
         raise ValidationError(f"cut level {k} outside [1, {n}]")
     # merge member lists small into large: O(n log n) on any dendrogram shape
     members = {-(i + 1): [i] for i in range(n)}
-    for step, merge in enumerate(dend.merges[: n - k], start=1):
-        small, large = sorted((members.pop(merge.left), members.pop(merge.right)), key=len)
+    for step, (left, right, _, _) in enumerate(dend.merges[: n - k].tolist(), start=1):
+        small, large = sorted((members.pop(left), members.pop(right)), key=len)
         large += small
         members[step] = large
     assignment = [0] * n

@@ -3,13 +3,16 @@
 Every run writes a fixed artifact set (a function of the configuration
 only) plus manifest.txt listing each file with its SHA-256 checksum.
 Identical configuration and input produce byte-identical artifacts, so
-manifests can be diffed across runs.
+manifests can be diffed across runs. A rerun into the same directory
+first deletes what the earlier manifest lists and still matches, so the
+directory holds the files its manifest names and whatever else was there.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -36,6 +39,13 @@ _MERGE_HEADER = ["step", "left", "right", "height", "size"]
 
 # text artifacts are buffered, and files hashed, this many bytes at a time
 _CHUNK = 1 << 16
+
+# every path a run writes under its output directory, manifest.txt aside
+_ARTIFACT_PATH = re.compile(
+    r"(synthetic_table|variance_table|coefficients|loadings|scores|profiles|partition_truth"
+    r"|(dendrogram|partition)_(raw|components|variables))\.csv|concordance\.txt"
+    r"|profiles/cluster_[1-9][0-9]*\.csv"
+    r"|plots/(scree|parallel_coordinates|heatmap|loadings|biplot|dendrograms)\.(csv|svg)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,17 +74,36 @@ class _Sink:
     def path(self, rel: str) -> Path:
         """Record rel and return its path, parent directories created.
 
-        The first call removes a manifest.txt left by an earlier run, so a
-        run that fails part-way leaves no manifest that disagrees with the
-        files, and a run that fails before its first artifact creates no
-        directory.
+        The first call clears what an earlier run left, so a run that fails
+        before its first artifact creates no directory and changes nothing.
         """
         if not self.written:
-            (self.out / "manifest.txt").unlink(missing_ok=True)
+            self._clear_earlier_run()
         self.written.append(rel)
         path = self.out / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         return path
+
+    def _clear_earlier_run(self) -> None:
+        """Remove an earlier run's manifest.txt, then each file it lists that
+        a run writes (_ARTIFACT_PATH) and that still has its listed SHA-256.
+
+        With the manifest gone first, a run or a cleanup that stops part-way
+        leaves no manifest that disagrees with the files. An edited
+        artifact, and a file that pcacluster does not write (or that lies
+        outside the directory), stay where they are.
+        """
+        manifest = self.out / "manifest.txt"
+        try:
+            listed = manifest.read_text(encoding="utf-8", errors="replace").splitlines()
+        except FileNotFoundError:
+            return
+        manifest.unlink()
+        for line in listed:
+            digest, _, rel = line.partition("  ")
+            path = self.out / rel
+            if _ARTIFACT_PATH.fullmatch(rel) and path.is_file() and _sha256(path) == digest:
+                path.unlink()
 
     def text(self, rel: str, lines: Iterable[str]) -> None:
         """Write lines, each ending in "\n", as they come."""
@@ -127,8 +156,8 @@ def _stage(name: str):
 
 
 def _merge_rows(dend: Dendrogram):
-    for step, m in enumerate(dend.merges, start=1):
-        yield [str(step), str(m.left), str(m.right), format_float(m.height), str(m.size)]
+    for step, (left, right, height, size) in enumerate(dend.merges.tolist(), start=1):
+        yield [str(step), str(int(left)), str(int(right)), format_float(height), str(int(size))]
 
 
 def _contingency_lines(counts: Counts, stats: dict[str, float]) -> Iterator[str]:

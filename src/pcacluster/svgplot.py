@@ -344,16 +344,17 @@ def _dendrogram_panel(dend: Dendrogram, title: str, x0: float, panel_w: float,
     slot = {leaf: pos for pos, leaf in enumerate(order)}
     gap = panel_w / max(n, 1)
     leaf_x = lambda leaf: x0 + (slot[leaf] + 0.5) * gap
-    max_h = max((m.height for m in dend.merges), default=1.0) or 1.0
+    merges = dend.merges.tolist()
+    max_h = max((height for _, _, height, _ in merges), default=1.0) or 1.0
     y_of = _scale(0.0, max_h * 1.05, bottom, top)
     yield _text(x0 + panel_w / 2, top - 12, title, 12)
     coords: dict[int, tuple[float, float]] = {}
     for leaf in range(n):
         coords[-(leaf + 1)] = (leaf_x(leaf), bottom)
-    for step, merge in enumerate(dend.merges, start=1):
-        lx, ly = coords[merge.left]
-        rx, ry = coords[merge.right]
-        h = y_of(merge.height)
+    for step, (left, right, height, _) in enumerate(merges, start=1):
+        lx, ly = coords[left]
+        rx, ry = coords[right]
+        h = y_of(height)
         yield _line(lx, ly, lx, h, "#333333")
         yield _line(rx, ry, rx, h, "#333333")
         yield _line(lx, h, rx, h, "#333333")

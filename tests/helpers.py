@@ -129,18 +129,18 @@ def oracle_complete_linkage(d: DistanceMatrix) -> list[tuple[frozenset, frozense
 
 
 def dendrogram_as_member_merges(dend) -> list[tuple[frozenset, frozenset, float]]:
-    """Convert merge records to (members, members, height) for oracle comparison."""
+    """Convert merge rows to (members, members, height) for oracle comparison."""
     members: list[frozenset[int]] = []
 
     def resolve(node: int) -> frozenset[int]:
         return frozenset([-node - 1]) if node < 0 else members[node - 1]
 
     out = []
-    for merge in dend.merges:
-        left = resolve(merge.left)
-        right = resolve(merge.right)
+    for left_id, right_id, height, _ in dend.merges.tolist():
+        left = resolve(int(left_id))
+        right = resolve(int(right_id))
         members.append(left | right)
-        out.append((left, right, merge.height))
+        out.append((left, right, height))
     return out
 
 

@@ -27,7 +27,7 @@ from pcacluster.pca import (
     scores,
     select_components,
 )
-from pcacluster.pipeline import run_pipeline
+from pcacluster.pipeline import _ARTIFACT_PATH, run_pipeline
 from pcacluster.profiles import STATISTICS, profile
 from pcacluster.synth import SyntheticSpec
 
@@ -327,3 +327,22 @@ def test_13_every_manifest_config_keeps_its_bytes(tmp_path):
         changed = sorted(name for name in digests.keys() | CONFIG_DIGESTS.keys()
                          if digests.get(name) != CONFIG_DIGESTS.get(name))
         assert not changed, f"bytes changed under {changed}"
+
+
+def test_14_a_rerun_of_every_manifest_config_keeps_its_bytes_and_files(tmp_path):
+    with reported("14 a rerun into the same directories keeps the bytes, and only its files"):
+        for run in ("first", "second"):
+            digests = manifest_config_digests(SAMPLE.parents[3], tmp_path)
+            changed = sorted(name for name in digests.keys() | CONFIG_DIGESTS.keys()
+                             if digests.get(name) != CONFIG_DIGESTS.get(name))
+            assert not changed, f"{run} run: bytes changed under {changed}"
+        manifests = sorted(tmp_path.glob("*/out/manifest.txt"))
+        assert len(manifests) == len(CONFIG_DIGESTS)
+        for manifest in manifests:
+            listed = {line.split("  ", 1)[1]
+                      for line in manifest.read_text(encoding="utf-8").splitlines()}
+            outside = sorted(rel for rel in listed if not _ARTIFACT_PATH.fullmatch(rel))
+            assert not outside, f"{manifest.parent}: {outside} not in _ARTIFACT_PATH"
+            on_disk = {path.relative_to(manifest.parent).as_posix()
+                       for path in manifest.parent.rglob("*") if path.is_file()}
+            assert on_disk == listed | {"manifest.txt"}, manifest.parent

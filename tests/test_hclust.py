@@ -14,7 +14,6 @@ from pcacluster.hclust import (
     MAX_POINTS,
     Dendrogram,
     DistanceMatrix,
-    Merge,
     Partition,
     cluster_variables,
     complete_linkage,
@@ -164,21 +163,17 @@ class TestEuclideanDistances:
 class TestCompleteLinkage:
     def test_line_points_merge_sequence(self):
         dend = complete_linkage(euclidean_distances(line_points([0, 1, 5, 6])))
-        assert dend.merges == (
-            Merge(left=-1, right=-2, height=1.0, size=2),
-            Merge(left=-3, right=-4, height=1.0, size=2),
-            Merge(left=1, right=2, height=6.0, size=4),
-        )
+        assert dend.merges.tolist() == [[-1, -2, 1.0, 2], [-3, -4, 1.0, 2], [1, 2, 6.0, 4]]
 
     def test_two_identical_points(self):
         dend = complete_linkage(euclidean_distances([[1.0], [1.0]]))
-        assert dend.merges == (Merge(left=-1, right=-2, height=0.0, size=2),)
+        assert dend.merges.tolist() == [[-1, -2, 0.0, 2]]
 
     def test_heights_non_decreasing(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             dend = complete_linkage(random_distance_matrix(rng))
-            heights = [m.height for m in dend.merges]
+            heights = dend.merges[:, 2].tolist()
             assert all(a <= b for a, b in zip(heights, heights[1:]))
 
     def test_matches_brute_force_oracle(self):
@@ -193,7 +188,7 @@ class TestCompleteLinkage:
         # equilateral situation: all three pairwise distances equal
         d = DistanceMatrix(n=3, condensed=np.array([1.0, 1.0, 1.0]), labels=("a", "b", "c"))
         dend = complete_linkage(d)
-        assert dend.merges[0] == Merge(left=-1, right=-2, height=1.0, size=2)
+        assert dend.merges[0].tolist() == [-1, -2, 1.0, 2]
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(29)
@@ -211,7 +206,7 @@ class TestCompleteLinkage:
     def test_single_leaf(self):
         d = DistanceMatrix(n=1, condensed=np.array([]), labels=("only",))
         dend = complete_linkage(d)
-        assert dend.merges == ()
+        assert dend.merges.shape == (0, 4)
         assert dend.leaf_order() == [0]
 
     def test_duplicate_rows_chain_in_leaf_order_quickly(self):
@@ -223,9 +218,9 @@ class TestCompleteLinkage:
         start = time.perf_counter()
         dend = complete_linkage(d)
         elapsed = time.perf_counter() - start
-        assert dend.merges[:295] == (Merge(-5, -6, 0.0, 2),) + tuple(
-            Merge(s - 1, -(s + 5), 0.0, s + 1) for s in range(2, 296)
-        )
+        assert dend.merges[:295].tolist() == [[-5, -6, 0.0, 2]] + [
+            [s - 1, -(s + 5), 0.0, s + 1] for s in range(2, 296)
+        ]
         assert elapsed < 1.0
 
     def test_duplicate_grid_points_match_oracle(self):
@@ -287,7 +282,7 @@ class TestCompleteLinkage:
         start = time.perf_counter()
         dend = complete_linkage(d)
         elapsed = time.perf_counter() - start
-        assert dend.merges[-1].size == 3000
+        assert dend.merges[-1, 3] == 3000
         assert elapsed < LARGE_LINKAGE_BUDGET_S
 
 
@@ -305,7 +300,7 @@ class TestScipyOracle:
 
     def test_heights_bit_equal(self, case):
         _, dend, z, _ = case
-        assert [m.height for m in dend.merges] == z[:, 2].tolist()
+        assert dend.merges[:, 2].tolist() == z[:, 2].tolist()
 
     def test_same_member_merges(self, case):
         d, dend, z, _ = case
@@ -380,9 +375,8 @@ class TestClusterVariables:
         other = rng.standard_normal(30)
         table = standardize(make_table(np.column_stack([base, 2 * base + 1, other])))
         dend = cluster_variables(table)
-        assert dend.merges[0].left == -1
-        assert dend.merges[0].right == -2
-        assert abs(dend.merges[0].height) < 1e-7
+        assert dend.merges[0, :2].tolist() == [-1, -2]
+        assert abs(dend.merges[0, 2]) < 1e-7
 
     def test_anticorrelated_distance_two_merges_last(self):
         rng = np.random.default_rng(41)
@@ -390,7 +384,7 @@ class TestClusterVariables:
         other = rng.standard_normal(40)
         table = standardize(make_table(np.column_stack([base, -base, other])))
         dend = cluster_variables(table)
-        assert abs(dend.merges[-1].height - 2.0) < 1e-7
+        assert abs(dend.merges[-1, 2] - 2.0) < 1e-7
 
     def test_four_group_cut_on_nineteen_indicators(self):
         table = random_standardized_table(43)
@@ -407,33 +401,47 @@ class TestClusterVariables:
         # verify via the first merge: its height equals sqrt(2(1-r)) of
         # the closest variable pair
         expected = np.sqrt(2 * (1 - np.max(corr[np.triu_indices(4, 1)])))
-        assert abs(dend_input.merges[0].height - expected) < 1e-12
+        assert abs(dend_input.merges[0, 2] - expected) < 1e-12
 
 
 class TestDendrogramType:
+    def test_merges_are_a_locked_copy_of_the_rows_given(self):
+        rows = np.array([[-1, -2, 1.0, 2], [1, -3, 2.0, 3]])
+        dend = Dendrogram(merges=rows, labels=("a", "b", "c"))
+        assert dend.merges.dtype == np.float64 and dend.merges.shape == (2, 4)
+        assert dend.merges is not rows and rows.flags.writeable
+        with pytest.raises(ValueError):
+            dend.merges[0, 2] = 0.0
+        assert Dendrogram(merges=np.empty((0, 4)), labels=("only",)).merges.shape == (0, 4)
+
     def test_rejects_reused_node(self):
         with pytest.raises(ValidationError, match="merged twice"):
-            Dendrogram(
-                merges=(
-                    Merge(-1, -2, 1.0, 2),
-                    Merge(-1, -3, 2.0, 3),
-                ),
-                labels=("a", "b", "c"),
-            )
+            Dendrogram(merges=[[-1, -2, 1.0, 2], [-1, -3, 2.0, 3]], labels=("a", "b", "c"))
 
     def test_rejects_decreasing_heights(self):
         with pytest.raises(ValidationError, match="non-decreasing"):
-            Dendrogram(
-                merges=(
-                    Merge(-1, -2, 2.0, 2),
-                    Merge(1, -3, 1.0, 3),
-                ),
-                labels=("a", "b", "c"),
-            )
+            Dendrogram(merges=[[-1, -2, 2.0, 2], [1, -3, 1.0, 3]], labels=("a", "b", "c"))
 
     def test_rejects_wrong_merge_count(self):
         with pytest.raises(ValidationError, match="expected 2 merges"):
-            Dendrogram(merges=(Merge(-1, -2, 1.0, 2),), labels=("a", "b", "c"))
+            Dendrogram(merges=[[-1, -2, 1.0, 2]], labels=("a", "b", "c"))
+
+    @pytest.mark.parametrize("merges, message", [
+        (((-1, -2), (2, -3)), "node id 2 invalid at step 2"),  # its own step
+        (((-1, -2), (-3, 3)), "node id 3 invalid at step 2"),  # a later step
+        (((-1, -2), (0, -3)), "node id 0 invalid at step 2"),  # no node
+        (((-4, -1), (1, -3)), "node id -4 invalid at step 1"),  # past the last leaf
+        (((-1, -2), (0.5, -3)), "node id 0.5 invalid at step 2"),  # not a whole number
+        (((-1, -2), (np.nan, -3)), "node id nan invalid at step 2"),
+    ], ids=["own-step", "later-step", "zero", "past-last-leaf", "fraction", "nan"])
+    def test_rejects_invalid_node_id(self, merges, message):
+        (a, b), (c, d) = merges
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Dendrogram(merges=[[a, b, 1.0, 2], [c, d, 2.0, 3]], labels=("a", "b", "c"))
+
+    def test_rejects_final_merge_missing_leaves(self):
+        with pytest.raises(ValidationError, match="^final merge must contain every leaf$"):
+            Dendrogram(merges=[[-1, -2, 1.0, 2], [1, -3, 2.0, 2]], labels=("a", "b", "c"))
 
     def test_leaf_order_groups_merged_leaves(self):
         dend = complete_linkage(euclidean_distances(line_points([0, 5, 1, 6])))
@@ -443,18 +451,16 @@ class TestDendrogramType:
         pos = {leaf: i for i, leaf in enumerate(order)}
         assert abs(pos[0] - pos[2]) == 1
 
-
     def test_leaf_order_of_a_deep_chain(self):
         # the shape duplicate rows build under the tie rule: each step
         # adds the next leaf to the cluster built so far
         n = 1500
-        merges = [Merge(-1, -2, 0.0, 2)] + [
-            Merge(step - 1, -(step + 1), 0.0, step + 1) for step in range(2, n)
-        ]
+        merges = [[-1, -2, 0.0, 2]] + [[step - 1, -(step + 1), 0.0, step + 1]
+                                        for step in range(2, n)]
         dend = Dendrogram(merges=merges, labels=tuple(str(i) for i in range(n)))
         assert dend.leaf_order() == list(range(n))
         flipped = Dendrogram(
-            merges=[Merge(m.right, m.left, m.height, m.size) for m in merges],
+            merges=[[right, left, height, size] for left, right, height, size in merges],
             labels=dend.labels,
         )
         assert flipped.leaf_order() == list(range(n - 1, 1, -1)) + [1, 0]

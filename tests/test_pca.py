@@ -234,9 +234,9 @@ class TestSingularCorrelation:
         eigenvalues = fit_pca(table).eigen.eigenvalues
         assert abs(eigenvalues[-1]) < 1e-12
         assert abs(eigenvalues.sum() - p) < 1e-9
-        first = cluster_variables(table).merges[0]
-        assert {first.left, first.right} == {-2, -p}
-        assert first.height < 1e-6
+        left, right, height, _ = cluster_variables(table).merges[0].tolist()
+        assert {left, right} == {-2, -p}
+        assert height < 1e-6
 
 
 class TestVarianceTableEmission:

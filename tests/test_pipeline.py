@@ -405,7 +405,7 @@ class TestNamespace:
 
     EXPORTED = (
         "CumulativeThreshold", "Dendrogram", "DistanceMatrix", "EigenDecomposition", "Fixed",
-        "IndicatorTable", "Kaiser", "Merge", "NumericalError", "ParseOptions", "Partition",
+        "IndicatorTable", "Kaiser", "NumericalError", "ParseOptions", "Partition",
         "PcaClusterError", "PcaModel", "PipelineConfig", "RunArtifacts", "SyntheticSpec",
         "ValidationError", "adjusted_rand_index", "cluster_variables", "coefficients",
         "complete_linkage", "contingency", "correlation_matrix", "cut", "euclidean_distances",
@@ -510,6 +510,66 @@ class TestFileInputRun:
         conf = write_conf(tmp_path, "input = nope.csv\noutput_dir = out\n")
         with pytest.raises(ValidationError, match="^load: "):
             run_pipeline(load_pipeline_config(conf))
+
+
+def files_under(directory: Path) -> set[str]:
+    return {path.relative_to(directory).as_posix() for path in directory.rglob("*")
+            if path.is_file()}
+
+
+def sha256_of(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestRerun:
+    """A rerun into one output directory deletes what the earlier manifest
+    lists, where the path is one a run writes and the checksum still holds."""
+
+    def first_run(self, tmp_path: Path) -> Path:
+        """The sample with the default config into tmp_path/out; returns out."""
+        conf = write_conf(tmp_path, f"input = {SAMPLE}\noutput_dir = out\n")
+        return run_pipeline(load_pipeline_config(conf)).output_dir
+
+    def raw_rerun(self, tmp_path: Path) -> pipeline.RunArtifacts:
+        """The sample clustered in the raw space only, k = 3, into tmp_path/out."""
+        conf = write_conf(tmp_path, f"input = {SAMPLE}\ncluster_space = raw\nk_regions = 3\n"
+                                    "output_dir = out\n", "raw.conf")
+        return run_pipeline(load_pipeline_config(conf))
+
+    def test_second_run_leaves_exactly_its_manifests_files(self, tmp_path):
+        out = self.first_run(tmp_path)
+        first_files = files_under(out)
+        artifacts = self.raw_rerun(tmp_path)
+        # concordance.txt, dendrogram_components.csv, partition_components.csv
+        # and profiles/cluster_4.csv belong to the first run only
+        assert {"concordance.txt", "profiles/cluster_4.csv"} <= first_files - set(artifacts.files)
+        assert files_under(out) == {*artifacts.files, "manifest.txt"}
+
+    def test_edited_and_unrelated_files_survive(self, tmp_path):
+        out = self.first_run(tmp_path)
+        with (out / "concordance.txt").open("a", encoding="utf-8") as handle:
+            handle.write("my note\n")
+        (out / "notes.txt").write_text("mine\n", encoding="utf-8")
+        (out / "plots" / "extra.svg").write_text("<svg/>\n", encoding="utf-8")
+        # a file that another tool's manifest names, listed with its checksum
+        with (out / "manifest.txt").open("a", encoding="utf-8") as handle:
+            handle.write(f"{sha256_of(out / 'notes.txt')}  notes.txt\n")
+        artifacts = self.raw_rerun(tmp_path)
+        assert files_under(out) == {*artifacts.files, "manifest.txt", "concordance.txt",
+                                    "notes.txt", "plots/extra.svg"}
+        assert (out / "concordance.txt").read_text(encoding="utf-8").endswith("my note\n")
+
+    def test_paths_outside_the_directory_are_never_deleted(self, tmp_path):
+        outside = tmp_path / "scores.csv"
+        outside.write_text("kept\n", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        digest = sha256_of(outside)
+        (out / "manifest.txt").write_text(
+            f"{digest}  ../scores.csv\n{digest}  {outside}\n{digest}  plots/../../scores.csv\n"
+            "not a manifest line\n", encoding="utf-8")
+        self.first_run(tmp_path)
+        assert outside.read_text(encoding="utf-8") == "kept\n"
 
 
 class TestStreamedArtifacts:
@@ -689,6 +749,21 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
 
+    @pytest.mark.parametrize("argv, code", [("--version", 0), ("run", 1)],
+                             ids=["version", "usage-error"])
+    def test_parses_before_loading_the_pipeline(self, argv, code):
+        # the child prints the modules its CLI call loaded
+        child = subprocess.run(
+            [sys.executable, "-c", "import atexit, sys\n"
+             "atexit.register(lambda: print(sorted(sys.modules), file=sys.stderr))\n"
+             "from pcacluster.cli import main\n"
+             f"sys.exit(main([{argv!r}]))"],
+            env=child_env({}), capture_output=True, text=True)
+        assert child.returncode == code
+        loaded = child.stderr.splitlines()[-1]
+        for module in ("pcacluster.pipeline", "pcacluster.config", "_hashlib"):
+            assert repr(module) not in loaded, module
+
     def test_run_success(self, tmp_path, capsys):
         conf = synth_conf(tmp_path)
         assert cli.main(["run", "--config", str(conf)]) == 0
@@ -746,7 +821,7 @@ class TestCli:
         def boom(config):
             raise NumericalError("pca: jacobi eigensolver did not converge")
 
-        monkeypatch.setattr(cli, "run_pipeline", boom)
+        monkeypatch.setattr(pipeline, "run_pipeline", boom)
         assert cli.main(["run", "--config", str(conf)]) == 2
         assert capsys.readouterr().err.startswith("error: pca:")
 
@@ -756,7 +831,7 @@ class TestCli:
         def exhausted(config):
             raise MemoryError("Unable to allocate 74.5 TiB for an array")
 
-        monkeypatch.setattr(cli, "run_pipeline", exhausted)
+        monkeypatch.setattr(pipeline, "run_pipeline", exhausted)
         assert cli.main(["run", "--config", str(conf)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: out of memory: Unable to allocate 74.5 TiB for an array"

@@ -5,7 +5,9 @@
 SRC_DIR is a checkout of this repository; its `src/` is what runs. Each
 config goes to OUT_DIR/<config>/pipeline.conf and is run there with
 `pcacluster run`. One `<config> <sha256 of manifest.txt>` line is printed
-per config, so comparing two checkouts is a `diff` of two outputs:
+per config. OUT_DIR may hold an earlier run of the tool: each config then
+reruns into its directory and prints the same line. Comparing two
+checkouts is a `diff` of two outputs:
 
     python tools/manifests.py ../parent m-parent > parent.txt
     python tools/manifests.py . m-change > change.txt
@@ -135,7 +137,7 @@ def write_configs(src: Path, out: Path) -> dict[str, Path]:
     configs = {}
     for name, lines in CONFIGS.items():
         directory = out / name
-        directory.mkdir(parents=True)
+        directory.mkdir(parents=True, exist_ok=True)
         if name == "quoted-labels":
             write_quoted_labels_table(src, directory / "quoted.csv")
         elif name == "collinear":
@@ -147,7 +149,7 @@ def write_configs(src: Path, out: Path) -> dict[str, Path]:
         configs[name].write_text(text + "\n", encoding="utf-8")
     for name in WORKLOADS:
         directory = out / f"perfbench-{name}"
-        directory.mkdir(parents=True)
+        directory.mkdir(parents=True, exist_ok=True)
         configs[f"perfbench-{name}"] = write_workload(name, SEED, directory)
     return configs
 
@@ -160,9 +162,6 @@ def main(argv: list[str]) -> int:
     if not (src / "src" / "pcacluster").is_dir():
         print(f"{src} is not a checkout: it has no src/pcacluster", file=sys.stderr)
         return 1
-    if out.exists() and any(out.iterdir()):
-        print(f"{out} is not empty", file=sys.stderr)
-        return 2
     env = dict(os.environ, PYTHONPATH=str(src / "src"))
     failed = False
     for name, conf in write_configs(src, out).items():
