@@ -6,6 +6,8 @@ as they come and no copy of the whole text is ever held. ``"".join(doc)``
 is the text when a caller needs it. Same inputs, same bytes. Text labels
 are emitted as plain <text> nodes so tests can assert on them without
 rasterizing. Colors come from a fixed palette indexed by cluster id.
+Elements repeated per region, cell or merge come from one %-template per
+figure, and label text never enters one.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ PALETTE = (
 )
 
 _FONT = 'font-family="Helvetica, Arial, sans-serif"'
+
+# a dendrogram merge's left leg, right leg and bar: three _line(x1, y1, x2, y2, "#333333")
+_MERGE = "\n".join(['<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+                    'stroke="#333333" stroke-width="1"/>'] * 3)
 
 # the n x p figures convert this many cells at a time, bounding their temporaries
 _BLOCK_CELLS = 4096
@@ -201,11 +207,10 @@ def parallel_coordinates_svg(
             yield _line(x_of(j), top, x_of(j), bottom, "#cccccc")
             yield _text(x_of(j), bottom + 12, label, 8, "end",
                         extra=f' transform="rotate(-55 {x_of(j):.2f} {bottom + 12:.2f})"')
-        xs = [f"{x_of(j):.2f}," for j in range(p)]
+        polyline = ('<polyline fill="none" stroke="%s" stroke-width="1" stroke-opacity="0.55" '
+                    'points="' + " ".join([f"{x_of(j):.2f},%.2f" for j in range(p)]) + '"/>')
         for i, ys in _by_row(z_values, row_order, y_of):
-            points = " ".join([f"{x}{y:.2f}" for x, y in zip(xs, ys)])
-            yield (f'<polyline fill="none" stroke="{cluster_color(assignment[i])}" '
-                   f'stroke-width="1" stroke-opacity="0.55" points="{points}"/>')
+            yield polyline % (cluster_color(assignment[i]), *ys)
         for cluster_id in sorted(set(assignment)):
             y = top + 14 * cluster_id
             yield _line(width - 120, y, width - 96, y, cluster_color(cluster_id), 3)
@@ -261,14 +266,14 @@ def heatmap_svg(
             x = left + (j + 0.5) * cell_w
             yield _text(x, top - 6, label, 8, "start",
                         extra=f' transform="rotate(-60 {x:.2f} {top - 6:.2f})"')
-        xs = [f'<rect x="{left + j * cell_w:.2f}" y="' for j in range(p)]
-        size = f'" width="{cell_w}" height="{cell_h}" fill="'
+        # a row of rects is these pieces with the row's y between them
+        rects = "\n".join([f'<rect x="{left + j * cell_w:.2f}" y="{{}}" width="{cell_w}" '
+                           f'height="{cell_h}" fill="%s"/>' for j in range(p)]).split("{}")
         rows = _by_row(z_values, row_order, lambda block: diverging_colors(block / HEATMAP_CLIP))
         for row, (i, colors) in enumerate(rows):
             y = top + row * cell_h
             yield _text(left - 5, y + cell_h * 0.75, region_labels[i], label_size, "end")
-            y_attr = f"{y:.2f}"
-            yield "\n".join([f'{x}{y_attr}{size}{color}"/>' for x, color in zip(xs, colors)])
+            yield f"{y:.2f}".join(rects) % tuple(colors)
 
     return Document(width, height, "Heatmap of standardized indicators", body)
 
@@ -319,9 +324,9 @@ def biplot_svg(
     def body() -> Iterator[str]:
         yield _line(left, cy, right, cy, "#999999")
         yield _line(cx, top, cx, bottom, "#999999")
-        for (x, y), cluster_id in zip(score_xy, score_clusters):
-            yield (f'<circle cx="{x_of(float(x)):.2f}" cy="{y_of(float(y)):.2f}" r="3" '
-                   f'fill="{cluster_color(cluster_id)}" fill-opacity="0.75"/>')
+        point = '<circle cx="%.2f" cy="%.2f" r="3" fill="%s" fill-opacity="0.75"/>'
+        for (x, y), cluster_id in zip(score_xy.tolist(), score_clusters):
+            yield point % (x_of(x), y_of(y), cluster_color(cluster_id))
         for (x, y), label in zip(arrow_xy, arrow_labels):
             tip_x, tip_y = x_of(float(x)), y_of(float(y))
             yield _line(cx, cy, tip_x, tip_y, "#333333", 1.2)
@@ -340,29 +345,23 @@ def biplot_svg(
 def _dendrogram_panel(dend: Dendrogram, title: str, x0: float, panel_w: float,
                       top: float, bottom: float) -> Iterator[str]:
     n = dend.n_leaves
-    order = dend.leaf_order()
-    slot = {leaf: pos for pos, leaf in enumerate(order)}
     gap = panel_w / max(n, 1)
-    leaf_x = lambda leaf: x0 + (slot[leaf] + 0.5) * gap
     merges = dend.merges.tolist()
     max_h = max((height for _, _, height, _ in merges), default=1.0) or 1.0
     y_of = _scale(0.0, max_h * 1.05, bottom, top)
     yield _text(x0 + panel_w / 2, top - 12, title, 12)
-    coords: dict[int, tuple[float, float]] = {}
-    for leaf in range(n):
-        coords[-(leaf + 1)] = (leaf_x(leaf), bottom)
+    # (x, y) of each node by its signed id: step s at s, leaf i at -(i + 1)
+    node = [(0.0, 0.0)] * (2 * n)
+    for slot, leaf in enumerate(dend.leaf_order()):
+        node[-(leaf + 1)] = (x0 + (slot + 0.5) * gap, bottom)
     for step, (left, right, height, _) in enumerate(merges, start=1):
-        lx, ly = coords[left]
-        rx, ry = coords[right]
+        (lx, ly), (rx, ry) = node[int(left)], node[int(right)]
         h = y_of(height)
-        yield _line(lx, ly, lx, h, "#333333")
-        yield _line(rx, ry, rx, h, "#333333")
-        yield _line(lx, h, rx, h, "#333333")
-        coords[step] = ((lx + rx) / 2.0, h)
+        yield _MERGE % (lx, ly, lx, h, rx, ry, rx, h, lx, h, rx, h)
+        node[step] = ((lx + rx) / 2.0, h)
     if n <= 40:
-        for leaf in range(n):
-            x = leaf_x(leaf)
-            yield _text(x, bottom + 10, dend.labels[leaf], 7, "end",
+        for label, (x, _) in zip(dend.labels, reversed(node[n:])):
+            yield _text(x, bottom + 10, label, 7, "end",
                         extra=f' transform="rotate(-60 {x:.2f} {bottom + 10:.2f})"')
 
 

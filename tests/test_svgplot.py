@@ -28,9 +28,10 @@ from pcacluster.svgplot import (
     scree_svg,
 )
 
-# both n x p figures at 3000 x 19 take 0.07-0.13 s on a 2-core host, and
-# 0.34-0.55 s when every cell goes through a Python colour or coordinate call;
-# the budget leaves about twice the measured time for host drift
+# both n x p figures at 3000 x 19 take 0.04-0.07 s on a 2-core Xeon (minimum
+# and median of 36 runs), and 0.34-0.55 s when every cell goes through a Python
+# colour or coordinate call; the budget leaves over three times the median for
+# host drift, which has reached 0.235 s with both cores busy
 RENDER_3000_BUDGET_S = 0.25
 
 
@@ -105,6 +106,65 @@ def oracle_parallel_coordinates_svg(z_values, indicator_labels, assignment, row_
     body.append(_text(18, (top + bottom) / 2, "z-score", 11,
                       extra=f' transform="rotate(-90 18 {(top + bottom) / 2:.2f})"'))
     return "".join(_document(width, height, body))
+
+
+def oracle_biplot_svg(score_xy, score_clusters, arrow_xy, arrow_labels, axis_names) -> str:
+    """biplot_svg as it was drawn with one f-string per score point."""
+    width, height = 720, 720
+    left, right, top, bottom = 70, 670, 60, 660
+    extent = max(float(np.abs(score_xy).max()), float(np.abs(arrow_xy).max()), 1e-9) * 1.1
+    x_of = _scale(-extent, extent, left, right)
+    y_of = _scale(-extent, extent, bottom, top)
+    cx, cy = x_of(0.0), y_of(0.0)
+    body = [_text(width / 2, 28, "Biplot", 16),
+            _line(left, cy, right, cy, "#999999"), _line(cx, top, cx, bottom, "#999999")]
+    for (x, y), cluster_id in zip(score_xy, score_clusters):
+        body.append(f'<circle cx="{x_of(float(x)):.2f}" cy="{y_of(float(y)):.2f}" r="3" '
+                    f'fill="{cluster_color(cluster_id)}" fill-opacity="0.75"/>')
+    for (x, y), label in zip(arrow_xy, arrow_labels):
+        tip_x, tip_y = x_of(float(x)), y_of(float(y))
+        body.append(_line(cx, cy, tip_x, tip_y, "#333333", 1.2))
+        angle = math.atan2(tip_y - cy, tip_x - cx)
+        for side in (angle + 2.6, angle - 2.6):
+            body.append(_line(tip_x, tip_y, tip_x + 7 * math.cos(side),
+                              tip_y + 7 * math.sin(side), "#333333", 1.2))
+        body.append(_text(tip_x + 6, tip_y - 5, label, 8, "start"))
+    body.append(_text((left + right) / 2, height - 14, axis_names[0], 11))
+    body.append(_text(20, (top + bottom) / 2, axis_names[1], 11,
+                      extra=f' transform="rotate(-90 20 {(top + bottom) / 2:.2f})"'))
+    return "".join(_document(width, height, body))
+
+
+def oracle_dendrograms_svg(panels) -> str:
+    """dendrograms_svg as it was drawn with three _line calls per merge, from
+    node coordinates kept in a dict by node id."""
+    panel_w = 520.0
+    width = int(40 + max(len(panels), 1) * (panel_w + 40))
+    top, bottom = 70, 430
+    body = [_text(width / 2, 28, "Hierarchical clustering", 16)]
+    for idx, (title, dend) in enumerate(panels):
+        x0 = 40 + idx * (panel_w + 40)
+        n = dend.n_leaves
+        slot = {leaf: pos for pos, leaf in enumerate(dend.leaf_order())}
+        gap = panel_w / max(n, 1)
+        coords = {-(leaf + 1): (x0 + (slot[leaf] + 0.5) * gap, bottom) for leaf in range(n)}
+        merges = dend.merges.tolist()
+        max_h = max((height for _, _, height, _ in merges), default=1.0) or 1.0
+        y_of = _scale(0.0, max_h * 1.05, bottom, top)
+        body.append(_text(x0 + panel_w / 2, top - 12, title, 12))
+        for step, (left, right, height, _) in enumerate(merges, start=1):
+            (lx, ly), (rx, ry) = coords[int(left)], coords[int(right)]
+            h = y_of(height)
+            body.append(_line(lx, ly, lx, h, "#333333"))
+            body.append(_line(rx, ry, rx, h, "#333333"))
+            body.append(_line(lx, h, rx, h, "#333333"))
+            coords[step] = ((lx + rx) / 2.0, h)
+        if n <= 40:
+            for leaf in range(n):
+                x = coords[-(leaf + 1)][0]
+                body.append(_text(x, bottom + 10, dend.labels[leaf], 7, "end",
+                                  extra=f' transform="rotate(-60 {x:.2f} {bottom + 10:.2f})"'))
+    return "".join(_document(width, 520, body))
 
 
 def seeded_grid(seed: int, n: int, p: int) -> np.ndarray:
@@ -237,6 +297,18 @@ class TestBiplot:
         drawn = math.atan2(y1 - y2, x2 - x1)  # svg y grows downward
         assert drawn == pytest.approx(math.atan2(0.163, 0.336), abs=1e-3)
 
+    @pytest.mark.parametrize("seed, n", [(101, 5), (103, 400)])
+    def test_bytes_match_per_point_oracle(self, seed, n):
+        rng = np.random.default_rng(seed)
+        scores = rng.standard_normal((n, 2)) * 3.0
+        scores[: n // 5] = 0.0  # points on the axes' crossing, as signed zeros too
+        scores[1, 0] = -0.0
+        clusters = [int(c) for c in rng.integers(1, 11, n)]
+        arrows = rng.standard_normal((4, 2))
+        labels = [f"V{j}" for j in range(4)]
+        assert "".join(biplot_svg(scores, clusters, arrows, labels, ("f1", "f2"))) == \
+            oracle_biplot_svg(scores, clusters, arrows, labels, ("f1", "f2"))
+
     def test_points_colored_by_cluster(self):
         scores = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         svg = "".join(biplot_svg(scores, [1, 2, 2], np.array([[0.5, 0.5]]), ["v"], ("f1", "f2")))
@@ -283,8 +355,69 @@ class TestDendrograms:
         # each merge draws three segments; 2 merges per panel, 2 panels
         assert svg.count('stroke="#333333"') == 12
 
+    @pytest.mark.parametrize("seed, sizes", [
+        (107, (12,)), (109, (40,)), (113, (41,)), (127, (150,)),
+        (131, (40, 41)), (137, (7, 90)),
+    ])
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_bytes_match_per_merge_oracle(self, seed, sizes, duplicates):
+        rng = np.random.default_rng(seed)
+        panels = []
+        for size in sizes:
+            points = rng.standard_normal((size, 3))
+            if duplicates:
+                # repeated rows merge at height 0, and so can whole clusters of them
+                points[size // 2:] = points[rng.integers(0, size // 2, size - size // 2)]
+            labels = tuple(f"R{i}" for i in range(size))
+            panels.append((f"panel {size}", complete_linkage(euclidean_distances(points, labels))))
+        if duplicates:
+            assert any((dend.merges[:, 2] == 0.0).any() for _, dend in panels)
+        assert "".join(dendrograms_svg(panels)) == oracle_dendrograms_svg(panels)
+
+    def test_bytes_match_per_merge_oracle_when_every_height_is_zero(self):
+        dend = complete_linkage(euclidean_distances(np.ones((6, 2))))
+        assert "".join(dendrograms_svg([("flat", dend)])) == oracle_dendrograms_svg([("flat", dend)])
+
     def test_leaf_labels_when_few(self):
         dend = complete_linkage(euclidean_distances([[0.0], [1.0], [5.0]]))
         svg = "".join(dendrograms_svg([("initial variables", dend)]))
         for label in dend.labels:
             assert f">{label}</text>" in svg
+
+
+class TestLabelsAreNeverFormatted:
+    # printf-style directives that a % template would consume or reject
+    REGIONS = ["R %", "R %s", "R %(x)s", "R %%", "R 100%"]
+    INDICATORS = ["Industrial producer price index, %", "%s share", "%(x)s", "%%", "%d%.2f"]
+    AXES = ("PC1 %s", "PC2 %(x)s")
+    TITLES = ("initial %%", "component %s")
+
+    def figures(self):
+        rng = np.random.default_rng(139)
+        z = rng.standard_normal((5, 5))
+        pair = rng.standard_normal((5, 2))
+        dend = complete_linkage(euclidean_distances(z, tuple(self.REGIONS)))
+        return {
+            "parallel": parallel_coordinates_svg(z, self.INDICATORS, [1, 2, 2, 3, 1], range(5)),
+            "heatmap": heatmap_svg(z, self.REGIONS, self.INDICATORS, range(5)),
+            "loadings": loadings_svg(pair, self.INDICATORS, self.AXES),
+            "biplot": biplot_svg(pair, [1, 1, 2, 2, 3], pair, self.INDICATORS, self.AXES),
+            "dendrograms": dendrograms_svg([(self.TITLES[0], dend), (self.TITLES[1], dend)]),
+        }
+
+    def test_labels_come_out_literally(self):
+        expected = {
+            "parallel": self.INDICATORS,
+            "heatmap": self.REGIONS + self.INDICATORS,
+            "loadings": self.INDICATORS + list(self.AXES),
+            "biplot": self.INDICATORS + list(self.AXES),
+            "dendrograms": self.REGIONS + list(self.TITLES),
+        }
+        for name, figure in self.figures().items():
+            svg = "".join(figure)
+            assert_well_formed(svg)
+            texts = [node.firstChild.data
+                     for node in xml.dom.minidom.parseString(svg).getElementsByTagName("text")]
+            for label in expected[name]:
+                assert texts.count(label) == (2 if name == "dendrograms" and label in self.REGIONS
+                                              else 1), (name, label)
