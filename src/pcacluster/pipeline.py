@@ -24,7 +24,7 @@ import numpy as np
 from .concordance import Counts, adjusted_rand_index, contingency, rand_index
 from .config import PipelineConfig
 from .errors import PcaClusterError, ValidationError
-from .hclust import Dendrogram, Partition, complete_linkage, cluster_variables, cut, euclidean_distances
+from .hclust import Dendrogram, Partition, check_points, complete_linkage, cluster_variables, cut, euclidean_distances
 from .ingest import IndicatorTable, impute_means, load_table, standardize, write_table
 from .pca import PcaModel, coefficients, component_names, fit_pca, loadings, scores, select_components, write_variance_table
 from .profiles import STATISTICS, format_profile_table, profile
@@ -177,10 +177,18 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
     with _stage("load"):
         if config.synthetic is not None:
             raw_table, truth = generate_synthetic(config.synthetic)
-            write_table(raw_table, sink.path("synthetic_table.csv"))
-            sink.partition("partition_truth.csv", raw_table.region_labels, truth)
         else:
             raw_table = load_table(config.input_path, config.parse_options)
+        # checked before the first artifact: a config the table cannot take changes nothing
+        n, p = raw_table.n_regions, raw_table.n_indicators
+        check_points(n, "regions")
+        if config.k_regions > n:
+            raise ValidationError(f"k_regions={config.k_regions} exceeds region count {n}")
+        if config.k_vars > p:
+            raise ValidationError(f"k_vars={config.k_vars} exceeds indicator count {p}")
+        if truth is not None:
+            write_table(raw_table, sink.path("synthetic_table.csv"))
+            sink.partition("partition_truth.csv", raw_table.region_labels, truth)
 
     with _stage("impute"):
         imputed = impute_means(raw_table)
@@ -210,10 +218,6 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
     dendrograms: dict[str, Dendrogram] = {}
     partitions: dict[str, Partition] = {}
     with _stage("cluster-regions"):
-        if config.k_regions > table.n_regions:
-            raise ValidationError(
-                f"k_regions={config.k_regions} exceeds region count {table.n_regions}"
-            )
         for space in ("raw", "components"):
             if config.cluster_space not in (space, "both"):
                 continue
@@ -225,10 +229,6 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             sink.partition(f"partition_{space}.csv", table.region_labels, partitions[space])
 
     with _stage("cluster-variables"):
-        if config.k_vars > table.n_indicators:
-            raise ValidationError(
-                f"k_vars={config.k_vars} exceeds indicator count {table.n_indicators}"
-            )
         var_dend = cluster_variables(table)
         partitions["variables"] = cut(var_dend, config.k_vars)
         sink.rows("dendrogram_variables.csv", _MERGE_HEADER, _merge_rows(var_dend))

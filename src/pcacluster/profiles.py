@@ -64,8 +64,6 @@ def profile(table: IndicatorTable, part: Partition) -> np.ndarray:
     grid = np.full((part.k, table.n_indicators, len(STATISTICS)), np.nan)
     for cluster_id, stats in enumerate(grid, start=1):
         idx = part.members(cluster_id)
-        if not idx:
-            raise ValidationError(f"empty cluster {cluster_id}")
         n = len(idx)
         block = np.ascontiguousarray(table.values[idx].T)
         stats[:, 0] = means = block.mean(axis=1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .hclust import Partition, check_points
 from .ingest import IndicatorTable
 
@@ -82,14 +82,21 @@ def _centers(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[IndicatorTable, Partition]:
-    """Deterministic (table, truth-partition) pair for a planted mixture."""
+    """Deterministic (table, truth-partition) pair for a planted mixture.
+
+    Raises NumericalError when a drawn value overflows float64.
+    """
     rng = np.random.default_rng(spec.seed)
     centers = _centers(spec, rng)
     sizes = spec.cluster_sizes()
     assignment = [c + 1 for c, size in enumerate(sizes) for _ in range(size)]
     truth = Partition(assignment=tuple(assignment), k=spec.clusters)
-    noise = rng.standard_normal((spec.n, spec.p)) * spec.within_sd
-    values = centers[np.asarray(assignment) - 1] + noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise = rng.standard_normal((spec.n, spec.p)) * spec.within_sd
+        values = centers[np.asarray(assignment) - 1] + noise
+    if not np.isfinite(values).all():
+        raise NumericalError(f"the synthetic draw overflows float64 at separation={spec.separation:g}, "
+                             f"within_sd={spec.within_sd:g}")
     region_width = len(str(spec.n))
     indicator_width = len(str(spec.p))
     table = IndicatorTable(

@@ -445,11 +445,14 @@ class TestFileInputRun:
     def test_failed_rerun_leaves_no_stale_manifest(self, tmp_path):
         conf = write_conf(tmp_path, f"input = {SAMPLE}\noutput_dir = out\n")
         assert run_pipeline(load_pipeline_config(conf)).manifest_path.exists()
-        rerun = write_conf(tmp_path, f"input = {SAMPLE}\ncomponents = fixed:2\nk_vars = 50\n"
+        (tmp_path / "t.csv").write_text(csv_text(SKEW_CELLS), encoding="utf-8")
+        rerun = write_conf(tmp_path, "input = t.csv\nk_regions = 1\nk_vars = 1\n"
                                      "output_dir = out\n", "rerun.conf")
-        with pytest.raises(ValidationError, match="^cluster-variables: k_vars=50"):
+        with pytest.raises(NumericalError, match="^profile: cluster 1, indicator 'b'"):
             run_pipeline(load_pipeline_config(rerun))
-        # scores.csv and four more files were rewritten before the failure
+        # scores.csv and every clustering artifact were rewritten before the failure
+        assert (tmp_path / "out" / "partition_variables.csv").read_text().splitlines()[1:] == [
+            "a,1", "b,1"]
         assert not (tmp_path / "out" / "manifest.txt").exists()
 
     def test_each_z_score_row_formatted_once(self, tmp_path, monkeypatch):
@@ -558,6 +561,27 @@ class TestRerun:
         assert files_under(out) == {*artifacts.files, "manifest.txt", "concordance.txt",
                                     "notes.txt", "plots/extra.svg"}
         assert (out / "concordance.txt").read_text(encoding="utf-8").endswith("my note\n")
+
+    @pytest.mark.parametrize("lines, message", [
+        (f"input = {SAMPLE}\nk_regions = 100", "k_regions=100 exceeds region count 85"),
+        (f"input = {SAMPLE}\nk_vars = 50", "k_vars=50 exceeds indicator count 19"),
+        ("input = big.csv", "16385 regions exceed the 16384-point limit of the "
+                            "condensed distance vector (1 GiB)"),
+    ], ids=["k_regions", "k_vars", "16385-regions"])
+    def test_a_config_the_table_cannot_take_keeps_the_earlier_run(self, tmp_path, capsys,
+                                                                   lines, message):
+        out = self.first_run(tmp_path)
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        assert len(before) == 29  # 28 artifacts and manifest.txt
+        if "big.csv" in lines:
+            # unique labels, and a table that loads: only its size is refused
+            rows = np.random.default_rng(73).standard_normal((MAX_POINTS + 1, 2))
+            write_grid_csv(tmp_path / "big.csv", rows)
+        conf = write_conf(tmp_path, f"{lines}\noutput_dir = out\n", "rerun.conf")
+        assert cli.main(["run", "--config", str(conf)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: load: {message}"]
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
+        assert {path for path in out.rglob("*") if path.is_dir()} == {out / "plots", out / "profiles"}
 
     def test_paths_outside_the_directory_are_never_deleted(self, tmp_path):
         outside = tmp_path / "scores.csv"
@@ -689,14 +713,16 @@ class TestBoundaries:
         assert (out / "profiles.csv").read_text().splitlines()[1] == "1,a,3.0,0.0,,,"
         assert (out / "profiles/cluster_1.csv").read_text().splitlines()[1] == "a,3,0,n/a,n/a,n/a"
 
-    def test_k_regions_above_n_fails_in_cluster_stage(self, tmp_path):
+    def test_k_regions_above_n_fails_before_any_artifact(self, tmp_path):
         conf = write_conf(
             tmp_path,
             "synthetic = true\nn = 8\np = 3\nclusters = 2\nseparation = 4\n"
             "k_regions = 9\nk_vars = 2\noutput_dir = out\n",
         )
-        with pytest.raises(ValidationError, match="cluster-regions"):
+        with pytest.raises(ValidationError, match="^load: k_regions=9 exceeds region count 8$"):
             run_pipeline(load_pipeline_config(conf))
+        # the table was drawn, but neither it nor the truth was written
+        assert not (tmp_path / "out").exists()
 
     def test_duplicate_rows_deeper_than_recursion_limit(self, tmp_path):
         # 1094 copies of one row chain 1094 zero-height merges, deeper than
@@ -841,19 +867,25 @@ class TestCli:
         rng = np.random.default_rng(67)
         grid = np.column_stack([np.tile([1e300, -1e300], 5), rng.standard_normal(10)])
         write_grid_csv(tmp_path / "huge.csv", grid)
-        conf = write_conf(tmp_path, "input = huge.csv\noutput_dir = out\n")
+        conf = write_conf(tmp_path, "input = huge.csv\nk_vars = 2\noutput_dir = out\n")
         assert cli.main(["run", "--config", str(conf)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "error: standardize: indicator 'V1' overflows float64: its mean or sd is not finite"
         ]
 
-    @pytest.mark.parametrize("extra", ["within_sd = 1e300\n", "separation = 1e308\n"])
-    def test_overflowing_synthetic_table_exit_2(self, tmp_path, capsys, extra):
+    @pytest.mark.parametrize("extra, message", [
+        ("within_sd = 1e300\n",
+         "standardize: indicator 'V01' overflows float64: its mean or sd is not finite"),
+        ("separation = 1e308\n",
+         "standardize: indicator 'V01' overflows float64: its mean or sd is not finite"),
+        # the drawn values themselves overflow, and inf - inf would be NaN
+        ("within_sd = 1e308\n",
+         "load: the synthetic draw overflows float64 at separation=6, within_sd=1e+308"),
+    ], ids=["within_sd = 1e300\n", "separation = 1e308\n", "within_sd = 1e308\n"])
+    def test_overflowing_synthetic_table_exit_2(self, tmp_path, capsys, extra, message):
         conf = write_conf(tmp_path, "synthetic = true\noutput_dir = out\n" + extra)
         assert cli.main(["run", "--config", str(conf)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: standardize: indicator 'V01' overflows float64: its mean or sd is not finite"
-        ]
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("extra, message", [
         ("seed = -1", "seed must be non-negative, got -1"),
@@ -902,7 +934,7 @@ class TestCli:
         rng = np.random.default_rng(71)
         grid = np.column_stack([rng.standard_normal(10), column(rng)])
         write_grid_csv(tmp_path / "offset.csv", grid)
-        conf = write_conf(tmp_path, "input = offset.csv\noutput_dir = out\n")
+        conf = write_conf(tmp_path, "input = offset.csv\nk_vars = 2\noutput_dir = out\n")
         assert cli.main(["run", "--config", str(conf)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: standardize: indicator 'V2' is not z-scored: {message} "
@@ -918,7 +950,7 @@ FUZZ_LINES = ["k_regions = 1", "k_regions = 2", "k_regions = 5", "k_vars = 1", "
               "components = fixed:1", "components = cumulative:99", "cluster_space = raw",
               "component_labels = x | y", "components = fixed:0",
               "components = cumulative:nan", "k_regions = 0"]
-FUZZ_AMOUNTS = st.sampled_from(["0", "-1", "nan", "inf", "1e300", "1e-320"])
+FUZZ_AMOUNTS = st.sampled_from(["0", "-1", "nan", "inf", "1e300", "1e308", "1e-320"])
 # n and p include sizes far too large to draw; a key left out takes its default
 FUZZ_SPEC = st.fixed_dictionaries({}, optional={
     "n": st.one_of(st.integers(3, 9), st.sampled_from([MAX_POINTS + 1, 10**30])),

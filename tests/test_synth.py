@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from pcacluster.concordance import adjusted_rand_index
-from pcacluster.errors import ValidationError
+from pcacluster.errors import NumericalError, ValidationError
 from pcacluster.hclust import complete_linkage, cut, euclidean_distances
 from pcacluster.ingest import standardize
 from pcacluster.synth import SyntheticSpec, generate_synthetic
@@ -64,6 +66,15 @@ class TestGenerateSynthetic:
         table, truth = generate_synthetic(spec)
         part = recovered_partition(table, 3)
         assert abs(adjusted_rand_index(part, truth)) < 0.3
+
+    def test_overflowing_draw_raises_without_warning(self):
+        # 1e308 standard normals overflow to +-inf, and centers at an
+        # infinite distance add inf - inf = NaN cells
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^the synthetic draw overflows float64 "
+                                                     r"at separation=6, within_sd=1e\+308$"):
+                generate_synthetic(SyntheticSpec(within_sd=1e308))
 
     def test_single_cluster(self):
         table, truth = generate_synthetic(SyntheticSpec(n=8, p=3, clusters=1, separation=3.0))

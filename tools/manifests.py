@@ -40,8 +40,11 @@ plots/biplot.csv and plots/dendrograms.csv (and manifest.txt with them).
 On a BLAS built without DYNAMIC_ARCH the variable does nothing.
 
 The perfbench inputs (seed 7) are written by this checkout's
-`perfbench/workloads.py`, so both sides get the same bytes. Exits 1 if
-SRC_DIR has no `src/pcacluster` or if any run fails.
+`perfbench/workloads.py`, so both sides get the same bytes. The runs
+go without `PCACLUSTER_VERBOSE`, so a run that succeeds prints nothing
+on stderr; one that does (a leaked warning, say) prints
+`<config> FAILED: stderr not empty`. Exits 1 if SRC_DIR has no
+`src/pcacluster`, or if any run fails or prints on stderr.
 
 The config table, CONFIGS, and its writer, write_configs, are also what
 the tier-1 test `test_13_every_manifest_config_keeps_its_bytes` runs in
@@ -162,7 +165,8 @@ def main(argv: list[str]) -> int:
     if not (src / "src" / "pcacluster").is_dir():
         print(f"{src} is not a checkout: it has no src/pcacluster", file=sys.stderr)
         return 1
-    env = dict(os.environ, PYTHONPATH=str(src / "src"))
+    env = {key: value for key, value in os.environ.items() if key != "PCACLUSTER_VERBOSE"}
+    env["PYTHONPATH"] = str(src / "src")
     failed = False
     for name, conf in write_configs(src, out).items():
         run = subprocess.run(
@@ -171,6 +175,10 @@ def main(argv: list[str]) -> int:
         )
         if run.returncode != 0:
             print(f"{name} FAILED exit {run.returncode}: {run.stderr.strip()}", file=sys.stderr)
+            failed = True
+            continue
+        if run.stderr:
+            print(f"{name} FAILED: stderr not empty", file=sys.stderr)
             failed = True
             continue
         digest = hashlib.sha256((conf.parent / "out" / "manifest.txt").read_bytes()).hexdigest()
