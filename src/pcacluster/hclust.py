@@ -14,16 +14,17 @@ Linkage follows the generic algorithm of Müllner 2011 ("Modern
 hierarchical, agglomerative clustering algorithms", arXiv:1109.2378), in
 condensed storage: the upper triangle, row-major, merged in the vector
 the distances came in. Each row caches the first minimum of its part
-right of the diagonal. The matrix is symmetric, so the first row that
-holds the global minimum holds it right of its diagonal, and that row's
-cached column is the first minimum in row-major order: the tie rule
-above. After merging i < j only row i and the rows whose cached column
-was i or j can move their first minimum: complete-linkage distances
-never shrink, and any other row's cached column keeps its value. Retired
-slot j leaves the cache at once: mind[j] = inf, so it is never picked;
-nn[j] = -1, so no merge marks it stale and no rescan revives it; and its
-entries above the diagonal turn infinite, so no live row's rescan lands
-on it.
+right of the diagonal, and the cache is refreshed lazily. Complete-linkage
+distances never shrink, and a retired slot's entries turn infinite, so a
+cached minimum is a lower bound of its row's minimum. Each step takes the
+first row with the least cached value; if the entry at its cached column
+still equals that value, the row holds it as its first minimum, and every
+earlier row's minimum is larger. The matrix is symmetric, so that row and
+column are the first minimum in row-major order: the tie rule above.
+Otherwise the row is rescanned and the search repeated. Retired slot j
+leaves the cache at once: mind[j] = inf, so it is never picked; a row
+whose cached column was j fails the check, as its entry there is now
+infinite, and its rescan cannot land on j.
 """
 
 from __future__ import annotations
@@ -288,8 +289,8 @@ def complete_linkage(d: DistanceMatrix) -> Dendrogram:
     rows = np.arange(n)
     above = rows * (2 * n - rows - 3) // 2
     start = (above + rows).tolist()
-    # nn[r] is the first argmin of row r right of the diagonal, mind[r] its
-    # value; a retired slot has nn -1 and mind inf
+    # nn[r] is the first argmin of row r right of the diagonal when it was
+    # last scanned, mind[r] its value then; a retired slot has nn -1 and mind inf
     nn = np.full(n, -1)
     mind = np.full(n, np.inf)
 
@@ -305,10 +306,14 @@ def complete_linkage(d: DistanceMatrix) -> Dendrogram:
     node_id = [-(i + 1) for i in range(n)]
     merges = []
     for step in range(1, n):
-        # the first row holding the minimum, at its first column: the
-        # distance matrix's row-major first minimum
-        i = int(mind.argmin())
-        j = int(nn[i])
+        # the first row with the least bound whose cached entry still holds
+        # it: the distance matrix's row-major first minimum
+        while True:
+            i = int(mind.argmin())
+            j = int(nn[i])
+            if dist[start[i] + j - i - 1] == mind[i]:
+                break
+            rescan(i)
         size[i] += size[j]
         merges.append((node_id[i], node_id[j], mind[i], size[i]))
         # slot i inherits the merged cluster via the complete-linkage
@@ -328,10 +333,6 @@ def complete_linkage(d: DistanceMatrix) -> Dendrogram:
         nn[j] = -1
         mind[j] = np.inf
         node_id[i] = step
-        # row i (whose nn was j) and the rows that pointed at i or j are
-        # stale; every other row's first argmin stands
-        for r in ((nn == i) | (nn == j)).nonzero()[0].tolist():
-            rescan(r)
     return Dendrogram(merges=np.reshape(merges, (n - 1, 4)), labels=d.labels)
 
 

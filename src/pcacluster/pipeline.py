@@ -1,23 +1,35 @@
 """End-to-end pipeline: ingest, PCA, clustering, concordance, profiles, plots.
 
+A run computes first and writes last. Each stage registers its artifacts
+as jobs and touches no disk; the manifest stage then clears what an
+earlier run left, writes the jobs and ends with manifest.txt, which lists
+each file with its SHA-256 checksum. So a run that fails before it writes
+leaves the output directory as it was, and one that fails while writing
+leaves no manifest. On Linux a large enough set of jobs is shared between
+this process and one forked child; the bytes are the same.
+
 Every run writes a fixed artifact set (a function of the configuration
-only) plus manifest.txt listing each file with its SHA-256 checksum.
-Identical configuration and input produce byte-identical artifacts, so
-manifests can be diffed across runs. A rerun into the same directory
-first deletes what the earlier manifest lists and still matches, so the
-directory holds the files its manifest names and whatever else was there.
+only). Identical configuration and input produce byte-identical
+artifacts, so manifests can be diffed across runs. A rerun into the same
+directory first deletes what the earlier manifest lists and still
+matches, so the directory holds the files its manifest names and
+whatever else was there.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import os
+import pickle
 import re
+import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -40,6 +52,12 @@ _MERGE_HEADER = ["step", "left", "right", "height", "size"]
 # text artifacts are buffered, and files hashed, this many bytes at a time
 _CHUNK = 1 << 16
 
+# the write phase forks only if the lighter of its two shares formats at
+# least this many values. On a 2-core Xeon a value takes 0.3-2 us to write
+# and a fork 2-4 ms to start its child: at 85 x 19 (shares of about 4.5k
+# values) a forced split was no faster, at 1000 x 19 (55k) it saved 40 ms
+_FORK_VALUES = 20_000
+
 # every path a run writes under its output directory, manifest.txt aside
 _ARTIFACT_PATH = re.compile(
     r"(synthetic_table|variance_table|coefficients|loadings|scores|profiles|partition_truth"
@@ -60,29 +78,132 @@ class RunArtifacts:
     concordance_stats: dict[str, float]
 
 
+@dataclass(frozen=True, eq=False)
+class _Job:
+    """One artifact, or the z-score twins, that the write phase puts on disk."""
+
+    rels: tuple[str, ...]
+    stage: str  # the stage that made it, which names it in an error
+    values: int  # the numbers and cells it formats: the cost the writers share
+    write: Callable[..., None]  # write(*paths of rels, *args)
+    args: tuple
+
+
 class _Sink:
     """The one writer of artifacts under an output directory.
 
-    Records every relative path it hands out or writes, so the manifest
-    is the summary of what was written.
+    Stages register jobs, and registration touches no disk, so a run that
+    fails before its write phase changes nothing. write() is that phase.
     """
 
     def __init__(self, out: Path) -> None:
         self.out = out
-        self.written: list[str] = []
+        self.jobs: list[_Job] = []
+        self._stage = ""
 
-    def path(self, rel: str) -> Path:
-        """Record rel and return its path, parent directories created.
+    @contextmanager
+    def stage(self, name: str):
+        """A stage: logged, its jobs and its errors named after it."""
+        logger.info("stage %s", name)
+        self._stage = name
+        with _named(name):
+            yield
 
-        The first call clears what an earlier run left, so a run that fails
-        before its first artifact creates no directory and changes nothing.
+    def add(self, rels: tuple[str, ...], values: int, write: Callable[..., None], *args) -> None:
+        self.jobs.append(_Job(rels, self._stage, values, write, args))
+
+    def text(self, rel: str, values: int, lines: Iterable[str]) -> None:
+        """Lines, each ending in "\n", written as they come."""
+        self.add((rel,), values, _write_lines, lines)
+
+    def rows(self, rel: str, values: int, header, rows) -> None:
+        self.add((rel,), values, write_rows, header, rows)
+
+    def matrix(self, rel: str, header, labels, grid, *prefix: str) -> None:
+        """One line per label: prefix and the label, then its row of grid."""
+        self.add((rel,), np.size(grid), write_labeled_matrix, header,
+                 labeled_rows(labels, grid, *prefix))
+
+    def partition(self, rel: str, labels, part: Partition, item_header: str = "region") -> None:
+        self.rows(rel, len(labels), [item_header, "cluster"],
+                  ([label, str(c)] for label, c in zip(labels, part.assignment)))
+
+    def write(self) -> tuple[Path, tuple[str, ...]]:
+        """Clear the earlier run, write every job, hashing each file as read
+        back, then manifest.txt; return it and the sorted paths.
+
+        The jobs go to two writer processes when _forks says so, else to
+        this one in the order they came.
         """
-        if not self.written:
+        with _named("manifest"):
             self._clear_earlier_run()
-        self.written.append(rel)
-        path = self.out / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return path
+            for directory in sorted({(self.out / rel).parent
+                                     for job in self.jobs for rel in job.rels}):
+                directory.mkdir(parents=True, exist_ok=True)
+        mine, theirs = _shares(self.jobs)
+        if _forks(mine, theirs):
+            digests = self._write_split(mine, theirs)
+        else:
+            digests = self._write_share(self.jobs)
+        files = tuple(sorted(digests))
+        path = self.out / "manifest.txt"
+        with _named("manifest"):
+            _write_lines(path, [f"{digests[rel]}  {rel}\n" for rel in files])
+        return path, files
+
+    def _write_share(self, jobs: list[_Job]) -> dict[str, str]:
+        """Write jobs in order; the SHA-256 of each file as read back."""
+        digests = {}
+        for job in jobs:
+            paths = [self.out / rel for rel in job.rels]
+            with _named(job.stage):
+                job.write(*paths, *job.args)
+                digests.update((rel, _sha256(path)) for rel, path in zip(job.rels, paths))
+        return digests
+
+    def _write_split(self, mine: list[_Job], theirs: list[_Job]) -> dict[str, str]:
+        """Write theirs in a forked child and mine here.
+
+        The child sends its digests, or the exception that stopped it,
+        through one pipe and leaves by os._exit, exit status 0 only once
+        its report is sent. This process reaps it on every path, and kills
+        it first if its own share fails.
+        """
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_end)
+                try:
+                    report = self._write_share(theirs)
+                except BaseException as exc:  # raised again in the parent
+                    report = exc
+                with open(write_end, "wb") as pipe:
+                    pickle.dump(report, pipe)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        status = None
+        try:
+            with open(read_end, "rb") as pipe:
+                digests = self._write_share(mine)
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        finally:
+            if status is None:
+                import signal  # loaded only here: its import costs every run about 1 ms
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        if status != 0 or not data:
+            raise ValidationError(
+                f"manifest: the second writer process ended with status {status} and no report")
+        report = pickle.loads(data)
+        if isinstance(report, BaseException):
+            raise report
+        return {**digests, **report}
 
     def _clear_earlier_run(self) -> None:
         """Remove an earlier run's manifest.txt, then each file it lists that
@@ -105,29 +226,25 @@ class _Sink:
             if _ARTIFACT_PATH.fullmatch(rel) and path.is_file() and _sha256(path) == digest:
                 path.unlink()
 
-    def text(self, rel: str, lines: Iterable[str]) -> None:
-        """Write lines, each ending in "\n", as they come."""
-        _write_lines(self.path(rel), lines)
 
-    def rows(self, rel: str, header, rows) -> None:
-        write_rows(self.path(rel), header, rows)
+def _shares(jobs: list[_Job]) -> tuple[list[_Job], list[_Job]]:
+    """Two shares of the jobs, balanced by values: each job, largest first,
+    goes to the lighter share. Returns (this process's, the child's)."""
+    shares: tuple[list[_Job], list[_Job]] = ([], [])
+    loads = [0, 0]
+    for job in sorted(jobs, key=lambda job: -job.values):
+        lighter = int(loads[1] < loads[0])
+        shares[lighter].append(job)
+        loads[lighter] += job.values
+    return shares
 
-    def partition(self, rel: str, labels, part: Partition, item_header: str = "region") -> None:
-        self.rows(rel, [item_header, "cluster"],
-                  ([label, str(c)] for label, c in zip(labels, part.assignment)))
 
-    def plot(self, name: str, svg: Iterable[str], header, rows) -> None:
-        """A figure and the CSV twin of its plotted values, rows as labeled_rows yields."""
-        self.text(f"plots/{name}.svg", svg)
-        write_labeled_matrix(self.path(f"plots/{name}.csv"), header, rows)
-
-    def manifest(self) -> tuple[Path, tuple[str, ...]]:
-        """Write manifest.txt from the files as read back; return it and the sorted paths."""
-        files = tuple(sorted(self.written))
-        lines = [f"{_sha256(self.out / rel)}  {rel}\n" for rel in files]
-        path = self.out / "manifest.txt"
-        _write_lines(path, lines)
-        return path, files
+def _forks(*shares: list[_Job]) -> bool:
+    """Whether the write phase forks: on Linux, with no other Python thread
+    (a forked child gets no copy of another thread, only of the locks it
+    may hold), and with enough values in the lighter share to repay a fork."""
+    return (sys.platform == "linux" and threading.active_count() == 1
+            and min(sum(job.values for job in share) for share in shares) >= _FORK_VALUES)
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
@@ -145,14 +262,14 @@ def _sha256(path: Path) -> str:
 
 
 @contextmanager
-def _stage(name: str):
-    logger.info("stage %s", name)
+def _named(stage: str):
+    """Errors raised inside carry the stage's name; an OSError becomes a ValidationError."""
     try:
         yield
     except PcaClusterError as exc:
-        raise type(exc)(f"{name}: {exc}") from exc
+        raise type(exc)(f"{stage}: {exc}") from exc
     except OSError as exc:
-        raise ValidationError(f"{name}: {exc}") from exc
+        raise ValidationError(f"{stage}: {exc}") from exc
 
 
 def _merge_rows(dend: Dendrogram):
@@ -174,12 +291,11 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
     sink = _Sink(config.output_dir)
 
     truth: Partition | None = None
-    with _stage("load"):
+    with sink.stage("load"):
         if config.synthetic is not None:
             raw_table, truth = generate_synthetic(config.synthetic)
         else:
             raw_table = load_table(config.input_path, config.parse_options)
-        # checked before the first artifact: a config the table cannot take changes nothing
         n, p = raw_table.n_regions, raw_table.n_indicators
         check_points(n, "regions")
         if config.k_regions > n:
@@ -187,15 +303,15 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
         if config.k_vars > p:
             raise ValidationError(f"k_vars={config.k_vars} exceeds indicator count {p}")
         if truth is not None:
-            write_table(raw_table, sink.path("synthetic_table.csv"))
+            sink.add(("synthetic_table.csv",), n * p, lambda path: write_table(raw_table, path))
             sink.partition("partition_truth.csv", raw_table.region_labels, truth)
 
-    with _stage("impute"):
+    with sink.stage("impute"):
         imputed = impute_means(raw_table)
-    with _stage("standardize"):
+    with sink.stage("standardize"):
         table = standardize(imputed)
 
-    with _stage("pca"):
+    with sink.stage("pca"):
         model = fit_pca(table)
         model = model.with_components(select_components(model, config.component_rule))
         names = config.component_labels
@@ -206,18 +322,16 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
                 f"{len(names)} component labels given but {model.k} components retained"
             )
         score = scores(model, table)
-        write_variance_table(model, sink.path("variance_table.csv"))
-        for rel, matrix, row_header, row_labels in (
-            ("coefficients.csv", coefficients(model), "indicator", model.indicator_labels),
-            ("loadings.csv", loadings(model), "indicator", model.indicator_labels),
-            ("scores.csv", score, "region", table.region_labels),
-        ):
-            write_labeled_matrix(sink.path(rel), [row_header, *names],
-                                 labeled_rows(row_labels, matrix))
+        sink.add(("variance_table.csv",), 3 * p, lambda path: write_variance_table(model, path))
+        sink.matrix("coefficients.csv", ["indicator", *names], model.indicator_labels,
+                    coefficients(model))
+        sink.matrix("loadings.csv", ["indicator", *names], model.indicator_labels,
+                    loadings(model))
+        sink.matrix("scores.csv", ["region", *names], table.region_labels, score)
 
     dendrograms: dict[str, Dendrogram] = {}
     partitions: dict[str, Partition] = {}
-    with _stage("cluster-regions"):
+    with sink.stage("cluster-regions"):
         for space in ("raw", "components"):
             if config.cluster_space not in (space, "both"):
                 continue
@@ -225,20 +339,22 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             dend = complete_linkage(euclidean_distances(points, table.region_labels))
             dendrograms[space] = dend
             partitions[space] = cut(dend, config.k_regions)
-            sink.rows(f"dendrogram_{space}.csv", _MERGE_HEADER, _merge_rows(dend))
+            sink.rows(f"dendrogram_{space}.csv", dend.merges.size, _MERGE_HEADER,
+                      _merge_rows(dend))
             sink.partition(f"partition_{space}.csv", table.region_labels, partitions[space])
 
-    with _stage("cluster-variables"):
+    with sink.stage("cluster-variables"):
         var_dend = cluster_variables(table)
         partitions["variables"] = cut(var_dend, config.k_vars)
-        sink.rows("dendrogram_variables.csv", _MERGE_HEADER, _merge_rows(var_dend))
+        sink.rows("dendrogram_variables.csv", var_dend.merges.size, _MERGE_HEADER,
+                  _merge_rows(var_dend))
         sink.partition("partition_variables.csv", table.indicator_labels,
                        partitions["variables"], "indicator")
 
     concordance_stats: dict[str, float] = {}
     if truth is not None:
         partitions["truth"] = truth
-    with _stage("concordance"):
+    with sink.stage("concordance"):
         if "raw" in partitions and "components" in partitions:
             raw, comp = partitions["raw"], partitions["components"]
             concordance_stats = {"rand": rand_index(raw, comp),
@@ -246,27 +362,27 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             if truth is not None:
                 concordance_stats["ari_raw_truth"] = adjusted_rand_index(raw, truth)
                 concordance_stats["ari_components_truth"] = adjusted_rand_index(comp, truth)
-            sink.text("concordance.txt",
+            sink.text("concordance.txt", raw.k * comp.k + len(concordance_stats),
                       _contingency_lines(contingency(raw, comp), concordance_stats))
 
     final_partition = partitions["components" if "components" in partitions else "raw"]
-    with _stage("profile"):
+    with sink.stage("profile"):
         grid = profile(imputed, final_partition)
         labels = imputed.indicator_labels
-        write_labeled_matrix(
-            sink.path("profiles.csv"), ["cluster", "indicator", *STATISTICS],
-            chain.from_iterable(labeled_rows(labels, block, str(cluster_id))
-                                for cluster_id, block in enumerate(grid, start=1)),
-        )
+        sink.add(("profiles.csv",), grid.size, write_labeled_matrix,
+                 ["cluster", "indicator", *STATISTICS],
+                 chain.from_iterable(labeled_rows(labels, block, str(cluster_id))
+                                     for cluster_id, block in enumerate(grid, start=1)))
         for cluster_id, block in enumerate(grid, start=1):
+            # formatted here: a statistic that does not fit fails this stage
             header, *table_rows = format_profile_table(block, labels)
-            sink.rows(f"profiles/cluster_{cluster_id}.csv", header, table_rows)
+            sink.rows(f"profiles/cluster_{cluster_id}.csv", block.size, header, table_rows)
 
-    with _stage("plots"):
+    with sink.stage("plots"):
         emit_plots(sink, table, model, dendrograms, final_partition, names)
 
-    with _stage("manifest"):
-        manifest_path, files = sink.manifest()
+    logger.info("stage manifest")
+    manifest_path, files = sink.write()
 
     return RunArtifacts(
         output_dir=sink.out,
@@ -281,27 +397,22 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
 def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
                dendrograms: dict[str, Dendrogram], final_partition: Partition,
                names: tuple[str, ...]) -> None:
-    """The six figures under plots/, each with its CSV twin."""
+    """The six figures under plots/, each with its CSV twin, as jobs on sink."""
     final_space = "components" if "components" in dendrograms else "raw"
     leaf_order = dendrograms[final_space].leaf_order()
     assignment = final_partition.assignment
     values, regions, indicators = table.values, table.region_labels, table.indicator_labels
 
     eigenvalues = model.eigen.eigenvalues
-    sink.plot("scree", svgplot.scree_svg(eigenvalues), ["dimension", "eigenvalue"],
-              labeled_rows([str(i + 1) for i in range(eigenvalues.size)], eigenvalues[:, None]))
-    sink.text("plots/parallel_coordinates.svg",
+    sink.text("plots/scree.svg", eigenvalues.size, svgplot.scree_svg(eigenvalues))
+    sink.matrix("plots/scree.csv", ["dimension", "eigenvalue"],
+                [str(i + 1) for i in range(eigenvalues.size)], eigenvalues[:, None])
+    sink.text("plots/parallel_coordinates.svg", values.size,
               svgplot.parallel_coordinates_svg(values, indicators, assignment, leaf_order))
-    sink.text("plots/heatmap.svg", svgplot.heatmap_svg(values, regions, indicators, leaf_order))
-    # both twins hold the leaf-ordered z-scores: each row is formatted
-    # once and written to both, one row of text held at a time
-    with open_rows(sink.path("plots/heatmap.csv"), ["region", *indicators]) as heatmap, \
-            open_rows(sink.path("plots/parallel_coordinates.csv"),
-                      ["region", "cluster", *indicators]) as parallel:
-        for i in leaf_order:
-            run = format_run(values[i])
-            heatmap.row((regions[i],), run)
-            parallel.row((regions[i], str(assignment[i])), run)
+    sink.text("plots/heatmap.svg", values.size,
+              svgplot.heatmap_svg(values, regions, indicators, leaf_order))
+    sink.add(("plots/heatmap.csv", "plots/parallel_coordinates.csv"), values.size,
+             _write_z_score_twins, values, regions, indicators, assignment, leaf_order)
 
     # both scatter figures plot the first two axes, even when only one component
     # was retained. The product keeps the retained width, so its first two
@@ -310,21 +421,37 @@ def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
     plot_loadings = loadings(plot_model)[:, :2]
     plot_scores = scores(plot_model, table)[:, :2]
     axis_names = (*names, "f2")[:2]
-    sink.plot("loadings", svgplot.loadings_svg(plot_loadings, indicators, axis_names),
-              ["indicator", *axis_names], labeled_rows(indicators, plot_loadings))
+    sink.text("plots/loadings.svg", plot_loadings.size,
+              svgplot.loadings_svg(plot_loadings, indicators, axis_names))
+    sink.matrix("plots/loadings.csv", ["indicator", *axis_names], indicators, plot_loadings)
 
     # arrows scaled so loadings and scores share the frame
     max_load = float(np.abs(plot_loadings).max())
     max_score = float(np.abs(plot_scores).max())
     arrows = plot_loadings * ((max_score / max_load) if max_load > 0 else 1.0)
-    sink.plot("biplot",
-              svgplot.biplot_svg(plot_scores, assignment, arrows, indicators, axis_names),
-              ["kind", "label", "x", "y"],
-              chain(labeled_rows(regions, plot_scores, "score"),
-                    labeled_rows(indicators, arrows, "loading_arrow")))
+    sink.text("plots/biplot.svg", plot_scores.size + arrows.size,
+              svgplot.biplot_svg(plot_scores, assignment, arrows, indicators, axis_names))
+    sink.add(("plots/biplot.csv",), plot_scores.size + arrows.size, write_labeled_matrix,
+             ["kind", "label", "x", "y"],
+             chain(labeled_rows(regions, plot_scores, "score"),
+                   labeled_rows(indicators, arrows, "loading_arrow")))
 
     titles = {"raw": "initial variables", "components": "component scores"}
     panels = [(titles[space], dend) for space, dend in dendrograms.items()]
-    sink.text("plots/dendrograms.svg", svgplot.dendrograms_svg(panels))
-    sink.rows("plots/dendrograms.csv", ["panel", *_MERGE_HEADER],
+    merge_values = sum(dend.merges.size for dend in dendrograms.values())
+    sink.text("plots/dendrograms.svg", merge_values, svgplot.dendrograms_svg(panels))
+    sink.rows("plots/dendrograms.csv", merge_values, ["panel", *_MERGE_HEADER],
               ([title, *row] for title, dend in panels for row in _merge_rows(dend)))
+
+
+def _write_z_score_twins(heatmap_path: Path, parallel_path: Path, values: np.ndarray,
+                         regions, indicators, assignment, leaf_order) -> None:
+    """plots/heatmap.csv and plots/parallel_coordinates.csv, both the
+    leaf-ordered z-scores: each row is formatted once and written to both,
+    one row of text held at a time."""
+    with open_rows(heatmap_path, ["region", *indicators]) as heatmap, \
+            open_rows(parallel_path, ["region", "cluster", *indicators]) as parallel:
+        for i in leaf_order:
+            run = format_run(values[i])
+            heatmap.row((regions[i],), run)
+            parallel.row((regions[i], str(assignment[i])), run)

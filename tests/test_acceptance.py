@@ -8,8 +8,10 @@ machine; the budgets are generous relative to the measured costs.
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -321,12 +323,39 @@ CONFIG_DIGESTS = {
 }
 
 
-def test_13_every_manifest_config_keeps_its_bytes(tmp_path):
+@contextmanager
+def _thread_alive():
+    """Another thread runs, waiting, until the block ends."""
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join()
+
+
+def test_13_every_manifest_config_keeps_its_bytes(tmp_path, monkeypatch):
     with reported("13 every manifest config keeps its kernel-independent bytes"):
-        digests = manifest_config_digests(SAMPLE.parents[3], tmp_path)
-        changed = sorted(name for name in digests.keys() | CONFIG_DIGESTS.keys()
-                         if digests.get(name) != CONFIG_DIGESTS.get(name))
-        assert not changed, f"bytes changed under {changed}"
+        forks = []
+
+        def fork(original=os.fork):
+            forks.append(1)
+            return original()
+
+        monkeypatch.setattr(os, "fork", fork)
+        # alone, this thread writes the larger configs in two processes; beside
+        # another thread, each run writes in one
+        assert threading.active_count() == 1
+        for writers in ("split", "one process"):
+            forks.clear()
+            with _thread_alive() if writers == "one process" else nullcontext():
+                digests = manifest_config_digests(SAMPLE.parents[3], tmp_path / writers)
+            assert (forks == []) == (writers == "one process"), writers
+            changed = sorted(name for name in digests.keys() | CONFIG_DIGESTS.keys()
+                             if digests.get(name) != CONFIG_DIGESTS.get(name))
+            assert not changed, f"{writers}: bytes changed under {changed}"
 
 
 def test_14_a_rerun_of_every_manifest_config_keeps_its_bytes_and_files(tmp_path):

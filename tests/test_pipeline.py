@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import io
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -444,16 +446,21 @@ class TestNamespace:
 class TestFileInputRun:
     def test_failed_rerun_leaves_no_stale_manifest(self, tmp_path):
         conf = write_conf(tmp_path, f"input = {SAMPLE}\noutput_dir = out\n")
-        assert run_pipeline(load_pipeline_config(conf)).manifest_path.exists()
+        out = run_pipeline(load_pipeline_config(conf)).output_dir
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        # a numerical failure comes before the write phase: the earlier run stays
         (tmp_path / "t.csv").write_text(csv_text(SKEW_CELLS), encoding="utf-8")
         rerun = write_conf(tmp_path, "input = t.csv\nk_regions = 1\nk_vars = 1\n"
                                      "output_dir = out\n", "rerun.conf")
         with pytest.raises(NumericalError, match="^profile: cluster 1, indicator 'b'"):
             run_pipeline(load_pipeline_config(rerun))
-        # scores.csv and every clustering artifact were rewritten before the failure
-        assert (tmp_path / "out" / "partition_variables.csv").read_text().splitlines()[1:] == [
-            "a,1", "b,1"]
-        assert not (tmp_path / "out" / "manifest.txt").exists()
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
+        # a write failure comes after the earlier manifest is gone
+        (out / "profiles.csv").unlink()
+        (out / "profiles.csv").mkdir()
+        with pytest.raises(ValidationError, match="^profile: .*Is a directory"):
+            run_pipeline(load_pipeline_config(conf))
+        assert not (out / "manifest.txt").exists()
 
     def test_each_z_score_row_formatted_once(self, tmp_path, monkeypatch):
         calls, format_run = Counter(), tables.format_run
@@ -606,28 +613,33 @@ class TestStreamedArtifacts:
         regions = [f"R{i}" for i in range(3000)]
         indicators = [f"V{j}" for j in range(19)]
         assignment = [1 + i % 4 for i in range(3000)]
-        sink = pipeline._Sink(tmp_path)
+        figures = {"heatmap": lambda: svgplot.heatmap_svg(z, regions, indicators, order),
+                   "parallel": lambda: svgplot.parallel_coordinates_svg(z, indicators,
+                                                                        assignment, order)}
         tracemalloc.start()
         try:
-            sink.text("heatmap.svg", svgplot.heatmap_svg(z, regions, indicators, order))
-            sink.text("parallel_coordinates.svg",
-                      svgplot.parallel_coordinates_svg(z, indicators, assignment, order))
+            # one job per write phase, which never splits: its memory is this process's
+            for name, figure in figures.items():
+                sink = pipeline._Sink(tmp_path / name)
+                sink.text("figure.svg", z.size, figure())
+                assert not pipeline._forks(*pipeline._shares(sink.jobs))
+                sink.write()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        size = sum((tmp_path / rel).stat().st_size for rel in sink.written)
+        size = sum((tmp_path / name / "figure.svg").stat().st_size for name in figures)
         assert size > 4 * 2**20
         assert peak < size / 4
 
     def test_manifest_hashes_without_reading_a_file_whole(self, tmp_path):
         sink = pipeline._Sink(tmp_path)
         blob = np.random.default_rng(139).bytes(6 * 2**20)
-        sink.path("plots/big.bin").write_bytes(blob)
         small = b"one line\n"
-        sink.path("small.txt").write_bytes(small)
+        sink.add(("plots/big.bin",), 0, Path.write_bytes, blob)
+        sink.add(("small.txt",), 0, Path.write_bytes, small)
         tracemalloc.start()
         try:
-            manifest, files = sink.manifest()
+            manifest, files = sink.write()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -650,6 +662,96 @@ class TestStreamedArtifacts:
         artifacts = run_pipeline(load_pipeline_config(conf))
         assert (artifacts.model.k >= 2) == (rule == "kaiser")
         assert counts == {"scores": 2}
+
+
+class TestWritePhase:
+    """The stages register jobs; the write phase writes them in two processes
+    when the lighter share is large enough, and always reaps the second."""
+
+    # 400 x 60: each share holds tens of thousands of values, so the run forks
+    SPLIT_CONF = ("synthetic = true\nn = 400\np = 60\nclusters = 4\nseed = 5\n"
+                  "output_dir = out\n")
+
+    def run_with_shares(self, tmp_path, monkeypatch, capsys, edit) -> tuple[int, list[str], list]:
+        """Run SPLIT_CONF through the CLI with edit(out, mine, theirs) applied
+        to the two shares: (exit code, stderr lines, forks made)."""
+        conf = write_conf(tmp_path, self.SPLIT_CONF)
+        forks = []
+
+        def shares(jobs, original=pipeline._shares):
+            mine, theirs = original(jobs)
+            return edit(tmp_path / "out", mine, theirs)
+
+        def fork(original=os.fork):
+            forks.append(1)
+            return original()
+
+        monkeypatch.setattr(pipeline, "_shares", shares)
+        monkeypatch.setattr(os, "fork", fork)
+        code = cli.main(["run", "--config", str(conf)])
+        return code, capsys.readouterr().err.splitlines(), forks
+
+    def assert_failed_and_reaped(self, tmp_path, code, err, forks, message):
+        assert forks == [1]
+        assert code == 1
+        assert len(err) == 1 and re.fullmatch(message, err[0]), err
+        assert not (tmp_path / "out" / "manifest.txt").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    # this process kills its child when its own share fails
+    @pytest.mark.parametrize("share", [1, 0], ids=["child", "this-process"])
+    def test_a_blocked_path_names_the_stage_that_made_it(self, tmp_path, monkeypatch, capsys,
+                                                         share):
+        blocked = []
+
+        def block(out, *shares):
+            job = next(job for job in shares[share] if job.stage != "plots")
+            blocked.append(job.stage)
+            (out / job.rels[0]).mkdir(parents=True)
+            return shares
+
+        code, err, forks = self.run_with_shares(tmp_path, monkeypatch, capsys, block)
+        self.assert_failed_and_reaped(tmp_path, code, err, forks,
+                                      f"error: {blocked[0]}: .*Is a directory.*")
+
+    def test_a_child_that_dies_without_a_report_fails_the_run(self, tmp_path, monkeypatch, capsys):
+        def die(*paths):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        def kill_first(out, mine, theirs):
+            return mine, [dataclasses.replace(theirs[0], write=die, args=()), *theirs[1:]]
+
+        code, err, forks = self.run_with_shares(tmp_path, monkeypatch, capsys, kill_first)
+        self.assert_failed_and_reaped(
+            tmp_path, code, err, forks,
+            "error: manifest: the second writer process ended with status -9 and no report")
+
+    def test_an_interrupt_in_this_process_kills_and_reaps_the_child(self, tmp_path, monkeypatch,
+                                                                    capsys):
+        def interrupt(*paths):
+            raise KeyboardInterrupt
+
+        def interrupt_first(out, mine, theirs):
+            return [dataclasses.replace(mine[0], write=interrupt, args=()), *mine[1:]], theirs
+
+        with pytest.raises(KeyboardInterrupt):
+            self.run_with_shares(tmp_path, monkeypatch, capsys, interrupt_first)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_the_sample_writes_in_one_process(self, tmp_path, monkeypatch):
+        forks = []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1))
+        conf = write_conf(tmp_path, f"input = {SAMPLE}\noutput_dir = out\n")
+        run_pipeline(load_pipeline_config(conf))
+        assert forks == []
+
+    def test_jobs_go_largest_first_to_the_lighter_share(self):
+        jobs = [pipeline._Job((str(v),), "s", v, print, ()) for v in (3, 9, 4, 5, 1)]
+        mine, theirs = pipeline._shares(jobs)
+        assert [job.values for job in mine] == [9, 3]
+        assert [job.values for job in theirs] == [5, 4, 1]
 
 
 class TestBenchmarkTracing:
