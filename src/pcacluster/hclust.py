@@ -128,6 +128,11 @@ class Dendrogram:
         if rows and rows[-1][3] != n:
             raise ValidationError("final merge must contain every leaf")
 
+    def __setstate__(self, state: dict) -> None:
+        # an unpickled copy, one from a forked process say, is locked too
+        state["merges"].flags.writeable = False
+        self.__dict__.update(state)
+
     @property
     def n_leaves(self) -> int:
         return len(self.labels)

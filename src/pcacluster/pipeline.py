@@ -5,8 +5,16 @@ as jobs and touches no disk; the manifest stage then clears what an
 earlier run left, writes the jobs and ends with manifest.txt, which lists
 each file with its SHA-256 checksum. So a run that fails before it writes
 leaves the output directory as it was, and one that fails while writing
-leaves no manifest. On Linux a large enough set of jobs is shared between
-this process and one forked child; the bytes are the same.
+leaves no manifest.
+
+On Linux the run uses two processes where that pays, with the same bytes.
+From _FORK_REGIONS regions, a run that clusters both spaces clusters the
+components space in a forked child while this process clusters the raw
+one. Both condensed distance vectors are then alive at once, 8 MB at
+1000 regions and 2 GiB at MAX_POINTS; at 12000 x 19 each process peaked
+near 0.6 GiB. A large enough set of jobs is likewise shared between this
+process and one forked child. A fork that fails (a pid or memory limit)
+leaves the work to this process.
 
 Every run writes a fixed artifact set (a function of the configuration
 only). Identical configuration and input produce byte-identical
@@ -29,7 +37,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -57,6 +65,10 @@ _CHUNK = 1 << 16
 # and a fork 2-4 ms to start its child: at 85 x 19 (shares of about 4.5k
 # values) a forced split was no faster, at 1000 x 19 (55k) it saved 40 ms
 _FORK_VALUES = 20_000
+# both region spaces are clustered in two processes from this many regions.
+# On a 2-core Xeon a forced fork made the stage 4-5 ms slower at 150 x 19,
+# about even at 300 and 6-8 ms faster at 400, where the run gained 5 ms
+_FORK_REGIONS = 400
 
 # every path a run writes under its output directory, manifest.txt aside
 _ARTIFACT_PATH = re.compile(
@@ -141,8 +153,14 @@ class _Sink:
                                      for job in self.jobs for rel in job.rels}):
                 directory.mkdir(parents=True, exist_ok=True)
         mine, theirs = _shares(self.jobs)
-        if _forks(mine, theirs):
-            digests = self._write_split(mine, theirs)
+        if _forks(min(sum(job.values for job in share) for share in (mine, theirs)),
+                  _FORK_VALUES):
+            try:
+                digests, their_digests = _in_two_processes(
+                    lambda: self._write_share(mine), lambda: self._write_share(theirs))
+            except OSError as exc:  # the helper's own: each job names its errors
+                raise ValidationError(f"manifest: {exc}") from exc
+            digests.update(their_digests)
         else:
             digests = self._write_share(self.jobs)
         files = tuple(sorted(digests))
@@ -160,50 +178,6 @@ class _Sink:
                 job.write(*paths, *job.args)
                 digests.update((rel, _sha256(path)) for rel, path in zip(job.rels, paths))
         return digests
-
-    def _write_split(self, mine: list[_Job], theirs: list[_Job]) -> dict[str, str]:
-        """Write theirs in a forked child and mine here.
-
-        The child sends its digests, or the exception that stopped it,
-        through one pipe and leaves by os._exit, exit status 0 only once
-        its report is sent. This process reaps it on every path, and kills
-        it first if its own share fails.
-        """
-        read_end, write_end = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                os.close(read_end)
-                try:
-                    report = self._write_share(theirs)
-                except BaseException as exc:  # raised again in the parent
-                    report = exc
-                with open(write_end, "wb") as pipe:
-                    pickle.dump(report, pipe)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write_end)
-        status = None
-        try:
-            with open(read_end, "rb") as pipe:
-                digests = self._write_share(mine)
-                data = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        finally:
-            if status is None:
-                import signal  # loaded only here: its import costs every run about 1 ms
-
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        if status != 0 or not data:
-            raise ValidationError(
-                f"manifest: the second writer process ended with status {status} and no report")
-        report = pickle.loads(data)
-        if isinstance(report, BaseException):
-            raise report
-        return {**digests, **report}
 
     def _clear_earlier_run(self) -> None:
         """Remove an earlier run's manifest.txt, then each file it lists that
@@ -239,12 +213,72 @@ def _shares(jobs: list[_Job]) -> tuple[list[_Job], list[_Job]]:
     return shares
 
 
-def _forks(*shares: list[_Job]) -> bool:
-    """Whether the write phase forks: on Linux, with no other Python thread
-    (a forked child gets no copy of another thread, only of the locks it
-    may hold), and with enough values in the lighter share to repay a fork."""
-    return (sys.platform == "linux" and threading.active_count() == 1
-            and min(sum(job.values for job in share) for share in shares) >= _FORK_VALUES)
+def _forks(lighter: int, least: int) -> bool:
+    """Whether to split work between this process and a forked child: on
+    Linux, with no other Python thread (a forked child gets no copy of
+    another thread, only of the locks it may hold), and with at least
+    `least` units of work in the lighter part, enough to repay a fork.
+
+    The guard counts Python threads, not OS threads. Loaded first, numpy
+    starts OpenBLAS's pool, and an in-process run on the perfbench `wide`
+    table counted 2 OS threads before each fork (`regions`: before its
+    first only), where the CLI, which loads BLAS with one thread, counted
+    1. OpenBLAS stops its pool before a fork and restarts it on demand, so
+    the child is safe, and CPython 3.12+, which counts OS threads after
+    the fork, does not warn. An OS-thread guard would forgo every fork of
+    such a run.
+    """
+    return sys.platform == "linux" and threading.active_count() == 1 and lighter >= least
+
+
+def _in_two_processes(here: Callable[[], Any], there: Callable[[], Any]) -> tuple[Any, Any]:
+    """(here(), there()), with there() run in a forked child meanwhile.
+
+    The child sends its result, or the exception that stopped it, through
+    one pipe and leaves by os._exit, exit status 0 only once its report is
+    sent. This process reaps it on every path, and kills it first if
+    here() fails. If the fork fails (a pid or memory limit), there() runs
+    here after here(), as it would without a fork.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return here(), there()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                report = there()
+            except BaseException as exc:  # raised again in the parent
+                report = exc
+            with open(write_end, "wb") as pipe:
+                pickle.dump(report, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    status = None
+    try:
+        with open(read_end, "rb") as pipe:
+            mine = here()
+            data = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    finally:
+        if status is None:
+            import signal  # loaded only here: its import costs every run about 1 ms
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if status != 0 or not data:
+        raise ChildProcessError(f"the second process ended with status {status} and no report")
+    report = pickle.loads(data)
+    if isinstance(report, BaseException):
+        raise report
+    return mine, report
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
@@ -332,12 +366,19 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
     dendrograms: dict[str, Dendrogram] = {}
     partitions: dict[str, Partition] = {}
     with sink.stage("cluster-regions"):
-        for space in ("raw", "components"):
-            if config.cluster_space not in (space, "both"):
-                continue
-            points = table.values if space == "raw" else score
-            dend = complete_linkage(euclidean_distances(points, table.region_labels))
-            dendrograms[space] = dend
+        spaces = {space: points for space, points in (("raw", table.values), ("components", score))
+                  if config.cluster_space in (space, "both")}
+
+        def link(points: np.ndarray) -> Dendrogram:
+            return complete_linkage(euclidean_distances(points, table.region_labels))
+
+        # the raw space is never the lighter (k <= p), so it stays here
+        if len(spaces) == 2 and _forks(n, _FORK_REGIONS):
+            dendrograms["raw"], dendrograms["components"] = _in_two_processes(
+                lambda: link(spaces["raw"]), lambda: link(spaces["components"]))
+        else:
+            dendrograms.update((space, link(points)) for space, points in spaces.items())
+        for space, dend in dendrograms.items():
             partitions[space] = cut(dend, config.k_regions)
             sink.rows(f"dendrogram_{space}.csv", dend.merges.size, _MERGE_HEADER,
                       _merge_rows(dend))

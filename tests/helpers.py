@@ -214,11 +214,8 @@ def oracle_profile(table: IndicatorTable, part) -> np.ndarray:
     return grid
 
 
-def manifest_config_digests(checkout: Path, out: Path) -> dict[str, str]:
-    """Write the configs of tools/manifests.py (CONFIGS, then the perfbench
-    workloads) into out, reading the sample of the checkout, and run each
-    in this process. Per config: the SHA-256 of its manifest's lines for
-    every artifact but the KERNEL_DEPENDENT_CSVS."""
+def manifests_tool():
+    """tools/manifests.py as a module, sys.path as it was."""
     spec = importlib.util.spec_from_file_location("manifests_tool", MANIFESTS_TOOL)
     tool = importlib.util.module_from_spec(spec)
     path = list(sys.path)
@@ -226,10 +223,20 @@ def manifest_config_digests(checkout: Path, out: Path) -> dict[str, str]:
         spec.loader.exec_module(tool)  # it puts perfbench/ on sys.path
     finally:
         sys.path[:] = path
-    digests = {}
-    for name, conf in tool.write_configs(checkout, out).items():
-        manifest = run_pipeline(load_pipeline_config(conf)).manifest_path.read_text(encoding="utf-8")
-        kept = [line for line in manifest.splitlines(keepends=True)
-                if line.rstrip("\n").split("  ", 1)[1] not in KERNEL_DEPENDENT_CSVS]
-        digests[name] = hashlib.sha256("".join(kept).encode("utf-8")).hexdigest()
-    return digests
+    return tool
+
+
+def kernel_independent_digest(manifest: Path) -> str:
+    """The SHA-256 of the manifest's lines for every artifact but the
+    KERNEL_DEPENDENT_CSVS."""
+    kept = [line for line in manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+            if line.rstrip("\n").split("  ", 1)[1] not in KERNEL_DEPENDENT_CSVS]
+    return hashlib.sha256("".join(kept).encode("utf-8")).hexdigest()
+
+
+def manifest_config_digests(checkout: Path, out: Path) -> dict[str, str]:
+    """Write the configs of tools/manifests.py (CONFIGS, then the perfbench
+    workloads) into out, reading the sample of the checkout, and run each
+    in this process. Per config: its kernel_independent_digest."""
+    return {name: kernel_independent_digest(run_pipeline(load_pipeline_config(conf)).manifest_path)
+            for name, conf in manifests_tool().write_configs(checkout, out).items()}

@@ -7,6 +7,7 @@ machine; the budgets are generous relative to the measured costs.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import os
 import threading
@@ -16,7 +17,9 @@ from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from pcacluster import cli
 from pcacluster.concordance import adjusted_rand_index
 from pcacluster.config import PipelineConfig, load_pipeline_config
 from pcacluster.hclust import Partition, complete_linkage, euclidean_distances
@@ -39,8 +42,10 @@ from helpers import (
     REF_EIGENVALUES,
     REF_VARIANCE_PERCENT,
     dendrogram_as_member_merges,
+    kernel_independent_digest,
     make_table,
     manifest_config_digests,
+    manifests_tool,
     model_from_spectrum,
     oracle_complete_linkage,
     random_standardized_table,
@@ -356,6 +361,26 @@ def test_13_every_manifest_config_keeps_its_bytes(tmp_path, monkeypatch):
             changed = sorted(name for name in digests.keys() | CONFIG_DIGESTS.keys()
                              if digests.get(name) != CONFIG_DIGESTS.get(name))
             assert not changed, f"{writers}: bytes changed under {changed}"
+
+
+def test_13_a_failed_fork_finishes_the_run_in_one_process(tmp_path, monkeypatch, capsys):
+    with reported("13 a fork that fails leaves the run to one process, same bytes"):
+        calls = []
+
+        def fork():
+            calls.append(1)
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))  # a pid or memory limit
+
+        monkeypatch.setattr(os, "fork", fork)
+        conf = manifests_tool().write_configs(SAMPLE.parents[3], tmp_path)["perfbench-regions"]
+        descriptors = len(os.listdir("/proc/self/fd"))
+        assert cli.main(["run", "--config", str(conf)]) == 0, capsys.readouterr().err
+        assert len(os.listdir("/proc/self/fd")) == descriptors
+        assert calls == [1, 1]  # once while clustering, once while writing
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        digest = kernel_independent_digest(conf.parent / "out" / "manifest.txt")
+        assert digest == CONFIG_DIGESTS["perfbench-regions"]
 
 
 def test_14_a_rerun_of_every_manifest_config_keeps_its_bytes_and_files(tmp_path):

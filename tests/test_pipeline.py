@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import io
+import logging
 import math
 import os
 import re
@@ -13,6 +14,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from collections import Counter
@@ -100,6 +102,23 @@ def csv_text(cells) -> str:
     """A CSV with regions R1.. and indicators a, b, ... over rows of cell strings."""
     header = ",".join(["region", *"abcdefgh"[: len(cells[0])]])
     return "\n".join([header] + [",".join([f"R{i + 1}", *row]) for i, row in enumerate(cells)]) + "\n"
+
+
+@pytest.fixture
+def forks(monkeypatch, caplog) -> Counter:
+    """os.fork, wrapped to count its calls by the stage that made each, the
+    last one the pipeline logged ("stage <name>")."""
+    caplog.set_level(logging.INFO, logger=pipeline.logger.name)
+    forks = Counter()
+
+    def fork(original=os.fork):
+        stages = [record.getMessage() for record in caplog.records
+                  if record.name == pipeline.logger.name]
+        forks[stages[-1].removeprefix("stage ")] += 1
+        return original()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
 
 
 EXPECTED_SYNTH_FILES = {
@@ -622,7 +641,7 @@ class TestStreamedArtifacts:
             for name, figure in figures.items():
                 sink = pipeline._Sink(tmp_path / name)
                 sink.text("figure.svg", z.size, figure())
-                assert not pipeline._forks(*pipeline._shares(sink.jobs))
+                assert not pipeline._shares(sink.jobs)[1]  # nothing for a second process
                 sink.write()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -668,31 +687,26 @@ class TestWritePhase:
     """The stages register jobs; the write phase writes them in two processes
     when the lighter share is large enough, and always reaps the second."""
 
-    # 400 x 60: each share holds tens of thousands of values, so the run forks
+    # 400 x 60: each share holds tens of thousands of values, so the run
+    # forks to write, and its 400 regions fork to cluster as well
     SPLIT_CONF = ("synthetic = true\nn = 400\np = 60\nclusters = 4\nseed = 5\n"
                   "output_dir = out\n")
 
-    def run_with_shares(self, tmp_path, monkeypatch, capsys, edit) -> tuple[int, list[str], list]:
+    def run_with_shares(self, tmp_path, monkeypatch, capsys, edit) -> tuple[int, list[str]]:
         """Run SPLIT_CONF through the CLI with edit(out, mine, theirs) applied
-        to the two shares: (exit code, stderr lines, forks made)."""
+        to the two shares: (exit code, stderr lines)."""
         conf = write_conf(tmp_path, self.SPLIT_CONF)
-        forks = []
 
         def shares(jobs, original=pipeline._shares):
             mine, theirs = original(jobs)
             return edit(tmp_path / "out", mine, theirs)
 
-        def fork(original=os.fork):
-            forks.append(1)
-            return original()
-
         monkeypatch.setattr(pipeline, "_shares", shares)
-        monkeypatch.setattr(os, "fork", fork)
         code = cli.main(["run", "--config", str(conf)])
-        return code, capsys.readouterr().err.splitlines(), forks
+        return code, capsys.readouterr().err.splitlines()
 
     def assert_failed_and_reaped(self, tmp_path, code, err, forks, message):
-        assert forks == [1]
+        assert forks == {"cluster-regions": 1, "manifest": 1}
         assert code == 1
         assert len(err) == 1 and re.fullmatch(message, err[0]), err
         assert not (tmp_path / "out" / "manifest.txt").exists()
@@ -702,7 +716,7 @@ class TestWritePhase:
     # this process kills its child when its own share fails
     @pytest.mark.parametrize("share", [1, 0], ids=["child", "this-process"])
     def test_a_blocked_path_names_the_stage_that_made_it(self, tmp_path, monkeypatch, capsys,
-                                                         share):
+                                                         forks, share):
         blocked = []
 
         def block(out, *shares):
@@ -711,21 +725,22 @@ class TestWritePhase:
             (out / job.rels[0]).mkdir(parents=True)
             return shares
 
-        code, err, forks = self.run_with_shares(tmp_path, monkeypatch, capsys, block)
+        code, err = self.run_with_shares(tmp_path, monkeypatch, capsys, block)
         self.assert_failed_and_reaped(tmp_path, code, err, forks,
                                       f"error: {blocked[0]}: .*Is a directory.*")
 
-    def test_a_child_that_dies_without_a_report_fails_the_run(self, tmp_path, monkeypatch, capsys):
+    def test_a_child_that_dies_without_a_report_fails_the_run(self, tmp_path, monkeypatch, capsys,
+                                                              forks):
         def die(*paths):
             os.kill(os.getpid(), signal.SIGKILL)
 
         def kill_first(out, mine, theirs):
             return mine, [dataclasses.replace(theirs[0], write=die, args=()), *theirs[1:]]
 
-        code, err, forks = self.run_with_shares(tmp_path, monkeypatch, capsys, kill_first)
+        code, err = self.run_with_shares(tmp_path, monkeypatch, capsys, kill_first)
         self.assert_failed_and_reaped(
             tmp_path, code, err, forks,
-            "error: manifest: the second writer process ended with status -9 and no report")
+            "error: manifest: the second process ended with status -9 and no report")
 
     def test_an_interrupt_in_this_process_kills_and_reaps_the_child(self, tmp_path, monkeypatch,
                                                                     capsys):
@@ -740,18 +755,126 @@ class TestWritePhase:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_the_sample_writes_in_one_process(self, tmp_path, monkeypatch):
-        forks = []
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1))
+    def test_the_sample_writes_in_one_process(self, tmp_path, forks):
         conf = write_conf(tmp_path, f"input = {SAMPLE}\noutput_dir = out\n")
         run_pipeline(load_pipeline_config(conf))
-        assert forks == []
+        assert forks == {}
 
     def test_jobs_go_largest_first_to_the_lighter_share(self):
         jobs = [pipeline._Job((str(v),), "s", v, print, ()) for v in (3, 9, 4, 5, 1)]
         mine, theirs = pipeline._shares(jobs)
         assert [job.values for job in mine] == [9, 3]
         assert [job.values for job in theirs] == [5, 4, 1]
+
+
+class TestClusteringFork:
+    """With both spaces and enough regions, the components space is
+    clustered in a forked child while this process clusters the raw one."""
+
+    # the perfbench regions workload at seed 7: 1000 x 19, both spaces
+    REGIONS_CONF = ("synthetic = true\nn = 1000\np = 19\nclusters = 4\nseparation = 10\n"
+                    "seed = 7\nk_regions = 4\ncluster_space = both\noutput_dir = out\n")
+
+    @staticmethod
+    def in_space(monkeypatch, space: str, error: BaseException) -> None:
+        """euclidean_distances raises error on the space's points, and passes
+        the other space's through; the message says which process it ran in."""
+        parent = os.getpid()
+
+        def distances(points, labels, original=pipeline.euclidean_distances):
+            if (points.shape[1] == 19) == (space == "raw"):
+                where = "this process" if os.getpid() == parent else "the child"
+                raise type(error)(f"{error} in {where}")
+            return original(points, labels)
+
+        monkeypatch.setattr(pipeline, "euclidean_distances", distances)
+
+    def test_one_fork_per_stage_on_the_regions_workload(self, tmp_path, forks):
+        artifacts = run_pipeline(load_pipeline_config(write_conf(tmp_path, self.REGIONS_CONF)))
+        assert forks == {"cluster-regions": 1, "manifest": 1}
+        assert artifacts.partitions["raw"].k == artifacts.partitions["components"].k == 4
+
+    def test_the_sample_clusters_in_one_process(self, tmp_path, forks):
+        run_pipeline(load_pipeline_config(write_conf(tmp_path, f"input = {SAMPLE}\noutput_dir = out\n")))
+        assert forks == {}
+
+    def test_no_fork_beside_another_thread(self, tmp_path, forks):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            run_pipeline(load_pipeline_config(write_conf(tmp_path, self.REGIONS_CONF)))
+        finally:
+            stop.set()
+            thread.join()
+        assert forks == {}
+
+    def test_the_childs_dendrogram_equals_the_serial_one(self, tmp_path, monkeypatch):
+        config = load_pipeline_config(write_conf(tmp_path, self.REGIONS_CONF))
+        dendrograms = []
+
+        def cut(dend, k, original=pipeline.cut):
+            dendrograms.append(dend)
+            return original(dend, k)
+
+        monkeypatch.setattr(pipeline, "cut", cut)
+        run_pipeline(config)
+        forked = dendrograms[1]
+        monkeypatch.setattr(pipeline, "_FORK_REGIONS", 10**9)
+        run_pipeline(config)
+        serial = dendrograms[4]  # raw, components, variables, then the serial run's
+        assert not forked.merges.flags.writeable
+        assert forked.labels == serial.labels
+        assert np.array_equal(forked.merges, serial.merges)
+
+    def test_an_error_in_the_childs_space_reaches_the_cli(self, tmp_path, monkeypatch, capsys,
+                                                          forks):
+        self.in_space(monkeypatch, "components", NumericalError("planted"))
+        code = cli.main(["run", "--config", str(write_conf(tmp_path, self.REGIONS_CONF))])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cluster-regions: planted in the child"]
+        assert forks == {"cluster-regions": 1}
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_an_interrupt_in_this_processs_space_reaps_the_child(self, tmp_path, monkeypatch,
+                                                                 forks):
+        self.in_space(monkeypatch, "raw", KeyboardInterrupt("planted"))
+        with pytest.raises(KeyboardInterrupt, match="planted in this process"):
+            cli.main(["run", "--config", str(write_conf(tmp_path, self.REGIONS_CONF))])
+        assert forks == {"cluster-regions": 1}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    # CPython 3.12 and later warn at os.fork() in a process with more than
+    # one OS thread, and under an "error" filter drop that warning silently,
+    # so only a fresh interpreter under -W always shows it. On 3.11 there
+    # is no such warning and this test cannot fail; it has force on 3.12+.
+    # numpy loaded first starts OpenBLAS at its default thread count, as in
+    # the perfbench harness; the CLI loads it with one thread.
+    FRESH = """\
+import os, sys
+{imports}
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+from pcacluster.cli import main
+code = main(["run", "--config", sys.argv[1]])
+print(len(forks))
+sys.exit(code)
+"""
+
+    @pytest.mark.parametrize("imports", ["", "import numpy"], ids=["cli", "numpy-first"])
+    def test_no_multi_threaded_fork_warning(self, tmp_path, imports):
+        conf = write_conf(tmp_path, self.REGIONS_CONF)
+        done = subprocess.run(
+            [sys.executable, "-W", "always", "-c", self.FRESH.format(imports=imports), str(conf)],
+            env=child_env({}), capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "2"  # it forked to cluster and to write
+        assert "multi-threaded" not in done.stderr
 
 
 class TestBenchmarkTracing:
