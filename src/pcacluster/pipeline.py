@@ -5,7 +5,9 @@ as jobs and touches no disk; the manifest stage then clears what an
 earlier run left, writes the jobs and ends with manifest.txt, which lists
 each file with its SHA-256 checksum. So a run that fails before it writes
 leaves the output directory as it was, and one that fails while writing
-leaves no manifest.
+leaves no manifest. An error is named after its stage, so one raised
+while writing reads "manifest: ...", with the file's path where the OS
+error carries one (ENOSPC from writing into an open file carries none).
 
 On Linux the run uses two processes where that pays, with the same bytes.
 From _FORK_REGIONS regions, a run that clusters both spaces clusters the
@@ -26,6 +28,7 @@ whatever else was there.
 
 from __future__ import annotations
 
+import _thread
 import hashlib
 import logging
 import os
@@ -95,7 +98,6 @@ class _Job:
     """One artifact, or the z-score twins, that the write phase puts on disk."""
 
     rels: tuple[str, ...]
-    stage: str  # the stage that made it, which names it in an error
     values: int  # the numbers and cells it formats: the cost the writers share
     write: Callable[..., None]  # write(*paths of rels, *args)
     args: tuple
@@ -111,18 +113,9 @@ class _Sink:
     def __init__(self, out: Path) -> None:
         self.out = out
         self.jobs: list[_Job] = []
-        self._stage = ""
-
-    @contextmanager
-    def stage(self, name: str):
-        """A stage: logged, its jobs and its errors named after it."""
-        logger.info("stage %s", name)
-        self._stage = name
-        with _named(name):
-            yield
 
     def add(self, rels: tuple[str, ...], values: int, write: Callable[..., None], *args) -> None:
-        self.jobs.append(_Job(rels, self._stage, values, write, args))
+        self.jobs.append(_Job(rels, values, write, args))
 
     def text(self, rel: str, values: int, lines: Iterable[str]) -> None:
         """Lines, each ending in "\n", written as they come."""
@@ -144,29 +137,21 @@ class _Sink:
         """Clear the earlier run, write every job, hashing each file as read
         back, then manifest.txt; return it and the sorted paths.
 
-        The jobs go to two writer processes when _forks says so, else to
-        this one in the order they came.
+        The jobs are shared between this process and a forked child when the
+        lighter share formats at least _FORK_VALUES values.
         """
-        with _named("manifest"):
-            self._clear_earlier_run()
-            for directory in sorted({(self.out / rel).parent
-                                     for job in self.jobs for rel in job.rels}):
-                directory.mkdir(parents=True, exist_ok=True)
+        self._clear_earlier_run()
+        for directory in sorted({(self.out / rel).parent for job in self.jobs for rel in job.rels}):
+            directory.mkdir(parents=True, exist_ok=True)
         mine, theirs = _shares(self.jobs)
-        if _forks(min(sum(job.values for job in share) for share in (mine, theirs)),
-                  _FORK_VALUES):
-            try:
-                digests, their_digests = _in_two_processes(
-                    lambda: self._write_share(mine), lambda: self._write_share(theirs))
-            except OSError as exc:  # the helper's own: each job names its errors
-                raise ValidationError(f"manifest: {exc}") from exc
-            digests.update(their_digests)
-        else:
-            digests = self._write_share(self.jobs)
+        lighter = min(sum(job.values for job in share) for share in (mine, theirs))
+        digests, their_digests = _in_two_processes(
+            lambda: self._write_share(mine), lambda: self._write_share(theirs),
+            lighter >= _FORK_VALUES)
+        digests.update(their_digests)
         files = tuple(sorted(digests))
         path = self.out / "manifest.txt"
-        with _named("manifest"):
-            _write_lines(path, [f"{digests[rel]}  {rel}\n" for rel in files])
+        _write_lines(path, [f"{digests[rel]}  {rel}\n" for rel in files])
         return path, files
 
     def _write_share(self, jobs: list[_Job]) -> dict[str, str]:
@@ -174,9 +159,8 @@ class _Sink:
         digests = {}
         for job in jobs:
             paths = [self.out / rel for rel in job.rels]
-            with _named(job.stage):
-                job.write(*paths, *job.args)
-                digests.update((rel, _sha256(path)) for rel, path in zip(job.rels, paths))
+            job.write(*paths, *job.args)
+            digests.update((rel, _sha256(path)) for rel, path in zip(job.rels, paths))
         return digests
 
     def _clear_earlier_run(self) -> None:
@@ -213,33 +197,29 @@ def _shares(jobs: list[_Job]) -> tuple[list[_Job], list[_Job]]:
     return shares
 
 
-def _forks(lighter: int, least: int) -> bool:
-    """Whether to split work between this process and a forked child: on
-    Linux, with no other Python thread (a forked child gets no copy of
-    another thread, only of the locks it may hold), and with at least
-    `least` units of work in the lighter part, enough to repay a fork.
+def _in_two_processes(here: Callable[[], Any], there: Callable[[], Any],
+                      pays: bool) -> tuple[Any, Any]:
+    """(here(), there()), with there() run in a forked child meanwhile if
+    the work pays for a fork and forking is safe: on Linux, with no other
+    Python thread, started by threading or by _thread (a forked child gets
+    no copy of another thread, only of the locks it may hold). Otherwise,
+    or if the fork fails (a pid or memory limit), there() runs after here().
 
     The guard counts Python threads, not OS threads. Loaded first, numpy
-    starts OpenBLAS's pool, and an in-process run on the perfbench `wide`
-    table counted 2 OS threads before each fork (`regions`: before its
-    first only), where the CLI, which loads BLAS with one thread, counted
-    1. OpenBLAS stops its pool before a fork and restarts it on demand, so
-    the child is safe, and CPython 3.12+, which counts OS threads after
-    the fork, does not warn. An OS-thread guard would forgo every fork of
-    such a run.
-    """
-    return sys.platform == "linux" and threading.active_count() == 1 and lighter >= least
-
-
-def _in_two_processes(here: Callable[[], Any], there: Callable[[], Any]) -> tuple[Any, Any]:
-    """(here(), there()), with there() run in a forked child meanwhile.
+    starts OpenBLAS's pool: an in-process run on the perfbench `wide` table
+    counted 2 OS threads before each fork, the CLI (one BLAS thread) 1.
+    OpenBLAS stops its pool before a fork and restarts it on demand, so the
+    child is safe, and CPython 3.12+, which counts OS threads after the
+    fork, does not warn. An OS-thread guard would forgo every such fork.
 
     The child sends its result, or the exception that stopped it, through
     one pipe and leaves by os._exit, exit status 0 only once its report is
     sent. This process reaps it on every path, and kills it first if
-    here() fails. If the fork fails (a pid or memory limit), there() runs
-    here after here(), as it would without a fork.
+    here() fails.
     """
+    if not (pays and sys.platform == "linux" and _thread._count() == 0
+            and threading.active_count() == 1):
+        return here(), there()
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -296,14 +276,16 @@ def _sha256(path: Path) -> str:
 
 
 @contextmanager
-def _named(stage: str):
-    """Errors raised inside carry the stage's name; an OSError becomes a ValidationError."""
+def _stage(name: str):
+    """A stage: logged as "stage <name>", and the errors raised inside named
+    after it; an OSError becomes a ValidationError."""
+    logger.info("stage %s", name)
     try:
         yield
     except PcaClusterError as exc:
-        raise type(exc)(f"{stage}: {exc}") from exc
+        raise type(exc)(f"{name}: {exc}") from exc
     except OSError as exc:
-        raise ValidationError(f"{stage}: {exc}") from exc
+        raise ValidationError(f"{name}: {exc}") from exc
 
 
 def _merge_rows(dend: Dendrogram):
@@ -325,7 +307,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
     sink = _Sink(config.output_dir)
 
     truth: Partition | None = None
-    with sink.stage("load"):
+    with _stage("load"):
         if config.synthetic is not None:
             raw_table, truth = generate_synthetic(config.synthetic)
         else:
@@ -340,12 +322,12 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             sink.add(("synthetic_table.csv",), n * p, lambda path: write_table(raw_table, path))
             sink.partition("partition_truth.csv", raw_table.region_labels, truth)
 
-    with sink.stage("impute"):
+    with _stage("impute"):
         imputed = impute_means(raw_table)
-    with sink.stage("standardize"):
+    with _stage("standardize"):
         table = standardize(imputed)
 
-    with sink.stage("pca"):
+    with _stage("pca"):
         model = fit_pca(table)
         model = model.with_components(select_components(model, config.component_rule))
         names = config.component_labels
@@ -365,7 +347,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
 
     dendrograms: dict[str, Dendrogram] = {}
     partitions: dict[str, Partition] = {}
-    with sink.stage("cluster-regions"):
+    with _stage("cluster-regions"):
         spaces = {space: points for space, points in (("raw", table.values), ("components", score))
                   if config.cluster_space in (space, "both")}
 
@@ -373,9 +355,10 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             return complete_linkage(euclidean_distances(points, table.region_labels))
 
         # the raw space is never the lighter (k <= p), so it stays here
-        if len(spaces) == 2 and _forks(n, _FORK_REGIONS):
+        if len(spaces) == 2:
             dendrograms["raw"], dendrograms["components"] = _in_two_processes(
-                lambda: link(spaces["raw"]), lambda: link(spaces["components"]))
+                lambda: link(spaces["raw"]), lambda: link(spaces["components"]),
+                n >= _FORK_REGIONS)
         else:
             dendrograms.update((space, link(points)) for space, points in spaces.items())
         for space, dend in dendrograms.items():
@@ -384,7 +367,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
                       _merge_rows(dend))
             sink.partition(f"partition_{space}.csv", table.region_labels, partitions[space])
 
-    with sink.stage("cluster-variables"):
+    with _stage("cluster-variables"):
         var_dend = cluster_variables(table)
         partitions["variables"] = cut(var_dend, config.k_vars)
         sink.rows("dendrogram_variables.csv", var_dend.merges.size, _MERGE_HEADER,
@@ -395,7 +378,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
     concordance_stats: dict[str, float] = {}
     if truth is not None:
         partitions["truth"] = truth
-    with sink.stage("concordance"):
+    with _stage("concordance"):
         if "raw" in partitions and "components" in partitions:
             raw, comp = partitions["raw"], partitions["components"]
             concordance_stats = {"rand": rand_index(raw, comp),
@@ -407,7 +390,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
                       _contingency_lines(contingency(raw, comp), concordance_stats))
 
     final_partition = partitions["components" if "components" in partitions else "raw"]
-    with sink.stage("profile"):
+    with _stage("profile"):
         grid = profile(imputed, final_partition)
         labels = imputed.indicator_labels
         sink.add(("profiles.csv",), grid.size, write_labeled_matrix,
@@ -419,11 +402,11 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             header, *table_rows = format_profile_table(block, labels)
             sink.rows(f"profiles/cluster_{cluster_id}.csv", block.size, header, table_rows)
 
-    with sink.stage("plots"):
+    with _stage("plots"):
         emit_plots(sink, table, model, dendrograms, final_partition, names)
 
-    logger.info("stage manifest")
-    manifest_path, files = sink.write()
+    with _stage("manifest"):
+        manifest_path, files = sink.write()
 
     return RunArtifacts(
         output_dir=sink.out,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import _thread
 import contextlib
 import csv
 import dataclasses
@@ -15,6 +16,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -119,6 +121,16 @@ def forks(monkeypatch, caplog) -> Counter:
 
     monkeypatch.setattr(os, "fork", fork)
     return forks
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    """perfbench/tracing.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 EXPECTED_SYNTH_FILES = {
@@ -477,7 +489,7 @@ class TestFileInputRun:
         # a write failure comes after the earlier manifest is gone
         (out / "profiles.csv").unlink()
         (out / "profiles.csv").mkdir()
-        with pytest.raises(ValidationError, match="^profile: .*Is a directory"):
+        with pytest.raises(ValidationError, match=r"^manifest: .*Is a directory: '.*profiles\.csv'"):
             run_pipeline(load_pipeline_config(conf))
         assert not (out / "manifest.txt").exists()
 
@@ -720,14 +732,15 @@ class TestWritePhase:
         blocked = []
 
         def block(out, *shares):
-            job = next(job for job in shares[share] if job.stage != "plots")
-            blocked.append(job.stage)
-            (out / job.rels[0]).mkdir(parents=True)
+            path = out / shares[share][0].rels[0]  # the share's largest job
+            blocked.append(path)
+            path.mkdir(parents=True)
             return shares
 
         code, err = self.run_with_shares(tmp_path, monkeypatch, capsys, block)
-        self.assert_failed_and_reaped(tmp_path, code, err, forks,
-                                      f"error: {blocked[0]}: .*Is a directory.*")
+        self.assert_failed_and_reaped(
+            tmp_path, code, err, forks,
+            f"error: manifest: .*Is a directory: '{re.escape(str(blocked[0]))}'")
 
     def test_a_child_that_dies_without_a_report_fails_the_run(self, tmp_path, monkeypatch, capsys,
                                                               forks):
@@ -761,7 +774,7 @@ class TestWritePhase:
         assert forks == {}
 
     def test_jobs_go_largest_first_to_the_lighter_share(self):
-        jobs = [pipeline._Job((str(v),), "s", v, print, ()) for v in (3, 9, 4, 5, 1)]
+        jobs = [pipeline._Job((str(v),), v, print, ()) for v in (3, 9, 4, 5, 1)]
         mine, theirs = pipeline._shares(jobs)
         assert [job.values for job in mine] == [9, 3]
         assert [job.values for job in theirs] == [5, 4, 1]
@@ -798,15 +811,31 @@ class TestClusteringFork:
         run_pipeline(load_pipeline_config(write_conf(tmp_path, f"input = {SAMPLE}\noutput_dir = out\n")))
         assert forks == {}
 
-    def test_no_fork_beside_another_thread(self, tmp_path, forks):
-        stop = threading.Event()
-        thread = threading.Thread(target=stop.wait)
-        thread.start()
+    @staticmethod
+    @contextlib.contextmanager
+    def another_thread(start: str):
+        """Another thread waits while the block runs, and has ended once the
+        block is left. threading.active_count() misses one that _thread starts."""
+        stop = threading.Lock()
+        stop.acquire()
+        if start == "threading":
+            threading.Thread(target=stop.acquire).start()
+        else:
+            _thread.start_new_thread(stop.acquire, ())
         try:
-            run_pipeline(load_pipeline_config(write_conf(tmp_path, self.REGIONS_CONF)))
+            assert threading.active_count() == (2 if start == "threading" else 1)
+            yield
         finally:
-            stop.set()
-            thread.join()
+            stop.release()
+            deadline = time.monotonic() + 10
+            while _thread._count() and time.monotonic() < deadline:
+                time.sleep(0.001)
+        assert _thread._count() == 0
+
+    @pytest.mark.parametrize("start", ["threading", "_thread"])
+    def test_no_fork_beside_another_thread(self, tmp_path, forks, start):
+        with self.another_thread(start):
+            run_pipeline(load_pipeline_config(write_conf(tmp_path, self.REGIONS_CONF)))
         assert forks == {}
 
     def test_the_childs_dendrogram_equals_the_serial_one(self, tmp_path, monkeypatch):
@@ -880,11 +909,7 @@ sys.exit(code)
 class TestBenchmarkTracing:
     """perfbench/tracing.py wraps pcacluster functions by name and reads their results."""
 
-    def test_traced_names_resolve_and_are_restored(self, tmp_path, monkeypatch):
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-        tracing = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
-        spec.loader.exec_module(tracing)
+    def test_traced_names_resolve_and_are_restored(self, tmp_path, tracing):
         config = load_pipeline_config(write_conf(tmp_path, f"input = {SAMPLE}\noutput_dir = out\n"))
         original = linalg.jacobi_eigen
         tracer = tracing.Tracer()
@@ -1028,14 +1053,32 @@ class TestCli:
         assert err.startswith("error: load:")
         assert len(err.strip().splitlines()) == 1
 
-    def test_unwritable_truth_partition_names_the_load_stage(self, tmp_path, capsys):
+    def test_unwritable_truth_partition_names_the_manifest_stage_and_the_path(self, tmp_path,
+                                                                              capsys):
+        # the load stage made the job, but the error is raised while writing
         conf = synth_conf(tmp_path)
-        (tmp_path / "out" / "partition_truth.csv").mkdir(parents=True)
-        with pytest.raises(ValidationError, match="^load: "):
+        blocked = tmp_path / "out" / "partition_truth.csv"
+        blocked.mkdir(parents=True)
+        message = f"manifest: .*Is a directory: '{re.escape(str(blocked))}'"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             run_pipeline(load_pipeline_config(conf))
         assert cli.main(["run", "--config", str(conf)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: load: "), err
+        assert len(err) == 1 and re.fullmatch(f"error: {message}", err[0]), err
+
+    # the stage records are what perfbench/tracing.py parses into stage spans
+    @pytest.mark.parametrize("verbose", ["1", "0", None], ids=["on", "off", "unset"])
+    def test_verbose_logs_each_stage_in_order(self, tmp_path, tracing, verbose):
+        conf = write_conf(tmp_path, f"input = {SAMPLE}\noutput_dir = out\n")
+        env = {key: value for key, value in child_env({}).items() if key != "PCACLUSTER_VERBOSE"}
+        if verbose is not None:
+            env["PCACLUSTER_VERBOSE"] = verbose
+        done = subprocess.run([sys.executable, "-m", "pcacluster.cli", "run", "--config", str(conf)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert len(tracing.STAGES) == 10
+        stages = "".join(f"pcacluster.pipeline: stage {name}\n" for name in tracing.STAGES)
+        assert done.stderr == (stages if verbose == "1" else "")
 
     @pytest.mark.parametrize("files", [
         {"t.csv": "region,a,b\nr\xe9,1,2\n".encode("latin-1"),
