@@ -79,17 +79,13 @@ def parse_selection_rule(text: str) -> SelectionRule:
         if arg:
             raise ValidationError("kaiser takes no argument")
         return Kaiser()
-    if name == "fixed":
-        try:
-            return Fixed(k=int(arg))
-        except ValueError:
-            raise ValidationError(f"fixed rule needs an integer, got {arg!r}") from None
-    if name == "cumulative":
-        try:
-            return CumulativeThreshold(percent=float(arg))
-        except ValueError:
-            raise ValidationError(f"cumulative rule needs a number, got {arg!r}") from None
-    raise ValidationError(f"unknown component rule {text!r}")
+    if name not in _RULES:
+        raise ValidationError(f"unknown component rule {text!r}")
+    rule, convert = _RULES[name]
+    try:
+        return rule(convert(arg))
+    except ValueError:
+        raise ValidationError(f"{name} rule needs {_NOUNS[convert]}, got {arg!r}") from None
 
 
 def _named(names: dict[str, str], what: str):
@@ -114,6 +110,8 @@ _RUN_KEYS = {"components": parse_selection_rule, "k_regions": int, "k_vars": int
              "cluster_space": str.lower, "component_labels": _labels}
 _PIPELINE_KEYS = {"input", "synthetic", "output_dir", *_SYNTH_KEYS, *_PARSE_KEYS, *_RUN_KEYS}
 _NOUNS = {int: "an integer", float: "a number"}
+# component rule -> its class and the converter of its argument
+_RULES = {"fixed": (Fixed, int), "cumulative": (CumulativeThreshold, float)}
 
 
 def _convert(pairs: dict[str, str], converters: dict) -> dict:

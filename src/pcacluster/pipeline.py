@@ -9,13 +9,14 @@ leaves no manifest. An error is named after its stage, so one raised
 while writing reads "manifest: ...", with the file's path where the OS
 error carries one (ENOSPC from writing into an open file carries none).
 
-On Linux the run uses two processes where that pays, with the same bytes.
-From _FORK_REGIONS regions, a run that clusters both spaces clusters the
-components space in a forked child while this process clusters the raw
-one. Both condensed distance vectors are then alive at once, 8 MB at
-1000 regions and 2 GiB at MAX_POINTS; at 12000 x 19 each process peaked
-near 0.6 GiB. A large enough set of jobs is likewise shared between this
-process and one forked child. A fork that fails (a pid or memory limit)
+On Linux, with a second CPU to run on, the run uses two processes where
+that pays, with the same bytes. From _FORK_REGIONS regions, a run that
+clusters both spaces clusters the components space in a forked child
+while this process clusters the raw one. Both condensed distance vectors
+are then alive at once, 8 MB at 1000 regions and 2 GiB at MAX_POINTS; at
+12000 x 19 each process peaked near 0.6 GiB. The jobs are likewise shared
+with one forked child when the lighter share formats at least
+_FORK_VALUES (5 500) values. A fork that fails (a pid or memory limit)
 leaves the work to this process.
 
 Every run writes a fixed artifact set (a function of the configuration
@@ -64,10 +65,11 @@ _MERGE_HEADER = ["step", "left", "right", "height", "size"]
 _CHUNK = 1 << 16
 
 # the write phase forks only if the lighter of its two shares formats at
-# least this many values. On a 2-core Xeon a value takes 0.3-2 us to write
-# and a fork 2-4 ms to start its child: at 85 x 19 (shares of about 4.5k
-# values) a forced split was no faster, at 1000 x 19 (55k) it saved 40 ms
-_FORK_VALUES = 20_000
+# least this many values. On a 2-core Xeon, whole runs on synthetic 85 x p
+# with a forced split against one process: p = 22 (lighter share 5 946
+# values) 40.5 against 46.9 ms, p = 40 (9 924) 45.8 against 63.3, p = 60
+# (14 984) 59.0 against 69.3; p = 19 (5 276) was even, 1000 x 19 saved 40 ms
+_FORK_VALUES = 5_500
 # both region spaces are clustered in two processes from this many regions.
 # On a 2-core Xeon a forced fork made the stage 4-5 ms slower at 150 x 19,
 # about even at 300 and 6-8 ms faster at 400, where the run gained 5 ms
@@ -135,11 +137,8 @@ class _Sink:
 
     def write(self) -> tuple[Path, tuple[str, ...]]:
         """Clear the earlier run, write every job, hashing each file as read
-        back, then manifest.txt; return it and the sorted paths.
-
-        The jobs are shared between this process and a forked child when the
-        lighter share formats at least _FORK_VALUES values.
-        """
+        back, then manifest.txt; return it and the sorted paths. The jobs are
+        shared with a forked child where that pays (_FORK_VALUES)."""
         self._clear_earlier_run()
         for directory in sorted({(self.out / rel).parent for job in self.jobs for rel in job.rels}):
             directory.mkdir(parents=True, exist_ok=True)
@@ -200,10 +199,12 @@ def _shares(jobs: list[_Job]) -> tuple[list[_Job], list[_Job]]:
 def _in_two_processes(here: Callable[[], Any], there: Callable[[], Any],
                       pays: bool) -> tuple[Any, Any]:
     """(here(), there()), with there() run in a forked child meanwhile if
-    the work pays for a fork and forking is safe: on Linux, with no other
-    Python thread, started by threading or by _thread (a forked child gets
-    no copy of another thread, only of the locks it may hold). Otherwise,
-    or if the fork fails (a pid or memory limit), there() runs after here().
+    the work pays for a fork and forking is safe and helps: on Linux, with
+    more than one CPU in the affinity mask (a CFS quota does not show in
+    it), and with no other Python thread, started by threading or by _thread
+    (a forked child gets no copy of another thread, only of the locks it may
+    hold). Otherwise, or if the fork fails (a pid or memory limit), there()
+    runs after here().
 
     The guard counts Python threads, not OS threads. Loaded first, numpy
     starts OpenBLAS's pool: an in-process run on the perfbench `wide` table
@@ -217,8 +218,8 @@ def _in_two_processes(here: Callable[[], Any], there: Callable[[], Any],
     sent. This process reaps it on every path, and kills it first if
     here() fails.
     """
-    if not (pays and sys.platform == "linux" and _thread._count() == 0
-            and threading.active_count() == 1):
+    if not (pays and sys.platform == "linux" and len(os.sched_getaffinity(0)) > 1
+            and _thread._count() == 0 and threading.active_count() == 1):
         return here(), there()
     read_end, write_end = os.pipe()
     try:
@@ -293,6 +294,15 @@ def _merge_rows(dend: Dendrogram):
         yield [str(step), str(int(left)), str(int(right)), format_float(height), str(int(size))]
 
 
+def _clustering(sink: _Sink, name: str, dend: Dendrogram, k: int, item: str = "region") -> Partition:
+    """dend cut at k, with dendrogram_<name>.csv and partition_<name>.csv
+    registered on sink; the partition's items are dend's labels."""
+    part = cut(dend, k)
+    sink.rows(f"dendrogram_{name}.csv", dend.merges.size, _MERGE_HEADER, _merge_rows(dend))
+    sink.partition(f"partition_{name}.csv", dend.labels, part, item)
+    return part
+
+
 def _contingency_lines(counts: Counts, stats: dict[str, float]) -> Iterator[str]:
     yield "contingency rows=raw columns=components\n"
     yield ",".join([""] + [f"c{j + 1}" for j in range(len(counts[0]))]) + "\n"
@@ -306,10 +316,10 @@ def _contingency_lines(counts: Counts, stats: dict[str, float]) -> Iterator[str]
 def run_pipeline(config: PipelineConfig) -> RunArtifacts:
     sink = _Sink(config.output_dir)
 
-    truth: Partition | None = None
+    partitions: dict[str, Partition] = {}
     with _stage("load"):
         if config.synthetic is not None:
-            raw_table, truth = generate_synthetic(config.synthetic)
+            raw_table, partitions["truth"] = generate_synthetic(config.synthetic)
         else:
             raw_table = load_table(config.input_path, config.parse_options)
         n, p = raw_table.n_regions, raw_table.n_indicators
@@ -318,9 +328,9 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             raise ValidationError(f"k_regions={config.k_regions} exceeds region count {n}")
         if config.k_vars > p:
             raise ValidationError(f"k_vars={config.k_vars} exceeds indicator count {p}")
-        if truth is not None:
+        if "truth" in partitions:
             sink.add(("synthetic_table.csv",), n * p, lambda path: write_table(raw_table, path))
-            sink.partition("partition_truth.csv", raw_table.region_labels, truth)
+            sink.partition("partition_truth.csv", raw_table.region_labels, partitions["truth"])
 
     with _stage("impute"):
         imputed = impute_means(raw_table)
@@ -345,51 +355,42 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
                     loadings(model))
         sink.matrix("scores.csv", ["region", *names], table.region_labels, score)
 
-    dendrograms: dict[str, Dendrogram] = {}
-    partitions: dict[str, Partition] = {}
+    # the region spaces, in order; the last one's partition is the final one
+    spaces = ("raw", "components") if config.cluster_space == "both" else (config.cluster_space,)
     with _stage("cluster-regions"):
-        spaces = {space: points for space, points in (("raw", table.values), ("components", score))
-                  if config.cluster_space in (space, "both")}
+        points = {"raw": table.values, "components": score}
 
-        def link(points: np.ndarray) -> Dendrogram:
-            return complete_linkage(euclidean_distances(points, table.region_labels))
+        def link(space: str) -> Dendrogram:
+            return complete_linkage(euclidean_distances(points[space], table.region_labels))
 
         # the raw space is never the lighter (k <= p), so it stays here
         if len(spaces) == 2:
-            dendrograms["raw"], dendrograms["components"] = _in_two_processes(
-                lambda: link(spaces["raw"]), lambda: link(spaces["components"]),
-                n >= _FORK_REGIONS)
+            trees = _in_two_processes(lambda: link(spaces[0]), lambda: link(spaces[1]),
+                                      n >= _FORK_REGIONS)
         else:
-            dendrograms.update((space, link(points)) for space, points in spaces.items())
+            trees = (link(spaces[0]),)
+        dendrograms = dict(zip(spaces, trees))
         for space, dend in dendrograms.items():
-            partitions[space] = cut(dend, config.k_regions)
-            sink.rows(f"dendrogram_{space}.csv", dend.merges.size, _MERGE_HEADER,
-                      _merge_rows(dend))
-            sink.partition(f"partition_{space}.csv", table.region_labels, partitions[space])
+            partitions[space] = _clustering(sink, space, dend, config.k_regions)
 
     with _stage("cluster-variables"):
-        var_dend = cluster_variables(table)
-        partitions["variables"] = cut(var_dend, config.k_vars)
-        sink.rows("dendrogram_variables.csv", var_dend.merges.size, _MERGE_HEADER,
-                  _merge_rows(var_dend))
-        sink.partition("partition_variables.csv", table.indicator_labels,
-                       partitions["variables"], "indicator")
+        partitions["variables"] = _clustering(sink, "variables", cluster_variables(table),
+                                              config.k_vars, "indicator")
 
     concordance_stats: dict[str, float] = {}
-    if truth is not None:
-        partitions["truth"] = truth
     with _stage("concordance"):
-        if "raw" in partitions and "components" in partitions:
-            raw, comp = partitions["raw"], partitions["components"]
+        if len(spaces) == 2:
+            raw, comp = (partitions[space] for space in spaces)
             concordance_stats = {"rand": rand_index(raw, comp),
                                  "ari": adjusted_rand_index(raw, comp)}
+            truth = partitions.get("truth")
             if truth is not None:
                 concordance_stats["ari_raw_truth"] = adjusted_rand_index(raw, truth)
                 concordance_stats["ari_components_truth"] = adjusted_rand_index(comp, truth)
             sink.text("concordance.txt", raw.k * comp.k + len(concordance_stats),
                       _contingency_lines(contingency(raw, comp), concordance_stats))
 
-    final_partition = partitions["components" if "components" in partitions else "raw"]
+    final_partition = partitions[spaces[-1]]
     with _stage("profile"):
         grid = profile(imputed, final_partition)
         labels = imputed.indicator_labels
@@ -422,8 +423,7 @@ def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
                dendrograms: dict[str, Dendrogram], final_partition: Partition,
                names: tuple[str, ...]) -> None:
     """The six figures under plots/, each with its CSV twin, as jobs on sink."""
-    final_space = "components" if "components" in dendrograms else "raw"
-    leaf_order = dendrograms[final_space].leaf_order()
+    leaf_order = [*dendrograms.values()][-1].leaf_order()  # the final space's
     assignment = final_partition.assignment
     values, regions, indicators = table.values, table.region_labels, table.indicator_labels
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import errno
 import hashlib
 import os
+import subprocess
+import sys
 import threading
 import time
 from contextlib import contextmanager, nullcontext
@@ -379,6 +381,33 @@ def test_13_a_failed_fork_finishes_the_run_in_one_process(tmp_path, monkeypatch,
         assert calls == [1, 1]  # once while clustering, once while writing
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        digest = kernel_independent_digest(conf.parent / "out" / "manifest.txt")
+        assert digest == CONFIG_DIGESTS["perfbench-regions"]
+
+
+# a fresh interpreter that pins itself to its first CPU runs a config
+# through the CLI and prints how many times it forked
+PINNED_RUN = """\
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+from pcacluster.cli import main
+code = main(["run", "--config", sys.argv[1]])
+print(len(forks))
+sys.exit(code)
+"""
+
+
+def test_13_a_run_pinned_to_one_cpu_stays_in_one_process(tmp_path):
+    with reported("13 a run pinned to one CPU forks no child, same bytes"):
+        conf = manifests_tool().write_configs(SAMPLE.parents[3], tmp_path)["perfbench-regions"]
+        done = subprocess.run([sys.executable, "-c", PINNED_RUN, str(conf)],
+                              env={**os.environ, "PYTHONPATH": str(SAMPLE.parents[2])},
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0"  # no fork to cluster or to write
         digest = kernel_independent_digest(conf.parent / "out" / "manifest.txt")
         assert digest == CONFIG_DIGESTS["perfbench-regions"]
 

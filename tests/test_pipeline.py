@@ -815,14 +815,20 @@ class TestClusteringFork:
     @contextlib.contextmanager
     def another_thread(start: str):
         """Another thread waits while the block runs, and has ended once the
-        block is left. threading.active_count() misses one that _thread starts."""
+        block is left. threading.active_count() misses one that _thread starts.
+        Such a thread counts itself in _thread._count() only once it holds the
+        GIL, so the block waits for that: the run must see it from its start."""
         stop = threading.Lock()
         stop.acquire()
         if start == "threading":
             threading.Thread(target=stop.acquire).start()
         else:
             _thread.start_new_thread(stop.acquire, ())
+        deadline = time.monotonic() + 10
+        while not _thread._count() and time.monotonic() < deadline:
+            time.sleep(0.001)
         try:
+            assert _thread._count() == 1
             assert threading.active_count() == (2 if start == "threading" else 1)
             yield
         finally:
@@ -938,6 +944,35 @@ class TestClusterSpaces:
         artifacts = run_pipeline(load_pipeline_config(conf))
         assert "dendrogram_raw.csv" not in artifacts.files
         assert "partition_components.csv" in artifacts.files
+
+    # 400 regions, where a both-space run clusters in two processes; at
+    # separation 3 the two spaces' partitions differ in most regions
+    FORK_SIZE_CONF = ("synthetic = true\nn = 400\np = 19\nclusters = 4\nseparation = 3\n"
+                      "seed = 7\noutput_dir = {out}\n")
+
+    @staticmethod
+    def assert_plotted_partition(out: Path, space: str) -> None:
+        """The cluster column of plots/parallel_coordinates.csv is partition_<space>.csv's."""
+        with (out / f"partition_{space}.csv").open(newline="", encoding="utf-8") as handle:
+            final = dict(csv.reader(handle))
+        with (out / "plots" / "parallel_coordinates.csv").open(newline="", encoding="utf-8") as handle:
+            plotted = {row[0]: row[1] for row in csv.reader(handle)}
+        assert plotted == final
+
+    @pytest.mark.parametrize("space", ["raw", "components"])
+    def test_one_space_at_fork_size_clusters_in_one_process(self, tmp_path, forks, space):
+        both = run_pipeline(load_pipeline_config(
+            write_conf(tmp_path, self.FORK_SIZE_CONF.format(out="both"), "both.conf")))
+        assert forks["cluster-regions"] == 1
+        self.assert_plotted_partition(both.output_dir, "components")
+        forks.clear()
+        one = run_pipeline(load_pipeline_config(write_conf(
+            tmp_path, self.FORK_SIZE_CONF.format(out="one") + f"cluster_space = {space}\n",
+            "one.conf")))
+        assert "cluster-regions" not in forks
+        for rel in (f"dendrogram_{space}.csv", f"partition_{space}.csv"):
+            assert (one.output_dir / rel).read_bytes() == (both.output_dir / rel).read_bytes(), rel
+        self.assert_plotted_partition(one.output_dir, space)
 
 
 class TestBoundaries:
