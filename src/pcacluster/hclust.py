@@ -113,19 +113,29 @@ class Dendrogram:
         n = len(self.labels)
         if merges.shape != (n - 1, 4):
             raise ValidationError(f"expected {n - 1} merges for {n} leaves")
-        rows = merges.tolist()
-        seen: set[float] = set()
-        for step, (left, right, height, _) in enumerate(rows, start=1):
-            for node in (left, right):
-                name = int(node) if node.is_integer() else node
-                if node in seen:
-                    raise ValidationError(f"node {name} merged twice")
-                if node % 1 or node >= step or node == 0 or node < -n:
-                    raise ValidationError(f"node id {name} invalid at step {step}")
-                seen.add(node)
-            if step > 1 and height < rows[step - 2][2] - _HEIGHT_SLACK:
-                raise ValidationError("merge heights must be non-decreasing")
-        if rows and rows[-1][3] != n:
+        # the checks of a walk over the steps, each step's left node, right
+        # node, then height, made whole-array: the first failure is raised.
+        # A node is bad if an earlier node equals it (merged twice), or if it
+        # is neither a leaf -n..-1 nor an earlier step; a stable sort puts
+        # each later copy of a value after its first
+        nodes = merges[:, :2].ravel()
+        steps = np.arange(2, 2 * n) // 2
+        with np.errstate(invalid="ignore"):
+            invalid = (np.trunc(nodes) != nodes) | (nodes >= steps) | (nodes == 0) | (nodes < -n)
+        order = np.argsort(nodes, kind="stable")
+        twice = np.zeros(nodes.size, dtype=bool)
+        twice[order[1:][nodes[order[1:]] == nodes[order[:-1]]]] = True
+        bad = np.flatnonzero(twice | invalid)
+        falls = np.flatnonzero(merges[1:, 2] < merges[:-1, 2] - _HEIGHT_SLACK) + 2  # steps
+        if bad.size and not (falls.size and falls[0] < bad[0] // 2 + 1):
+            node, step = float(nodes[bad[0]]), bad[0] // 2 + 1
+            name = int(node) if node.is_integer() else node
+            if twice[bad[0]]:
+                raise ValidationError(f"node {name} merged twice")
+            raise ValidationError(f"node id {name} invalid at step {step}")
+        if falls.size:
+            raise ValidationError("merge heights must be non-decreasing")
+        if n > 1 and merges[-1, 3] != n:
             raise ValidationError("final merge must contain every leaf")
 
     def __setstate__(self, state: dict) -> None:
@@ -346,17 +356,19 @@ def cut(dend: Dendrogram, k: int) -> Partition:
     n = dend.n_leaves
     if not 1 <= k <= n:
         raise ValidationError(f"cut level {k} outside [1, {n}]")
-    # merge member lists small into large: O(n log n) on any dendrogram shape
-    members = {-(i + 1): [i] for i in range(n)}
-    for step, (left, right, _, _) in enumerate(dend.merges[: n - k].tolist(), start=1):
-        small, large = sorted((members.pop(left), members.pop(right)), key=len)
-        large += small
-        members[step] = large
-    assignment = [0] * n
-    for cluster_id, leaves in enumerate(sorted(members.values(), key=min), start=1):
-        for leaf in leaves:
-            assignment[leaf] = cluster_id
-    return Partition(assignment=tuple(assignment), k=len(members))
+    # each node's topmost ancestor among the first n-k steps, by pointer
+    # jumping: each pass doubles how far a pointer reaches, so bit_length(n)
+    # whole-array passes reach the top on any dendrogram shape. A node's id
+    # plus n indexes it: leaf i at n - 1 - i, step s at n + s
+    top = np.arange(2 * n)
+    children = dend.merges[: n - k, :2].astype(np.intp).ravel()
+    top[children + n] = np.arange(n + 1, 2 * n - k + 1).repeat(2)
+    for _ in range(n.bit_length()):
+        top = top[top]
+    # a cluster's id is the rank of its first leaf
+    ids: dict[int, int] = {}
+    assignment = tuple(ids.setdefault(root, len(ids) + 1) for root in top[n - 1::-1].tolist())
+    return Partition(assignment=assignment, k=len(ids))
 
 
 def cluster_variables(table: IndicatorTable) -> Dendrogram:

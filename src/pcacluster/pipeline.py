@@ -14,10 +14,12 @@ that pays, with the same bytes. From _FORK_REGIONS regions, a run that
 clusters both spaces clusters the components space in a forked child
 while this process clusters the raw one. Both condensed distance vectors
 are then alive at once, 8 MB at 1000 regions and 2 GiB at MAX_POINTS; at
-12000 x 19 each process peaked near 0.6 GiB. The jobs are likewise shared
-with one forked child when the lighter share formats at least
-_FORK_VALUES (5 500) values. A fork that fails (a pid or memory limit)
-leaves the work to this process.
+12000 x 19 each process peaked near 0.6 GiB. The jobs wait in one queue,
+largest first; where a second process can take at least _FORK_VALUES
+(5 500) values of them, a forked child and this process each claim the
+next job whenever they are free, so the write phase balances itself
+whatever each job costs. A fork that fails (a pid or memory limit) leaves
+the work to this process, which then drains the queue alone.
 
 Every run writes a fixed artifact set (a function of the configuration
 only). Identical configuration and input produce byte-identical
@@ -64,11 +66,13 @@ _MERGE_HEADER = ["step", "left", "right", "height", "size"]
 # text artifacts are buffered, and files hashed, this many bytes at a time
 _CHUNK = 1 << 16
 
-# the write phase forks only if the lighter of its two shares formats at
-# least this many values. On a 2-core Xeon, whole runs on synthetic 85 x p
-# with a forced split against one process: p = 22 (lighter share 5 946
-# values) 40.5 against 46.9 ms, p = 40 (9 924) 45.8 against 63.3, p = 60
-# (14 984) 59.0 against 69.3; p = 19 (5 276) was even, 1000 x 19 saved 40 ms
+# the write phase forks only if a second process can take at least this
+# many values: half the queue's, and no more than the jobs beside the
+# largest, so a sink of one job never forks. On a 2-core Xeon, whole runs
+# on synthetic 85 x p with a forced split of two fixed shares against one
+# process: p = 22 (lighter share 5 946 values) 40.5 against 46.9 ms, p = 40
+# (9 924) 45.8 against 63.3, p = 60 (14 984) 59.0 against 69.3; p = 19
+# (5 276) was even, 1000 x 19 saved 40 ms
 _FORK_VALUES = 5_500
 # both region spaces are clustered in two processes from this many regions.
 # On a 2-core Xeon a forced fork made the stage 4-5 ms slower at 150 x 19,
@@ -137,30 +141,34 @@ class _Sink:
 
     def write(self) -> tuple[Path, tuple[str, ...]]:
         """Clear the earlier run, write every job, hashing each file as read
-        back, then manifest.txt; return it and the sorted paths. The jobs are
-        shared with a forked child where that pays (_FORK_VALUES)."""
+        back, then manifest.txt; return it and the sorted paths. The jobs
+        are claimed largest first, by a forked child too where that pays
+        (_FORK_VALUES)."""
         self._clear_earlier_run()
         for directory in sorted({(self.out / rel).parent for job in self.jobs for rel in job.rels}):
             directory.mkdir(parents=True, exist_ok=True)
-        mine, theirs = _shares(self.jobs)
-        lighter = min(sum(job.values for job in share) for share in (mine, theirs))
-        digests, their_digests = _in_two_processes(
-            lambda: self._write_share(mine), lambda: self._write_share(theirs),
-            lighter >= _FORK_VALUES)
+        jobs = sorted(self.jobs, key=lambda job: -job.values)
+        total = sum(job.values for job in jobs)
+        queue = _Queue(len(jobs))
+
+        def claimed() -> dict[str, str]:
+            """Write each job claimed from the queue; the SHA-256 of each file as read back."""
+            digests = {}
+            for number in queue:
+                job = jobs[number]
+                paths = [self.out / rel for rel in job.rels]
+                job.write(*paths, *job.args)
+                digests.update((rel, _sha256(path)) for rel, path in zip(job.rels, paths))
+            return digests
+
+        second = min(total / 2, total - (jobs[0].values if jobs else 0))
+        digests, their_digests = _in_two_processes(claimed, claimed, second >= _FORK_VALUES,
+                                                   queue)
         digests.update(their_digests)
         files = tuple(sorted(digests))
         path = self.out / "manifest.txt"
         _write_lines(path, [f"{digests[rel]}  {rel}\n" for rel in files])
         return path, files
-
-    def _write_share(self, jobs: list[_Job]) -> dict[str, str]:
-        """Write jobs in order; the SHA-256 of each file as read back."""
-        digests = {}
-        for job in jobs:
-            paths = [self.out / rel for rel in job.rels]
-            job.write(*paths, *job.args)
-            digests.update((rel, _sha256(path)) for rel, path in zip(job.rels, paths))
-        return digests
 
     def _clear_earlier_run(self) -> None:
         """Remove an earlier run's manifest.txt, then each file it lists that
@@ -184,34 +192,89 @@ class _Sink:
                 path.unlink()
 
 
-def _shares(jobs: list[_Job]) -> tuple[list[_Job], list[_Job]]:
-    """Two shares of the jobs, balanced by values: each job, largest first,
-    goes to the lighter share. Returns (this process's, the child's)."""
-    shares: tuple[list[_Job], list[_Job]] = ([], [])
-    loads = [0, 0]
-    for job in sorted(jobs, key=lambda job: -job.values):
-        lighter = int(loads[1] < loads[0])
-        shares[lighter].append(job)
-        loads[lighter] += job.values
-    return shares
+class _Queue:
+    """The numbers 0 .. count-1, each claimed once, in order: by this
+    process alone, or, once shared, by it and a forked child.
+
+    Shared, the next number lives in a pipe. A process takes it and at once
+    writes back the one after it, so it holds nothing while it works, and
+    the pipe never holds more than one 8-byte number, whatever its capacity.
+    The pipe's read end does not block: a process waits in poll and, if the
+    other took the number first, waits again. Each process also watches its
+    end of the child's report pipe and claims no more once the other end is
+    closed: the other process has left, having drained the queue or failed,
+    or died, perhaps holding the number. So neither waits for a number that
+    will not come.
+    """
+
+    def __init__(self, count: int) -> None:
+        self.count = count
+        self.taken = 0  # claimed while unshared
+        self.pipe: tuple[int, int] | None = None
+        self.poll: Any = None
+        self.other = -1  # this process's end of the report pipe, once watched
+
+    def __iter__(self) -> Iterator[int]:
+        while (number := self._claim()) < self.count:
+            yield number
+
+    def _claim(self) -> int:
+        if self.pipe is None:
+            self.taken += 1
+            return self.taken - 1
+        while True:
+            if self.other in dict(self.poll.poll()):
+                return self.count
+            try:
+                number = int.from_bytes(os.read(self.pipe[0], 8), "little")
+            except BlockingIOError:
+                continue
+            os.write(self.pipe[1], (number + 1).to_bytes(8, "little"))
+            return number
+
+    def share(self) -> None:
+        """Put the next number in a new pipe, for this process and a child to come."""
+        import select  # loaded only here, before a fork
+
+        self.pipe = os.pipe()
+        os.set_blocking(self.pipe[0], False)
+        os.write(self.pipe[1], self.taken.to_bytes(8, "little"))
+        self.poll = select.poll()
+        self.poll.register(self.pipe[0], select.POLLIN)
+
+    def watch(self, end: int) -> None:
+        """Claim no more once the report pipe's other end is closed."""
+        self.other = end
+        self.poll.register(end, 0)  # a hang-up or an error is always reported
+
+    def close(self) -> None:
+        if self.pipe is not None:
+            for end in self.pipe:
+                os.close(end)
+        self.pipe = self.poll = None
 
 
 def _in_two_processes(here: Callable[[], Any], there: Callable[[], Any],
-                      pays: bool) -> tuple[Any, Any]:
+                      pays: bool, queue: _Queue | None = None) -> tuple[Any, Any]:
     """(here(), there()), with there() run in a forked child meanwhile if
     the work pays for a fork and forking is safe and helps: on Linux, with
     more than one CPU in the affinity mask (a CFS quota does not show in
     it), and with no other Python thread, started by threading or by _thread
     (a forked child gets no copy of another thread, only of the locks it may
     hold). Otherwise, or if the fork fails (a pid or memory limit), there()
-    runs after here().
+    runs after here(). Both may claim from queue, which is shared with the
+    child only while there is one; unshared, here() drains it.
 
-    The guard counts Python threads, not OS threads. Loaded first, numpy
-    starts OpenBLAS's pool: an in-process run on the perfbench `wide` table
-    counted 2 OS threads before each fork, the CLI (one BLAS thread) 1.
-    OpenBLAS stops its pool before a fork and restarts it on demand, so the
-    child is safe, and CPython 3.12+, which counts OS threads after the
-    fork, does not warn. An OS-thread guard would forgo every such fork.
+    The guard can miss a thread that _thread.start_new_thread has only
+    just started: _thread._count() counts it only once it first holds the
+    GIL, so a fork can still happen beside it (threading.Thread.start()
+    waits until its thread runs). The guard counts Python threads, not OS
+    threads. Loaded first, numpy starts OpenBLAS's pool: an in-process run
+    on the perfbench `wide` table counted 2 OS threads before each fork,
+    the CLI (one BLAS thread) 1. OpenBLAS stops its pool before a fork and
+    restarts it on demand, so the child is safe, and CPython 3.12+, which
+    counts OS threads after the fork, does not warn. An OS-thread guard
+    would forgo every such fork.
 
     The child sends its result, or the exception that stopped it, through
     one pipe and leaves by os._exit, exit status 0 only once its report is
@@ -223,15 +286,21 @@ def _in_two_processes(here: Callable[[], Any], there: Callable[[], Any],
         return here(), there()
     read_end, write_end = os.pipe()
     try:
+        if queue is not None:
+            queue.share()
         pid = os.fork()
     except OSError:
         os.close(read_end)
         os.close(write_end)
+        if queue is not None:
+            queue.close()
         return here(), there()
     if pid == 0:
         status = 1
         try:
             os.close(read_end)
+            if queue is not None:
+                queue.watch(write_end)
             try:
                 report = there()
             except BaseException as exc:  # raised again in the parent
@@ -245,10 +314,14 @@ def _in_two_processes(here: Callable[[], Any], there: Callable[[], Any],
     status = None
     try:
         with open(read_end, "rb") as pipe:
+            if queue is not None:
+                queue.watch(read_end)
             mine = here()
             data = pipe.read()
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     finally:
+        if queue is not None:
+            queue.close()
         if status is None:
             import signal  # loaded only here: its import costs every run about 1 ms
 
@@ -289,16 +362,38 @@ def _stage(name: str):
         raise ValidationError(f"{name}: {exc}") from exc
 
 
-def _merge_rows(dend: Dendrogram):
-    for step, (left, right, height, size) in enumerate(dend.merges.tolist(), start=1):
-        yield [str(step), str(int(left)), str(int(right)), format_float(height), str(int(size))]
+def _merge_lines(dend: Dendrogram) -> Iterator[str]:
+    """dend's merge rows as CSV lines, each ending in "\n": the step, the
+    whole-number ids and size, and the height by format_float's rule."""
+    ids = dend.merges[:, [0, 1, 3]].astype(np.int64).tolist()
+    for step, ((left, right, size), height) in enumerate(zip(ids, dend.merges[:, 2].tolist()),
+                                                          start=1):
+        yield f"{step},{left},{right},{height!r},{size}\n"
+
+
+def _write_merges(path: Path, dend: Dendrogram) -> None:
+    with open_rows(path, _MERGE_HEADER) as out:
+        for line in _merge_lines(dend):
+            out.line(line)
+
+
+def _write_merge_twins(*paths_then_panels) -> None:
+    """dendrogram_<space>.csv for each (title, dendrogram) panel, then
+    plots/dendrograms.csv, every panel's rows after its title: each merge
+    row is formatted once and written to both."""
+    *space_paths, plot_path, panels = paths_then_panels
+    with open_rows(plot_path, ["panel", *_MERGE_HEADER]) as plot:
+        for path, (title, dend) in zip(space_paths, panels):
+            with open_rows(path, _MERGE_HEADER) as own:
+                for line in _merge_lines(dend):
+                    own.line(line)
+                    plot.line(f"{title},{line}")  # no title needs quoting
 
 
 def _clustering(sink: _Sink, name: str, dend: Dendrogram, k: int, item: str = "region") -> Partition:
-    """dend cut at k, with dendrogram_<name>.csv and partition_<name>.csv
-    registered on sink; the partition's items are dend's labels."""
+    """dend cut at k, with partition_<name>.csv registered on sink; the
+    partition's items are dend's labels."""
     part = cut(dend, k)
-    sink.rows(f"dendrogram_{name}.csv", dend.merges.size, _MERGE_HEADER, _merge_rows(dend))
     sink.partition(f"partition_{name}.csv", dend.labels, part, item)
     return part
 
@@ -374,8 +469,10 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             partitions[space] = _clustering(sink, space, dend, config.k_regions)
 
     with _stage("cluster-variables"):
-        partitions["variables"] = _clustering(sink, "variables", cluster_variables(table),
-                                              config.k_vars, "indicator")
+        variables = cluster_variables(table)
+        partitions["variables"] = _clustering(sink, "variables", variables, config.k_vars,
+                                              "indicator")
+        sink.add(("dendrogram_variables.csv",), variables.merges.size, _write_merges, variables)
 
     concordance_stats: dict[str, float] = {}
     with _stage("concordance"):
@@ -422,7 +519,8 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
 def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
                dendrograms: dict[str, Dendrogram], final_partition: Partition,
                names: tuple[str, ...]) -> None:
-    """The six figures under plots/, each with its CSV twin, as jobs on sink."""
+    """The six figures under plots/, each with its CSV twin, as jobs on sink;
+    plots/dendrograms.csv shares its job with each space's dendrogram CSV."""
     leaf_order = [*dendrograms.values()][-1].leaf_order()  # the final space's
     assignment = final_partition.assignment
     values, regions, indicators = table.values, table.region_labels, table.indicator_labels
@@ -464,8 +562,8 @@ def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
     panels = [(titles[space], dend) for space, dend in dendrograms.items()]
     merge_values = sum(dend.merges.size for dend in dendrograms.values())
     sink.text("plots/dendrograms.svg", merge_values, svgplot.dendrograms_svg(panels))
-    sink.rows("plots/dendrograms.csv", merge_values, ["panel", *_MERGE_HEADER],
-              ([title, *row] for title, dend in panels for row in _merge_rows(dend)))
+    sink.add((*(f"dendrogram_{space}.csv" for space in dendrograms), "plots/dendrograms.csv"),
+             merge_values, _write_merge_twins, panels)
 
 
 def _write_z_score_twins(heatmap_path: Path, parallel_path: Path, values: np.ndarray,

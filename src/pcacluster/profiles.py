@@ -62,8 +62,13 @@ def profile(table: IndicatorTable, part: Partition) -> np.ndarray:
         )
     grand_means = table.values.mean(axis=0).tolist()
     grid = np.full((part.k, table.n_indicators, len(STATISTICS)), np.nan)
+    # every cluster's rows in one pass: a stable sort by cluster id keeps
+    # each cluster's rows in table order, as part.members lists them
+    assignment = np.array(part.assignment)
+    rows = assignment.argsort(kind="stable")
+    ends = np.cumsum(np.bincount(assignment, minlength=part.k + 1)).tolist()
     for cluster_id, stats in enumerate(grid, start=1):
-        idx = part.members(cluster_id)
+        idx = rows[ends[cluster_id - 1]:ends[cluster_id]]
         n = len(idx)
         block = np.ascontiguousarray(table.values[idx].T)
         stats[:, 0] = means = block.mean(axis=1)

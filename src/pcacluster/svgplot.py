@@ -35,7 +35,8 @@ PALETTE = (
 _FONT = 'font-family="Helvetica, Arial, sans-serif"'
 
 # a dendrogram merge's left leg, right leg and bar: three _line(x1, y1, x2, y2, "#333333")
-_MERGE = "\n".join(['<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+# with each coordinate already formatted as "%.2f"
+_MERGE = "\n".join(['<line x1="%s" y1="%s" x2="%s" y2="%s" '
                     'stroke="#333333" stroke-width="1"/>'] * 3)
 
 # the n x p figures convert this many cells at a time, bounding their temporaries
@@ -350,17 +351,21 @@ def _dendrogram_panel(dend: Dendrogram, title: str, x0: float, panel_w: float,
     max_h = max((height for _, _, height, _ in merges), default=1.0) or 1.0
     y_of = _scale(0.0, max_h * 1.05, bottom, top)
     yield _text(x0 + panel_w / 2, top - 12, title, 12)
-    # (x, y) of each node by its signed id: step s at s, leaf i at -(i + 1)
-    node = [(0.0, 0.0)] * (2 * n)
+    # each node by its signed id, step s at s and leaf i at -(i + 1): its x,
+    # and its x and y formatted once, when the node is made
+    node = [(0.0, "", "")] * (2 * n)
+    y = f"{bottom:.2f}"
     for slot, leaf in enumerate(dend.leaf_order()):
-        node[-(leaf + 1)] = (x0 + (slot + 0.5) * gap, bottom)
+        x = x0 + (slot + 0.5) * gap
+        node[-(leaf + 1)] = (x, f"{x:.2f}", y)
     for step, (left, right, height, _) in enumerate(merges, start=1):
-        (lx, ly), (rx, ry) = node[int(left)], node[int(right)]
-        h = y_of(height)
-        yield _MERGE % (lx, ly, lx, h, rx, ry, rx, h, lx, h, rx, h)
-        node[step] = ((lx + rx) / 2.0, h)
+        (lx, lxt, lyt), (rx, rxt, ryt) = node[int(left)], node[int(right)]
+        h = f"{y_of(height):.2f}"
+        yield _MERGE % (lxt, lyt, lxt, h, rxt, ryt, rxt, h, lxt, h, rxt, h)
+        x = (lx + rx) / 2.0
+        node[step] = (x, f"{x:.2f}", h)
     if n <= 40:
-        for label, (x, _) in zip(dend.labels, reversed(node[n:])):
+        for label, (x, _, _) in zip(dend.labels, reversed(node[n:])):
             yield _text(x, bottom + 10, label, 7, "end",
                         extra=f' transform="rotate(-60 {x:.2f} {bottom + 10:.2f})"')
 

@@ -2,9 +2,10 @@
 
 Every CSV artifact is written by RowWriter. A row is text cells
 (region, indicator and cluster labels, ids, and figures a caller has
-already made text, such as a merge height by format_float or a rounded
-profile report cell) and, after them, an optional run of floats. Two
-rules make the bytes:
+already made text, such as a rounded profile report cell) and, after
+them, an optional run of floats; or a line a caller has already made
+text whose cells need no quoting, such as a dendrogram's merge row of
+numbers. Two rules make the bytes:
 
 - Text cells are quoted by ``csv`` (minimal quoting) with the real
   "\\n" line terminator, so a cell is quoted exactly when
@@ -65,6 +66,10 @@ class RowWriter:
         # a lone empty label unquoted, as it is inside a longer row
         self._cells.writerow([*cells, ""])
         self._handle.write(buffer.getvalue()[:-1] + run + "\n")
+
+    def line(self, text: str) -> None:
+        """A row already made text, ending in "\\n", of cells that need no quoting."""
+        self._handle.write(text)
 
 
 @contextmanager

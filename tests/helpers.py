@@ -10,6 +10,10 @@ original pairwise distances at every step (no incremental updates),
 with the same documented tie-break (lexicographically smallest merged
 leaf set).
 
+oracle_dendrogram_error and oracle_cut are the loops over the merge rows
+that Dendrogram's whole-array checks and cut replaced: the first error's
+message, and the partition from member lists merged step by step.
+
 oracle_profile is the per-column profile that the whole-block one
 replaced: each (cluster, indicator) cell computes its own moments from a
 1-D column. profile must match it bit for bit.
@@ -152,6 +156,40 @@ def same_merge_sequence(actual, expected) -> bool:
         if ah != eh or {a1, a2} != {e1, e2}:
             return False
     return True
+
+
+def oracle_dendrogram_error(merges, n: int) -> str | None:
+    """The message of the first failed check in a walk over the merge rows
+    of n leaves (each step's left node, right node, then height), or None."""
+    rows = np.asarray(merges, dtype=float).tolist()
+    seen: set[float] = set()
+    for step, (left, right, height, _) in enumerate(rows, start=1):
+        for node in (left, right):
+            name = int(node) if node.is_integer() else node
+            if node in seen:
+                return f"node {name} merged twice"
+            if node % 1 or node >= step or node == 0 or node < -n:
+                return f"node id {name} invalid at step {step}"
+            seen.add(node)
+        if step > 1 and height < rows[step - 2][2] - 1e-12:
+            return "merge heights must be non-decreasing"
+    if rows and rows[-1][3] != n:
+        return "final merge must contain every leaf"
+    return None
+
+
+def oracle_cut(dend, k: int) -> tuple[int, ...]:
+    """cut's assignment: member lists merged over the first n-k steps, ids
+    in the order of each cluster's first leaf."""
+    n = dend.n_leaves
+    members = {-(i + 1): [i] for i in range(n)}
+    for step, (left, right, _, _) in enumerate(dend.merges[: n - k].tolist(), start=1):
+        members[step] = members.pop(left) + members.pop(right)
+    assignment = [0] * n
+    for cluster_id, leaves in enumerate(sorted(members.values(), key=min), start=1):
+        for leaf in leaves:
+            assignment[leaf] = cluster_id
+    return tuple(assignment)
 
 
 def _oracle_sd(values: np.ndarray) -> float | None:

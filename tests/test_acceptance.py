@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import logging
 import os
 import subprocess
 import sys
 import threading
 import time
+from collections import Counter, defaultdict
 from contextlib import contextmanager, nullcontext
 from fnmatch import fnmatch
 from pathlib import Path
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcacluster import cli
+from pcacluster import cli, pipeline
 from pcacluster.concordance import adjusted_rand_index
 from pcacluster.config import PipelineConfig, load_pipeline_config
 from pcacluster.hclust import Partition, complete_linkage, euclidean_distances
@@ -38,6 +40,7 @@ from pcacluster.pipeline import _ARTIFACT_PATH, run_pipeline
 from pcacluster.profiles import STATISTICS, profile
 from pcacluster.synth import SyntheticSpec
 
+import helpers
 from helpers import (
     REF_COEFFICIENTS_F1,
     REF_CUMULATIVE_PERCENT,
@@ -343,23 +346,43 @@ def _thread_alive():
         thread.join()
 
 
-def test_13_every_manifest_config_keeps_its_bytes(tmp_path, monkeypatch):
+# the forks of each config's run, by the stage that made them, on a host
+# with two CPUs or more: a config not named here forks no child. A change
+# to a job's values or to a fork rule that moves one fails here
+FORK_CENSUS = {
+    "tiny-clusters": {"manifest": 1},
+    "perfbench-wide": {"cluster-regions": 1, "manifest": 1},
+    "perfbench-regions": {"cluster-regions": 1, "manifest": 1},
+}
+
+
+def test_13_every_manifest_config_keeps_its_bytes(tmp_path, monkeypatch, caplog):
     with reported("13 every manifest config keeps its kernel-independent bytes"):
-        forks = []
+        caplog.set_level(logging.INFO, logger=pipeline.logger.name)
+        census = defaultdict(Counter)
+        runs: list[str] = []  # each config's name, as its run starts
+
+        def run(config, original=helpers.run_pipeline):
+            runs.append(config.output_dir.parent.name)  # <config>/out
+            return original(config)
 
         def fork(original=os.fork):
-            forks.append(1)
+            # the stage is the one the pipeline last logged as "stage <name>"
+            stage = [record.getMessage() for record in caplog.records
+                     if record.name == pipeline.logger.name][-1].removeprefix("stage ")
+            census[runs[-1]][stage] += 1
             return original()
 
         monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(helpers, "run_pipeline", run)
         # alone, this thread writes the larger configs in two processes; beside
         # another thread, each run writes in one
         assert threading.active_count() == 1
         for writers in ("split", "one process"):
-            forks.clear()
+            census.clear()
             with _thread_alive() if writers == "one process" else nullcontext():
                 digests = manifest_config_digests(SAMPLE.parents[3], tmp_path / writers)
-            assert (forks == []) == (writers == "one process"), writers
+            assert census == ({} if writers == "one process" else FORK_CENSUS), writers
             changed = sorted(name for name in digests.keys() | CONFIG_DIGESTS.keys()
                              if digests.get(name) != CONFIG_DIGESTS.get(name))
             assert not changed, f"{writers}: bytes changed under {changed}"

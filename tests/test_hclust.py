@@ -27,6 +27,8 @@ from helpers import (
     dendrogram_as_member_merges,
     make_table,
     oracle_complete_linkage,
+    oracle_cut,
+    oracle_dendrogram_error,
     random_standardized_table,
     same_merge_sequence,
 )
@@ -360,6 +362,18 @@ class TestCut:
                     else:
                         containing[fine_id] = coarse.assignment[item]
 
+    def test_matches_the_member_list_oracle(self):
+        # chains of duplicate rows, ties on a coarse grid, and random points
+        rng = np.random.default_rng(37)
+        for case in range(60):
+            n = int(rng.integers(2, 80))
+            points = [np.zeros((n, 2)), rng.integers(0, 3, size=(n, 1)),
+                      rng.standard_normal((n, 3))][case % 3]
+            dend = complete_linkage(euclidean_distances(points))
+            for k in range(1, n + 1):
+                part = cut(dend, k)
+                assert part.assignment == oracle_cut(dend, k) and part.k == k
+
     def test_ids_follow_first_leaf_appearance(self):
         dend = complete_linkage(euclidean_distances(line_points([9, 0, 9.1])))
         part = cut(dend, 2)
@@ -438,6 +452,30 @@ class TestDendrogramType:
         (a, b), (c, d) = merges
         with pytest.raises(ValidationError, match=f"^{message}$"):
             Dendrogram(merges=[[a, b, 1.0, 2], [c, d, 2.0, 3]], labels=("a", "b", "c"))
+
+    def test_first_error_matches_the_loop_oracle(self):
+        # linkages of up to 7 points with up to three cells replaced by a
+        # node id, a height or a size that may break a check
+        rng = np.random.default_rng(41)
+        messages = set()
+        for _ in range(4000):
+            n = int(rng.integers(2, 8))
+            merges = complete_linkage(euclidean_distances(rng.random((n, 1)))).merges.copy()
+            for _ in range(int(rng.integers(0, 4))):
+                row, column = int(rng.integers(n - 1)), int(rng.integers(4))
+                ids = [-(n + 1), -n, -1, 0, 0.5, np.nan, np.inf, row + 1, row, 1, 2]
+                heights = [0.0, -1.0, merges[row, 2] - 1e-13, merges[row, 2] - 1e-11, np.nan]
+                choices = (ids, ids, heights, [n, n - 1, 1.5])[column]
+                merges[row, column] = choices[int(rng.integers(len(choices)))]
+            expected = oracle_dendrogram_error(merges, n)
+            try:
+                Dendrogram(merges=merges, labels=tuple(map(str, range(n))))
+                actual = None
+            except ValidationError as exc:
+                actual = str(exc)
+            assert actual == expected, merges.tolist()
+            messages.add(expected and expected.split()[-1])
+        assert messages == {None, "twice", *map(str, range(1, 7)), "non-decreasing", "leaf"}
 
     def test_rejects_final_merge_missing_leaves(self):
         with pytest.raises(ValidationError, match="^final merge must contain every leaf$"):

@@ -4,6 +4,7 @@ import _thread
 import contextlib
 import csv
 import dataclasses
+import fcntl
 import hashlib
 import importlib.util
 import io
@@ -638,7 +639,7 @@ class TestStreamedArtifacts:
     """No artifact is held whole: figures go to disk line by line, and the
     manifest hashes each file a chunk at a time."""
 
-    def test_figures_written_without_holding_a_document(self, tmp_path):
+    def test_figures_written_without_holding_a_document(self, tmp_path, monkeypatch):
         z = np.random.default_rng(137).standard_normal((3000, 19))
         order = list(range(3000))
         regions = [f"R{i}" for i in range(3000)]
@@ -647,13 +648,13 @@ class TestStreamedArtifacts:
         figures = {"heatmap": lambda: svgplot.heatmap_svg(z, regions, indicators, order),
                    "parallel": lambda: svgplot.parallel_coordinates_svg(z, indicators,
                                                                         assignment, order)}
+        # one job per write phase, which never forks: its memory is this process's
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a sink of one job forked"))
         tracemalloc.start()
         try:
-            # one job per write phase, which never splits: its memory is this process's
             for name, figure in figures.items():
                 sink = pipeline._Sink(tmp_path / name)
                 sink.text("figure.svg", z.size, figure())
-                assert not pipeline._shares(sink.jobs)[1]  # nothing for a second process
                 sink.write()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -696,25 +697,53 @@ class TestStreamedArtifacts:
 
 
 class TestWritePhase:
-    """The stages register jobs; the write phase writes them in two processes
-    when the lighter share is large enough, and always reaps the second."""
+    """The stages register jobs; the write phase writes them from one queue,
+    largest first, claimed by two processes when a second can take enough
+    of them, and always reaps the second."""
 
-    # 400 x 60: each share holds tens of thousands of values, so the run
-    # forks to write, and its 400 regions fork to cluster as well
+    # 400 x 60: the queue holds about 90 000 values, so the run forks to
+    # write, and its 400 regions fork to cluster as well
     SPLIT_CONF = ("synthetic = true\nn = 400\np = 60\nclusters = 4\nseed = 5\n"
                   "output_dir = out\n")
 
-    def run_with_shares(self, tmp_path, monkeypatch, capsys, edit) -> tuple[int, list[str]]:
-        """Run SPLIT_CONF through the CLI with edit(out, mine, theirs) applied
-        to the two shares: (exit code, stderr lines)."""
+    @staticmethod
+    @contextlib.contextmanager
+    def deadline(seconds: int):
+        """The block fails with TimeoutError, rather than hang, after seconds."""
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def run_planted(self, tmp_path, monkeypatch, capsys, process, plant) -> tuple[int, list[str]]:
+        """Run SPLIT_CONF through the CLI, calling plant(*paths) before the
+        first job that process ("child" or "this process") writes, whichever
+        job that is: (exit code, stderr lines)."""
         conf = write_conf(tmp_path, self.SPLIT_CONF)
+        parent = os.getpid()
+        planted = []  # each process has its own copy
 
-        def shares(jobs, original=pipeline._shares):
-            mine, theirs = original(jobs)
-            return edit(tmp_path / "out", mine, theirs)
+        def planting(job):
+            def write(*args):
+                if not planted and (os.getpid() != parent) == (process == "child"):
+                    planted.append(job)
+                    plant(*args[:len(job.rels)])
+                return job.write(*args)
+            return dataclasses.replace(job, write=write)
 
-        monkeypatch.setattr(pipeline, "_shares", shares)
-        code = cli.main(["run", "--config", str(conf)])
+        def write(sink, original=pipeline._Sink.write):
+            sink.jobs = [planting(job) for job in sink.jobs]
+            return original(sink)
+
+        monkeypatch.setattr(pipeline._Sink, "write", write)
+        with self.deadline(60):
+            code = cli.main(["run", "--config", str(conf)])
         return code, capsys.readouterr().err.splitlines()
 
     def assert_failed_and_reaped(self, tmp_path, code, err, forks, message):
@@ -725,46 +754,103 @@ class TestWritePhase:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    # this process kills its child when its own share fails
-    @pytest.mark.parametrize("share", [1, 0], ids=["child", "this-process"])
+    # this process kills its child when its own job fails
+    @pytest.mark.parametrize("process", ["child", "this process"], ids=["child", "this-process"])
     def test_a_blocked_path_names_the_stage_that_made_it(self, tmp_path, monkeypatch, capsys,
-                                                         forks, share):
-        blocked = []
-
-        def block(out, *shares):
-            path = out / shares[share][0].rels[0]  # the share's largest job
-            blocked.append(path)
+                                                         forks, process):
+        def block(path, *paths):
             path.mkdir(parents=True)
-            return shares
 
-        code, err = self.run_with_shares(tmp_path, monkeypatch, capsys, block)
-        self.assert_failed_and_reaped(
-            tmp_path, code, err, forks,
-            f"error: manifest: .*Is a directory: '{re.escape(str(blocked[0]))}'")
+        code, err = self.run_planted(tmp_path, monkeypatch, capsys, process, block)
+        self.assert_failed_and_reaped(tmp_path, code, err, forks,
+                                      "error: manifest: .*Is a directory: '.*'")
+        blocked = Path(re.fullmatch(".*'(.*)'", err[0])[1])
+        assert blocked.is_dir() and blocked.is_relative_to(tmp_path / "out")
 
     def test_a_child_that_dies_without_a_report_fails_the_run(self, tmp_path, monkeypatch, capsys,
                                                               forks):
         def die(*paths):
             os.kill(os.getpid(), signal.SIGKILL)
 
-        def kill_first(out, mine, theirs):
-            return mine, [dataclasses.replace(theirs[0], write=die, args=()), *theirs[1:]]
-
-        code, err = self.run_with_shares(tmp_path, monkeypatch, capsys, kill_first)
+        code, err = self.run_planted(tmp_path, monkeypatch, capsys, "child", die)
         self.assert_failed_and_reaped(
             tmp_path, code, err, forks,
             "error: manifest: the second process ended with status -9 and no report")
+
+    def test_a_child_killed_holding_the_next_number_fails_the_run(self, tmp_path, monkeypatch,
+                                                                  capsys, forks):
+        # the child dies at its second claim, once it has taken the number
+        # and before it writes the next one back: this process, waiting for
+        # that number, must see the child gone instead
+        parent = os.getpid()
+        claims = []
+
+        def write(fd, data, original=os.write):
+            if os.getpid() != parent:
+                claims.append(data)
+                if len(claims) == 2:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return original(fd, data)
+
+        monkeypatch.setattr(os, "write", write)
+        code, err = self.run_planted(tmp_path, monkeypatch, capsys, "child", lambda *paths: None)
+        self.assert_failed_and_reaped(
+            tmp_path, code, err, forks,
+            "error: manifest: the second process ended with status -9 and no report")
+
+    # a fresh interpreter shares 3 000 jobs with its child, and is killed
+    # once it has taken the next number, before it writes the one after back
+    KILLED_HOLDING = """\
+import os, signal, sys
+from pathlib import Path
+from pcacluster import pipeline
+out = Path(sys.argv[1])
+sink = pipeline._Sink(out)
+for i in range(3000):
+    sink.add((f"{i}.txt",), 10, lambda path: path.write_text("x" * 1000))
+parent, writes, fork, write = os.getpid(), [], os.fork, os.write
+
+def recording_fork():
+    pid = fork()
+    if pid:
+        (out / "child.pid").write_text(str(pid))
+    return pid
+
+def dying_write(fd, data):
+    if os.getpid() == parent:
+        writes.append(data)
+        if len(writes) == 50:  # the first number, then 48 written back
+            os.kill(parent, signal.SIGKILL)
+    return write(fd, data)
+
+os.fork, os.write = recording_fork, dying_write
+sink.write()
+"""
+
+    def test_a_process_killed_holding_the_next_number_leaves_no_child_waiting(self, tmp_path):
+        done = subprocess.run([sys.executable, "-c", self.KILLED_HOLDING, str(tmp_path)],
+                              env=child_env({}), capture_output=True, text=True, timeout=60)
+        assert done.returncode == -signal.SIGKILL, done.stderr
+        status = Path(f"/proc/{(tmp_path / 'child.pid').read_text()}/status")
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            try:  # gone, or a zombie no one has reaped yet
+                if "\nState:\tZ" in status.read_text():
+                    break
+            except FileNotFoundError:
+                break
+            time.sleep(0.01)
+        else:
+            pytest.fail("the child still waits for a number")
+        assert not (tmp_path / "manifest.txt").exists()
 
     def test_an_interrupt_in_this_process_kills_and_reaps_the_child(self, tmp_path, monkeypatch,
                                                                     capsys):
         def interrupt(*paths):
             raise KeyboardInterrupt
 
-        def interrupt_first(out, mine, theirs):
-            return [dataclasses.replace(mine[0], write=interrupt, args=()), *mine[1:]], theirs
-
         with pytest.raises(KeyboardInterrupt):
-            self.run_with_shares(tmp_path, monkeypatch, capsys, interrupt_first)
+            self.run_planted(tmp_path, monkeypatch, capsys, "this process", interrupt)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -773,11 +859,42 @@ class TestWritePhase:
         run_pipeline(load_pipeline_config(conf))
         assert forks == {}
 
-    def test_jobs_go_largest_first_to_the_lighter_share(self):
-        jobs = [pipeline._Job((str(v),), v, print, ()) for v in (3, 9, 4, 5, 1)]
-        mine, theirs = pipeline._shares(jobs)
-        assert [job.values for job in mine] == [9, 3]
-        assert [job.values for job in theirs] == [5, 4, 1]
+    def test_jobs_are_claimed_largest_first(self, tmp_path):
+        # too few values to fork: this process drains the queue alone
+        written = []
+        sink = pipeline._Sink(tmp_path)
+        for name, values in zip("abcdef", (3, 9, 4, 5, 1, 5)):
+            sink.add((name,), values, lambda path: written.append(path.name) or path.touch())
+        assert sink.write()[1] == tuple("abcdef")
+        assert written == list("bdfcae")  # 9, 5, 5 (as registered), 4, 3, 1
+
+    # 2000 clusters: about 2 000 profile jobs, so the report of the child's
+    # digests, about 100 KB, fills a one-page pipe many times over
+    QUEUE_CONF = ("synthetic = true\nn = 2000\np = 4\nclusters = 4\nseed = 5\n"
+                  "cluster_space = raw\nk_regions = 2000\noutput_dir = {out}\n")
+
+    def test_a_queue_longer_than_a_one_page_pipe_finishes(self, tmp_path, monkeypatch, forks):
+        # Linux also gives new pipes one page once a user's pipes pass
+        # pipe-user-pages-soft
+        def one_page_pipe(original=os.pipe):
+            read_end, write_end = original()
+            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+            return read_end, write_end
+
+        config = load_pipeline_config(write_conf(tmp_path, self.QUEUE_CONF.format(out="split")))
+        with monkeypatch.context() as patch, self.deadline(120):
+            patch.setattr(os, "pipe", one_page_pipe)
+            split = run_pipeline(config)
+        assert forks == {"manifest": 1}
+        forks.clear()
+        monkeypatch.setattr(pipeline, "_FORK_VALUES", math.inf)
+        config = load_pipeline_config(write_conf(tmp_path, self.QUEUE_CONF.format(out="alone")))
+        alone = run_pipeline(config)
+        assert forks == {}
+        assert len(alone.files) > 2000
+        assert split.manifest_path.read_bytes() == alone.manifest_path.read_bytes()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestClusteringFork:

@@ -197,6 +197,16 @@ class TestBitwiseOracle:
         part = Partition(tuple([1] * 2997 + [2, 2, 3]), k=3)
         assert profile_outcome(profile, table, part) == profile_outcome(oracle_profile, table, part)
 
+    def test_matches_oracle_on_thousands_of_clusters(self):
+        # 2000 clusters over 3000 shuffled rows, most of 1 or 2 members: each
+        # cluster's rows must come in table order, as part.members lists them
+        rng = np.random.default_rng(113)
+        table = make_table(rng.lognormal(3.0, 2.0, size=(3000, 3)))
+        assignment = np.concatenate([np.arange(1, 2001), rng.integers(1, 2001, size=1000)])
+        rng.shuffle(assignment)
+        part = Partition(tuple(assignment.tolist()), k=2000)
+        assert profile_outcome(profile, table, part) == profile_outcome(oracle_profile, table, part)
+
 
 # two indicators whose labels csv must quote: a comma, and a comma with a
 # quote, read from the input header cell "a,""b"

@@ -26,6 +26,12 @@ the bytes must not depend on that count either:
     OPENBLAS_NUM_THREADS=2 python tools/manifests.py . m-threads > threads.txt
     diff change.txt threads.txt
 
+Pinned to one CPU, a run forks no child: one process clusters both
+spaces and drains the write queue alone, with the same bytes:
+
+    taskset -c 0 python tools/manifests.py . m-one-cpu > one-cpu.txt
+    diff change.txt one-cpu.txt
+
 OpenBLAS picks its kernels for the CPU as well, and a run under the ones
 an AVX2-only host gets may print other hashes:
 
