@@ -182,9 +182,6 @@ class Partition:
     def n_items(self) -> int:
         return len(self.assignment)
 
-    def members(self, cluster_id: int) -> list[int]:
-        return [i for i, c in enumerate(self.assignment) if c == cluster_id]
-
 
 def euclidean_distances(points, labels: tuple[str, ...] | None = None) -> DistanceMatrix:
     """Pairwise Euclidean distances between the rows of an n x d grid.

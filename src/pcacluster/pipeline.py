@@ -15,11 +15,12 @@ clusters both spaces clusters the components space in a forked child
 while this process clusters the raw one. Both condensed distance vectors
 are then alive at once, 8 MB at 1000 regions and 2 GiB at MAX_POINTS; at
 12000 x 19 each process peaked near 0.6 GiB. The jobs wait in one queue,
-largest first; where a second process can take at least _FORK_VALUES
-(5 500) values of them, a forked child and this process each claim the
-next job whenever they are free, so the write phase balances itself
-whatever each job costs. A fork that fails (a pid or memory limit) leaves
-the work to this process, which then drains the queue alone.
+largest first: a file of their numbers, opened with O_TMPFILE or, on a
+filesystem without it, named and unlinked at once. Where a second process
+can take at least _FORK_VALUES (5 500) values of them, a forked child and
+this process each claim the next job whenever they are free, so the write
+phase balances itself whatever each job costs. A fork that fails (a pid or
+memory limit) leaves the work to this process, which drains the queue alone.
 
 Every run writes a fixed artifact set (a function of the configuration
 only). Identical configuration and input produce byte-identical
@@ -38,6 +39,7 @@ import os
 import pickle
 import re
 import sys
+import tempfile
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -149,21 +151,26 @@ class _Sink:
             directory.mkdir(parents=True, exist_ok=True)
         jobs = sorted(self.jobs, key=lambda job: -job.values)
         total = sum(job.values for job in jobs)
-        queue = _Queue(len(jobs))
+        # the queue: each job's number, 4 bytes, in claim order; a read of
+        # 4 bytes claims one. Written through the buffer, which retries a
+        # short write and raises ENOSPC, so no job silently drops out
+        with tempfile.TemporaryFile(dir=self.out) as queue:
+            queue.write(np.arange(len(jobs), dtype="<u4").tobytes())
+            queue.flush()
+            queue.seek(0)
 
-        def claimed() -> dict[str, str]:
-            """Write each job claimed from the queue; the SHA-256 of each file as read back."""
-            digests = {}
-            for number in queue:
-                job = jobs[number]
-                paths = [self.out / rel for rel in job.rels]
-                job.write(*paths, *job.args)
-                digests.update((rel, _sha256(path)) for rel, path in zip(job.rels, paths))
-            return digests
+            def claimed() -> dict[str, str]:
+                """Write each job claimed from the queue; the SHA-256 of each file as read back."""
+                digests = {}
+                while number := os.read(queue.fileno(), 4):
+                    job = jobs[int.from_bytes(number, "little")]
+                    paths = [self.out / rel for rel in job.rels]
+                    job.write(*paths, *job.args)
+                    digests.update((rel, _sha256(path)) for rel, path in zip(job.rels, paths))
+                return digests
 
-        second = min(total / 2, total - (jobs[0].values if jobs else 0))
-        digests, their_digests = _in_two_processes(claimed, claimed, second >= _FORK_VALUES,
-                                                   queue)
+            second = min(total / 2, total - (jobs[0].values if jobs else 0))
+            digests, their_digests = _in_two_processes(claimed, claimed, second >= _FORK_VALUES)
         digests.update(their_digests)
         files = tuple(sorted(digests))
         path = self.out / "manifest.txt"
@@ -192,78 +199,20 @@ class _Sink:
                 path.unlink()
 
 
-class _Queue:
-    """The numbers 0 .. count-1, each claimed once, in order: by this
-    process alone, or, once shared, by it and a forked child.
-
-    Shared, the next number lives in a pipe. A process takes it and at once
-    writes back the one after it, so it holds nothing while it works, and
-    the pipe never holds more than one 8-byte number, whatever its capacity.
-    The pipe's read end does not block: a process waits in poll and, if the
-    other took the number first, waits again. Each process also watches its
-    end of the child's report pipe and claims no more once the other end is
-    closed: the other process has left, having drained the queue or failed,
-    or died, perhaps holding the number. So neither waits for a number that
-    will not come.
-    """
-
-    def __init__(self, count: int) -> None:
-        self.count = count
-        self.taken = 0  # claimed while unshared
-        self.pipe: tuple[int, int] | None = None
-        self.poll: Any = None
-        self.other = -1  # this process's end of the report pipe, once watched
-
-    def __iter__(self) -> Iterator[int]:
-        while (number := self._claim()) < self.count:
-            yield number
-
-    def _claim(self) -> int:
-        if self.pipe is None:
-            self.taken += 1
-            return self.taken - 1
-        while True:
-            if self.other in dict(self.poll.poll()):
-                return self.count
-            try:
-                number = int.from_bytes(os.read(self.pipe[0], 8), "little")
-            except BlockingIOError:
-                continue
-            os.write(self.pipe[1], (number + 1).to_bytes(8, "little"))
-            return number
-
-    def share(self) -> None:
-        """Put the next number in a new pipe, for this process and a child to come."""
-        import select  # loaded only here, before a fork
-
-        self.pipe = os.pipe()
-        os.set_blocking(self.pipe[0], False)
-        os.write(self.pipe[1], self.taken.to_bytes(8, "little"))
-        self.poll = select.poll()
-        self.poll.register(self.pipe[0], select.POLLIN)
-
-    def watch(self, end: int) -> None:
-        """Claim no more once the report pipe's other end is closed."""
-        self.other = end
-        self.poll.register(end, 0)  # a hang-up or an error is always reported
-
-    def close(self) -> None:
-        if self.pipe is not None:
-            for end in self.pipe:
-                os.close(end)
-        self.pipe = self.poll = None
-
-
 def _in_two_processes(here: Callable[[], Any], there: Callable[[], Any],
-                      pays: bool, queue: _Queue | None = None) -> tuple[Any, Any]:
+                      pays: bool) -> tuple[Any, Any]:
     """(here(), there()), with there() run in a forked child meanwhile if
     the work pays for a fork and forking is safe and helps: on Linux, with
     more than one CPU in the affinity mask (a CFS quota does not show in
     it), and with no other Python thread, started by threading or by _thread
     (a forked child gets no copy of another thread, only of the locks it may
     hold). Otherwise, or if the fork fails (a pid or memory limit), there()
-    runs after here(). Both may claim from queue, which is shared with the
-    child only while there is one; unshared, here() drains it.
+    runs after here().
+
+    The two may share a file opened by path before the call, as the write
+    queue: each reads the next number until the file ends. Linux moves the
+    shared offset under a lock (not a memfd's), so no number is read twice,
+    neither process waits on the other, and one that dies leaves the rest.
 
     The guard can miss a thread that _thread.start_new_thread has only
     just started: _thread._count() counts it only once it first holds the
@@ -286,21 +235,15 @@ def _in_two_processes(here: Callable[[], Any], there: Callable[[], Any],
         return here(), there()
     read_end, write_end = os.pipe()
     try:
-        if queue is not None:
-            queue.share()
         pid = os.fork()
     except OSError:
         os.close(read_end)
         os.close(write_end)
-        if queue is not None:
-            queue.close()
         return here(), there()
     if pid == 0:
         status = 1
         try:
             os.close(read_end)
-            if queue is not None:
-                queue.watch(write_end)
             try:
                 report = there()
             except BaseException as exc:  # raised again in the parent
@@ -314,14 +257,10 @@ def _in_two_processes(here: Callable[[], Any], there: Callable[[], Any],
     status = None
     try:
         with open(read_end, "rb") as pipe:
-            if queue is not None:
-                queue.watch(read_end)
             mine = here()
             data = pipe.read()
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     finally:
-        if queue is not None:
-            queue.close()
         if status is None:
             import signal  # loaded only here: its import costs every run about 1 ms
 

@@ -63,7 +63,7 @@ def profile(table: IndicatorTable, part: Partition) -> np.ndarray:
     grand_means = table.values.mean(axis=0).tolist()
     grid = np.full((part.k, table.n_indicators, len(STATISTICS)), np.nan)
     # every cluster's rows in one pass: a stable sort by cluster id keeps
-    # each cluster's rows in table order, as part.members lists them
+    # each cluster's rows in table order
     assignment = np.array(part.assignment)
     rows = assignment.argsort(kind="stable")
     ends = np.cumsum(np.bincount(assignment, minlength=part.k + 1)).tolist()

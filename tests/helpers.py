@@ -231,7 +231,7 @@ def oracle_profile(table: IndicatorTable, part) -> np.ndarray:
     grand_means = table.values.mean(axis=0)
     grid = np.full((part.k, table.n_indicators, 5), np.nan)
     for cluster_id in range(1, part.k + 1):
-        block = table.values[part.members(cluster_id), :]
+        block = table.values[[i for i, c in enumerate(part.assignment) if c == cluster_id], :]
         for j, indicator in enumerate(table.indicator_labels):
             column = block[:, j]
             mean = float(column.mean())

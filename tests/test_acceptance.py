@@ -194,7 +194,7 @@ def test_09_profile_consistency():
         part = Partition(tuple(assignment), k=4)
         stats = profile(table, part)
         averages = stats[:, :, STATISTICS.index("average")]
-        sizes = [len(part.members(c)) for c in range(1, 5)]
+        sizes = [part.assignment.count(c) for c in range(1, 5)]
         for j in range(5):
             total = sum(averages[c, j] * sizes[c] for c in range(4))
             assert abs(total - 48 * grid[:, j].mean()) < 1e-9 * max(1.0, abs(grid[:, j].mean()) * 48)

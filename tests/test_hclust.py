@@ -566,8 +566,3 @@ class TestPartitionType:
     def test_rejects_gap_in_ids(self):
         with pytest.raises(ValidationError, match="cover"):
             Partition(assignment=(1, 3, 3), k=3)
-
-    def test_members(self):
-        part = Partition(assignment=(1, 2, 1, 2), k=2)
-        assert part.members(1) == [0, 2]
-        assert part.members(2) == [1, 3]

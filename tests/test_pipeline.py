@@ -4,6 +4,7 @@ import _thread
 import contextlib
 import csv
 import dataclasses
+import errno
 import fcntl
 import hashlib
 import importlib.util
@@ -779,27 +780,30 @@ class TestWritePhase:
 
     def test_a_child_killed_holding_the_next_number_fails_the_run(self, tmp_path, monkeypatch,
                                                                   capsys, forks):
-        # the child dies at its second claim, once it has taken the number
-        # and before it writes the next one back: this process, waiting for
-        # that number, must see the child gone instead
+        # the child dies at its second claim, once it has read the number:
+        # this process drains the rest of the queue, and must then see the
+        # child gone without a report, its claimed job unwritten
         parent = os.getpid()
         claims = []
 
-        def write(fd, data, original=os.write):
-            if os.getpid() != parent:
+        def read(fd, size, original=os.read):
+            data = original(fd, size)
+            if os.getpid() != parent and size == 4:
                 claims.append(data)
                 if len(claims) == 2:
                     os.kill(os.getpid(), signal.SIGKILL)
-            return original(fd, data)
+            return data
 
-        monkeypatch.setattr(os, "write", write)
+        monkeypatch.setattr(os, "read", read)
         code, err = self.run_planted(tmp_path, monkeypatch, capsys, "child", lambda *paths: None)
         self.assert_failed_and_reaped(
             tmp_path, code, err, forks,
             "error: manifest: the second process ended with status -9 and no report")
 
     # a fresh interpreter shares 3 000 jobs with its child, and is killed
-    # once it has taken the next number, before it writes the one after back
+    # at its 50th claim, once it has read the number. The orphaned child may
+    # drain the rest of the queue first; it must then leave on the closed
+    # report pipe, not wait for this process
     KILLED_HOLDING = """\
 import os, signal, sys
 from pathlib import Path
@@ -808,7 +812,7 @@ out = Path(sys.argv[1])
 sink = pipeline._Sink(out)
 for i in range(3000):
     sink.add((f"{i}.txt",), 10, lambda path: path.write_text("x" * 1000))
-parent, writes, fork, write = os.getpid(), [], os.fork, os.write
+parent, claims, fork, read = os.getpid(), [], os.fork, os.read
 
 def recording_fork():
     pid = fork()
@@ -816,14 +820,15 @@ def recording_fork():
         (out / "child.pid").write_text(str(pid))
     return pid
 
-def dying_write(fd, data):
-    if os.getpid() == parent:
-        writes.append(data)
-        if len(writes) == 50:  # the first number, then 48 written back
+def dying_read(fd, size):
+    data = read(fd, size)
+    if os.getpid() == parent and size == 4:
+        claims.append(data)
+        if len(claims) == 50:
             os.kill(parent, signal.SIGKILL)
-    return write(fd, data)
+    return data
 
-os.fork, os.write = recording_fork, dying_write
+os.fork, os.read = recording_fork, dying_read
 sink.write()
 """
 
@@ -868,12 +873,76 @@ sink.write()
         assert sink.write()[1] == tuple("abcdef")
         assert written == list("bdfcae")  # 9, 5, 5 (as registered), 4, 3, 1
 
+    def test_no_job_is_claimed_twice(self, tmp_path, monkeypatch, forks):
+        # 2 000 jobs shared with a forked child, each creating its file: a job
+        # claimed by both processes, or twice by one, raises FileExistsError.
+        # Each claim waits for the next 0.5 ms tick of the clock that both
+        # processes read, so that their claims often coincide
+        def create(path):
+            with path.open("x") as out:
+                out.write(path.name)
+
+        def read(fd, size, original=os.read):
+            if size == 4:
+                tick = time.monotonic_ns() // 500_000 + 1
+                while time.monotonic_ns() // 500_000 < tick:
+                    pass
+            return original(fd, size)
+
+        sink = pipeline._Sink(tmp_path)
+        for i in range(2000):
+            sink.add((f"{i}.txt",), 10, create)
+        monkeypatch.setattr(os, "read", read)
+        with self.deadline(60), pipeline._stage("manifest"):
+            files = sink.write()[1]
+        assert forks == {"manifest": 1}
+        assert files == tuple(sorted(f"{i}.txt" for i in range(2000)))
+        assert all((tmp_path / rel).read_text() == rel for rel in files)
+
+    def test_a_filesystem_without_o_tmpfile_keeps_the_bytes(self, tmp_path, monkeypatch, forks):
+        # refused O_TMPFILE, tempfile creates a named queue file and unlinks it
+        refused = []
+
+        def open_without_tmpfile(path, flags, *args, original=os.open, **kwargs):
+            if flags & os.O_TMPFILE == os.O_TMPFILE:
+                refused.append(path)
+                raise OSError(errno.EOPNOTSUPP, os.strerror(errno.EOPNOTSUPP))
+            return original(path, flags, *args, **kwargs)
+
+        runs = {}
+        for name in ("named", "unnamed"):
+            conf = write_conf(tmp_path, self.SPLIT_CONF.replace("= out", f"= {name}"),
+                              f"{name}.conf")
+            with monkeypatch.context() as patch, self.deadline(60):
+                if name == "named":
+                    patch.setattr(os, "open", open_without_tmpfile)
+                runs[name] = run_pipeline(load_pipeline_config(conf))
+        assert len(refused) == 1
+        assert forks == {"cluster-regions": 2, "manifest": 2}
+        named, unnamed = (runs[name].manifest_path.read_bytes() for name in runs)
+        assert named == unnamed
+        on_disk = {path.relative_to(tmp_path / "named").as_posix()
+                   for path in (tmp_path / "named").rglob("*") if path.is_file()}
+        assert on_disk == {*runs["named"].files, "manifest.txt"}
+
+    def test_a_queue_that_cannot_be_written_fails_the_run(self, tmp_path, monkeypatch, capsys):
+        # /dev/full takes no byte, as a full disk: the queue's write raises
+        # ENOSPC rather than leave jobs out of the manifest
+        monkeypatch.setattr(pipeline.tempfile, "TemporaryFile",
+                            lambda dir: open("/dev/full", "w+b"))
+        conf = write_conf(tmp_path, f"input = {SAMPLE}\noutput_dir = out\n")
+        assert cli.main(["run", "--config", str(conf)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: manifest: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+        assert not (tmp_path / "out" / "manifest.txt").exists()
+
     # 2000 clusters: about 2 000 profile jobs, so the report of the child's
     # digests, about 100 KB, fills a one-page pipe many times over
     QUEUE_CONF = ("synthetic = true\nn = 2000\np = 4\nclusters = 4\nseed = 5\n"
                   "cluster_space = raw\nk_regions = 2000\noutput_dir = {out}\n")
 
-    def test_a_queue_longer_than_a_one_page_pipe_finishes(self, tmp_path, monkeypatch, forks):
+    def test_a_childs_report_longer_than_a_one_page_pipe_arrives(self, tmp_path, monkeypatch,
+                                                                forks):
         # Linux also gives new pipes one page once a user's pipes pass
         # pipe-user-pages-soft
         def one_page_pipe(original=os.pipe):

@@ -129,7 +129,7 @@ class TestProfile:
             assignment[c] = c
         part = Partition(assignment=tuple(int(c) for c in assignment), k=4)
         averages = profile(table, part)[:, :, AVERAGE]
-        sizes = [len(part.members(c)) for c in range(1, 5)]
+        sizes = [part.assignment.count(c) for c in range(1, 5)]
         for j in range(6):
             total = sum(averages[c, j] * sizes[c] for c in range(4))
             assert total / 40 == pytest.approx(grid[:, j].mean(), abs=1e-9)
@@ -199,7 +199,7 @@ class TestBitwiseOracle:
 
     def test_matches_oracle_on_thousands_of_clusters(self):
         # 2000 clusters over 3000 shuffled rows, most of 1 or 2 members: each
-        # cluster's rows must come in table order, as part.members lists them
+        # cluster's rows must come in table order
         rng = np.random.default_rng(113)
         table = make_table(rng.lognormal(3.0, 2.0, size=(3000, 3)))
         assignment = np.concatenate([np.arange(1, 2001), rng.integers(1, 2001, size=1000)])
