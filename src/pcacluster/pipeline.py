@@ -57,15 +57,15 @@ from .ingest import IndicatorTable, impute_means, load_table, standardize, write
 from .pca import PcaModel, coefficients, component_names, fit_pca, loadings, scores, select_components, write_variance_table
 from .profiles import STATISTICS, format_profile_table, profile
 from .synth import generate_synthetic
-from .tables import (format_float, format_run, labeled_rows, open_rows, write_labeled_matrix,
-                     write_rows)
+from .tables import (csv_line, format_float, format_run, labeled_rows, open_text,
+                     write_labeled_matrix, write_lines, write_rows)
 from . import svgplot
 
 logger = logging.getLogger(__name__)
 
 _MERGE_HEADER = ["step", "left", "right", "height", "size"]
 
-# text artifacts are buffered, and files hashed, this many bytes at a time
+# files are hashed this many bytes at a time
 _CHUNK = 1 << 16
 
 # the write phase forks only if a second process can take at least this
@@ -127,10 +127,7 @@ class _Sink:
 
     def text(self, rel: str, values: int, lines: Iterable[str]) -> None:
         """Lines, each ending in "\n", written as they come."""
-        self.add((rel,), values, _write_lines, lines)
-
-    def rows(self, rel: str, values: int, header, rows) -> None:
-        self.add((rel,), values, write_rows, header, rows)
+        self.add((rel,), values, write_lines, lines)
 
     def matrix(self, rel: str, header, labels, grid, *prefix: str) -> None:
         """One line per label: prefix and the label, then its row of grid."""
@@ -138,8 +135,8 @@ class _Sink:
                  labeled_rows(labels, grid, *prefix))
 
     def partition(self, rel: str, labels, part: Partition, item_header: str = "region") -> None:
-        self.rows(rel, len(labels), [item_header, "cluster"],
-                  ([label, str(c)] for label, c in zip(labels, part.assignment)))
+        self.add((rel,), len(labels), write_rows, [item_header, "cluster"],
+                 ([label, str(c)] for label, c in zip(labels, part.assignment)))
 
     def write(self) -> tuple[Path, tuple[str, ...]]:
         """Clear the earlier run, write every job, hashing each file as read
@@ -174,7 +171,7 @@ class _Sink:
         digests.update(their_digests)
         files = tuple(sorted(digests))
         path = self.out / "manifest.txt"
-        _write_lines(path, [f"{digests[rel]}  {rel}\n" for rel in files])
+        write_lines(path, [f"{digests[rel]}  {rel}\n" for rel in files])
         return path, files
 
     def _clear_earlier_run(self) -> None:
@@ -274,11 +271,6 @@ def _in_two_processes(here: Callable[[], Any], there: Callable[[], Any],
     return mine, report
 
 
-def _write_lines(path: Path, lines: Iterable[str]) -> None:
-    with path.open("w", buffering=_CHUNK, encoding="utf-8", newline="\n") as handle:
-        handle.writelines(lines)
-
-
 def _sha256(path: Path) -> str:
     """The file's SHA-256, read _CHUNK bytes at a time."""
     digest = hashlib.sha256()
@@ -310,23 +302,24 @@ def _merge_lines(dend: Dendrogram) -> Iterator[str]:
         yield f"{step},{left},{right},{height!r},{size}\n"
 
 
-def _write_merges(path: Path, dend: Dendrogram) -> None:
-    with open_rows(path, _MERGE_HEADER) as out:
-        for line in _merge_lines(dend):
-            out.line(line)
-
-
 def _write_merge_twins(*paths_then_panels) -> None:
-    """dendrogram_<space>.csv for each (title, dendrogram) panel, then
-    plots/dendrograms.csv, every panel's rows after its title: each merge
-    row is formatted once and written to both."""
+    """dendrogram_<space>.csv for each (title, dendrogram, leaf order)
+    panel, then plots/dendrograms.csv, every panel's rows after its title:
+    each merge row is formatted once and written to both."""
     *space_paths, plot_path, panels = paths_then_panels
-    with open_rows(plot_path, ["panel", *_MERGE_HEADER]) as plot:
-        for path, (title, dend) in zip(space_paths, panels):
-            with open_rows(path, _MERGE_HEADER) as own:
+    with open_text(plot_path) as plot:
+        plot.write(csv_line(["panel", *_MERGE_HEADER]))
+        for path, (title, dend, _) in zip(space_paths, panels):
+            with open_text(path) as own:
+                own.write(csv_line(_MERGE_HEADER))
                 for line in _merge_lines(dend):
-                    own.line(line)
-                    plot.line(f"{title},{line}")  # no title needs quoting
+                    own.write(line)
+                    plot.write(f"{title},{line}")  # no title needs quoting
+
+
+def _write_profile_table(path: Path, block: np.ndarray, labels) -> None:
+    header, *rows = format_profile_table(block, labels)
+    write_rows(path, header, rows)
 
 
 def _clustering(sink: _Sink, name: str, dend: Dendrogram, k: int, item: str = "region") -> Partition:
@@ -411,7 +404,8 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
         variables = cluster_variables(table)
         partitions["variables"] = _clustering(sink, "variables", variables, config.k_vars,
                                               "indicator")
-        sink.add(("dendrogram_variables.csv",), variables.merges.size, _write_merges, variables)
+        sink.text("dendrogram_variables.csv", variables.merges.size,
+                  chain([csv_line(_MERGE_HEADER)], _merge_lines(variables)))
 
     concordance_stats: dict[str, float] = {}
     with _stage("concordance"):
@@ -435,9 +429,8 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
                  chain.from_iterable(labeled_rows(labels, block, str(cluster_id))
                                      for cluster_id, block in enumerate(grid, start=1)))
         for cluster_id, block in enumerate(grid, start=1):
-            # formatted here: a statistic that does not fit fails this stage
-            header, *table_rows = format_profile_table(block, labels)
-            sink.rows(f"profiles/cluster_{cluster_id}.csv", block.size, header, table_rows)
+            sink.add((f"profiles/cluster_{cluster_id}.csv",), block.size, _write_profile_table,
+                     block, labels)
 
     with _stage("plots"):
         emit_plots(sink, table, model, dendrograms, final_partition, names)
@@ -460,7 +453,10 @@ def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
                names: tuple[str, ...]) -> None:
     """The six figures under plots/, each with its CSV twin, as jobs on sink;
     plots/dendrograms.csv shares its job with each space's dendrogram CSV."""
-    leaf_order = [*dendrograms.values()][-1].leaf_order()  # the final space's
+    # each dendrogram's leaf order, walked once for its panel and, the final
+    # space's, for the z-score figures and their CSVs
+    leaf_orders = [dend.leaf_order() for dend in dendrograms.values()]
+    leaf_order = leaf_orders[-1]
     assignment = final_partition.assignment
     values, regions, indicators = table.values, table.region_labels, table.indicator_labels
 
@@ -498,7 +494,8 @@ def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
                    labeled_rows(indicators, arrows, "loading_arrow")))
 
     titles = {"raw": "initial variables", "components": "component scores"}
-    panels = [(titles[space], dend) for space, dend in dendrograms.items()]
+    panels = [(titles[space], dend, order)
+              for (space, dend), order in zip(dendrograms.items(), leaf_orders)]
     merge_values = sum(dend.merges.size for dend in dendrograms.values())
     sink.text("plots/dendrograms.svg", merge_values, svgplot.dendrograms_svg(panels))
     sink.add((*(f"dendrogram_{space}.csv" for space in dendrograms), "plots/dendrograms.csv"),
@@ -510,9 +507,10 @@ def _write_z_score_twins(heatmap_path: Path, parallel_path: Path, values: np.nda
     """plots/heatmap.csv and plots/parallel_coordinates.csv, both the
     leaf-ordered z-scores: each row is formatted once and written to both,
     one row of text held at a time."""
-    with open_rows(heatmap_path, ["region", *indicators]) as heatmap, \
-            open_rows(parallel_path, ["region", "cluster", *indicators]) as parallel:
+    with open_text(heatmap_path) as heatmap, open_text(parallel_path) as parallel:
+        heatmap.write(csv_line(["region", *indicators]))
+        parallel.write(csv_line(["region", "cluster", *indicators]))
         for i in leaf_order:
             run = format_run(values[i])
-            heatmap.row((regions[i],), run)
-            parallel.row((regions[i], str(assignment[i])), run)
+            heatmap.write(csv_line((regions[i],), run))
+            parallel.write(csv_line((regions[i], str(assignment[i])), run))

@@ -343,8 +343,8 @@ def biplot_svg(
     return Document(width, height, "Biplot", body)
 
 
-def _dendrogram_panel(dend: Dendrogram, title: str, x0: float, panel_w: float,
-                      top: float, bottom: float) -> Iterator[str]:
+def _dendrogram_panel(dend: Dendrogram, leaf_order: Sequence[int], title: str, x0: float,
+                      panel_w: float, top: float, bottom: float) -> Iterator[str]:
     n = dend.n_leaves
     gap = panel_w / max(n, 1)
     merges = dend.merges.tolist()
@@ -355,7 +355,7 @@ def _dendrogram_panel(dend: Dendrogram, title: str, x0: float, panel_w: float,
     # and its x and y formatted once, when the node is made
     node = [(0.0, "", "")] * (2 * n)
     y = f"{bottom:.2f}"
-    for slot, leaf in enumerate(dend.leaf_order()):
+    for slot, leaf in enumerate(leaf_order):
         x = x0 + (slot + 0.5) * gap
         node[-(leaf + 1)] = (x, f"{x:.2f}", y)
     for step, (left, right, height, _) in enumerate(merges, start=1):
@@ -370,8 +370,9 @@ def _dendrogram_panel(dend: Dendrogram, title: str, x0: float, panel_w: float,
                         extra=f' transform="rotate(-60 {x:.2f} {bottom + 10:.2f})"')
 
 
-def dendrograms_svg(panels: Sequence[tuple[str, Dendrogram]]) -> Document:
-    """Side-by-side dendrogram panels sharing one canvas."""
+def dendrograms_svg(panels: Sequence[tuple[str, Dendrogram, Sequence[int]]]) -> Document:
+    """Side-by-side dendrogram panels sharing one canvas, each a title, a
+    dendrogram and its leaf_order()."""
     count = max(len(panels), 1)
     panel_w = 520.0
     width = int(40 + count * (panel_w + 40))
@@ -379,8 +380,8 @@ def dendrograms_svg(panels: Sequence[tuple[str, Dendrogram]]) -> Document:
     top, bottom = 70, 430
 
     def body() -> Iterator[str]:
-        for idx, (title, dend) in enumerate(panels):
+        for idx, (title, dend, leaf_order) in enumerate(panels):
             x0 = 40 + idx * (panel_w + 40)
-            yield from _dendrogram_panel(dend, title, x0, panel_w, top, bottom)
+            yield from _dendrogram_panel(dend, leaf_order, title, x0, panel_w, top, bottom)
 
     return Document(width, height, "Hierarchical clustering", body)

@@ -1,11 +1,11 @@
-"""Comma-delimited text: the one place where rows become artifact text.
+"""Comma-delimited text: the one place that opens an artifact for writing,
+and the one rule that turns a CSV row into a line.
 
-Every CSV artifact is written by RowWriter. A row is text cells
+Every artifact is opened by open_text: UTF-8, written as it is (no
+newline translation), through a 64 KiB buffer. A CSV row is text cells
 (region, indicator and cluster labels, ids, and figures a caller has
 already made text, such as a rounded profile report cell) and, after
-them, an optional run of floats; or a line a caller has already made
-text whose cells need no quoting, such as a dendrogram's merge row of
-numbers. Two rules make the bytes:
+them, an optional run of floats. csv_line makes the line:
 
 - Text cells are quoted by ``csv`` (minimal quoting) with the real
   "\\n" line terminator, so a cell is quoted exactly when
@@ -16,10 +16,14 @@ numbers. Two rules make the bytes:
   format_float's rule per cell (``repr`` of a Python float: the shortest
   decimal that round-trips to the same float64, never more than 17
   significant digits), then one ``join``. No repr holds a quote, a line
-  break or ',', so a run is never quoted and is written as it is. NaN,
+  break or ',', so a run is never quoted and is appended as it is. NaN,
   a missing value or an undefined profile statistic, is an empty cell,
   as load_table reads it.
 
+write_rows hands rows of text cells only to a csv.writer of that same
+dialect, which quotes a long table of labels at C speed. A caller may
+also write lines it has made itself into a file open_text opened, such
+as a dendrogram's merge rows of numbers, whose cells need no quoting.
 Files produced from the same values are therefore byte-identical across
 runs.
 """
@@ -27,12 +31,19 @@ runs.
 from __future__ import annotations
 
 import csv
-import io
-from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
+
+# the write buffer of every artifact, in bytes
+_BUFFER = 1 << 16
+
+# writerow returns what its file's write returns; this file's write
+# returns the line it is given, so _line(cells) is the row as one line.
+# Given str cells it runs no Python code, so threads holding the GIL can share it
+_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
 
 
 def format_float(x: float) -> str:
@@ -44,47 +55,32 @@ def format_run(values: np.ndarray) -> str:
     return ",".join(map(repr, values.tolist())).replace("nan", "")
 
 
-class RowWriter:
-    """Writes rows to an open text handle: text cells, then an optional run."""
-
-    def __init__(self, handle: TextIO) -> None:
-        self._handle = handle
-        self._csv = csv.writer(handle, lineterminator="\n")
-        self._buffer = io.StringIO()
-        self._cells = csv.writer(self._buffer, lineterminator="\n")
-
-    def rows(self, rows: Iterable[Sequence[str]]) -> None:
-        """Rows of text cells only."""
-        self._csv.writerows(rows)
-
-    def row(self, cells: Sequence[str], run: str) -> None:
-        """Text cells, then run, a format_run of at least one float, as it is."""
-        buffer = self._buffer
-        buffer.seek(0)
-        buffer.truncate()
-        # the empty last cell puts the delimiter before the run, and keeps
-        # a lone empty label unquoted, as it is inside a longer row
-        self._cells.writerow([*cells, ""])
-        self._handle.write(buffer.getvalue()[:-1] + run + "\n")
-
-    def line(self, text: str) -> None:
-        """A row already made text, ending in "\\n", of cells that need no quoting."""
-        self._handle.write(text)
+def csv_line(cells: Sequence[str], run: str | None = None) -> str:
+    """Text cells, then run, a format_run of at least one float, as one
+    line ending in "\\n"."""
+    if run is None:
+        return _line(cells)
+    # the empty last cell puts the delimiter before the run, and keeps
+    # a lone empty label unquoted, as it is inside a longer row
+    return (_line([*cells, ""])[:-1] if cells else "") + run + "\n"
 
 
-@contextmanager
-def open_rows(path: str | Path, header: Sequence[str]) -> Iterator[RowWriter]:
-    """A RowWriter on a new UTF-8 file at path, its header row written."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        out = RowWriter(handle)
-        out.rows([header])
-        yield out
+def open_text(path: str | Path) -> TextIO:
+    """A new UTF-8 file at path, for writing."""
+    return Path(path).open("w", buffering=_BUFFER, encoding="utf-8", newline="")
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Lines, each ending in "\\n", written as they come."""
+    with open_text(path) as handle:
+        handle.writelines(lines)
 
 
 def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     """Header, then rows of text cells."""
-    with open_rows(path, header) as out:
-        out.rows(rows)
+    with open_text(path) as handle:
+        handle.write(csv_line(header))
+        csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
 def labeled_rows(labels: Sequence[str], grid,
@@ -96,6 +92,6 @@ def labeled_rows(labels: Sequence[str], grid,
 def write_labeled_matrix(path: str | Path, header: Sequence[str],
                          rows: Iterable[tuple[Sequence[str], np.ndarray]]) -> None:
     """Header, then one line per (text cells, float row) pair, such as labeled_rows yields."""
-    with open_rows(path, header) as out:
-        for cells, values in rows:
-            out.row(cells, format_run(values))
+    with open_text(path) as handle:
+        handle.write(csv_line(header))
+        handle.writelines(csv_line(cells, format_run(values)) for cells, values in rows)

@@ -495,6 +495,25 @@ class TestFileInputRun:
             run_pipeline(load_pipeline_config(conf))
         assert not (out / "manifest.txt").exists()
 
+    def test_region_labels_that_need_quoting_read_back(self, tmp_path):
+        with SAMPLE.open(newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        for row, label in zip(rows[1:], ["a,b", 'say "hi"', "two\nlines", 'all, "three"\nend']):
+            row[0] = label
+        with (tmp_path / "t.csv").open("w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows(rows)
+        conf = write_conf(tmp_path, "input = t.csv\noutput_dir = out\n")
+        out = run_pipeline(load_pipeline_config(conf)).output_dir
+        labels = [row[0] for row in rows[1:]]
+
+        def first_column(rel: str) -> list[str]:
+            with (out / rel).open(newline="", encoding="utf-8") as handle:
+                return [row[0] for row in csv.reader(handle)][1:]
+
+        assert first_column("scores.csv") == labels
+        for rel in ("plots/heatmap.csv", "plots/parallel_coordinates.csv"):
+            assert sorted(first_column(rel)) == sorted(labels)
+
     def test_each_z_score_row_formatted_once(self, tmp_path, monkeypatch):
         calls, format_run = Counter(), tables.format_run
 

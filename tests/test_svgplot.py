@@ -135,6 +135,11 @@ def oracle_biplot_svg(score_xy, score_clusters, arrow_xy, arrow_labels, axis_nam
     return "".join(_document(width, height, body))
 
 
+def drawn(*panels):
+    """(title, dendrogram) panels as dendrograms_svg takes them, each with its leaf order."""
+    return [(title, dend, dend.leaf_order()) for title, dend in panels]
+
+
 def oracle_dendrograms_svg(panels) -> str:
     """dendrograms_svg as it was drawn with three _line calls per merge, from
     node coordinates kept in a dict by node id."""
@@ -331,7 +336,7 @@ class TestLabelsXmlForbids:
             heatmap_svg(z, self.REGIONS, self.INDICATORS, range(4)),
             loadings_svg(pair[:3], self.INDICATORS, ("f\x1f1", "f2")),
             biplot_svg(pair, [1, 1, 2, 2], pair[:3], self.INDICATORS, ("f1", "f2")),
-            dendrograms_svg([("initial\x0cvariables", dend)]),
+            dendrograms_svg(drawn(("initial\x0cvariables", dend))),
         ]
         for figure in figures:
             svg = "".join(figure)
@@ -348,7 +353,8 @@ class TestDendrograms:
     def test_two_panels(self):
         left = complete_linkage(euclidean_distances([[0.0], [1.0], [5.0]]))
         right = complete_linkage(euclidean_distances([[0.0], [4.0], [5.0]]))
-        svg = "".join(dendrograms_svg([("initial variables", left), ("component scores", right)]))
+        panels = drawn(("initial variables", left), ("component scores", right))
+        svg = "".join(dendrograms_svg(panels))
         assert_well_formed(svg)
         assert "initial variables" in svg
         assert "component scores" in svg
@@ -372,15 +378,16 @@ class TestDendrograms:
             panels.append((f"panel {size}", complete_linkage(euclidean_distances(points, labels))))
         if duplicates:
             assert any((dend.merges[:, 2] == 0.0).any() for _, dend in panels)
-        assert "".join(dendrograms_svg(panels)) == oracle_dendrograms_svg(panels)
+        assert "".join(dendrograms_svg(drawn(*panels))) == oracle_dendrograms_svg(panels)
 
     def test_bytes_match_per_merge_oracle_when_every_height_is_zero(self):
         dend = complete_linkage(euclidean_distances(np.ones((6, 2))))
-        assert "".join(dendrograms_svg([("flat", dend)])) == oracle_dendrograms_svg([("flat", dend)])
+        panel = [("flat", dend)]
+        assert "".join(dendrograms_svg(drawn(*panel))) == oracle_dendrograms_svg(panel)
 
     def test_leaf_labels_when_few(self):
         dend = complete_linkage(euclidean_distances([[0.0], [1.0], [5.0]]))
-        svg = "".join(dendrograms_svg([("initial variables", dend)]))
+        svg = "".join(dendrograms_svg(drawn(("initial variables", dend))))
         for label in dend.labels:
             assert f">{label}</text>" in svg
 
@@ -402,7 +409,7 @@ class TestLabelsAreNeverFormatted:
             "heatmap": heatmap_svg(z, self.REGIONS, self.INDICATORS, range(5)),
             "loadings": loadings_svg(pair, self.INDICATORS, self.AXES),
             "biplot": biplot_svg(pair, [1, 1, 2, 2, 3], pair, self.INDICATORS, self.AXES),
-            "dendrograms": dendrograms_svg([(self.TITLES[0], dend), (self.TITLES[1], dend)]),
+            "dendrograms": dendrograms_svg(drawn((self.TITLES[0], dend), (self.TITLES[1], dend))),
         }
 
     def test_labels_come_out_literally(self):
