@@ -61,7 +61,7 @@ def check_points(n: int, noun: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Condensed pairwise distances over n labeled items.
+    """Condensed pairwise distances over n items.
 
     complete_linkage merges in `condensed` itself: it overwrites the vector
     and uses up the matrix, so each matrix can be linked once.
@@ -69,7 +69,6 @@ class DistanceMatrix:
 
     n: int
     condensed: np.ndarray  # upper triangle, row-major, length n(n-1)/2
-    labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
         condensed = self.condensed
@@ -84,8 +83,6 @@ class DistanceMatrix:
             raise ValidationError(
                 f"condensed length {condensed.shape} does not match n={self.n}"
             )
-        if len(self.labels) != self.n:
-            raise ValidationError("label count does not match n")
         # one min and one max and no boolean temporaries: NaN propagates
         # into both, and any infinity is one of them
         if condensed.size:
@@ -95,24 +92,21 @@ class DistanceMatrix:
             if low < 0:
                 raise ValidationError("distances must be non-negative")
         object.__setattr__(self, "condensed", condensed)
-        object.__setattr__(self, "labels", tuple(self.labels))
 
 
 @dataclass(frozen=True, eq=False)
 class Dendrogram:
-    """Full agglomeration history over the labeled leaves."""
+    """Full agglomeration history over n leaves, n - 1 merges."""
 
     merges: np.ndarray  # (n-1) x 4, write-locked: left, right, height, size
-    labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
         merges = np.array(self.merges, dtype=float)
         merges.flags.writeable = False
         object.__setattr__(self, "merges", merges)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        n = len(self.labels)
-        if merges.shape != (n - 1, 4):
-            raise ValidationError(f"expected {n - 1} merges for {n} leaves")
+        if merges.ndim != 2 or merges.shape[1] != 4:
+            raise ValidationError("merges must be an (n-1) x 4 array")
+        n = len(merges) + 1
         # the checks of a walk over the steps, each step's left node, right
         # node, then height, made whole-array: the first failure is raised.
         # A node is bad if an earlier node equals it (merged twice), or if it
@@ -145,7 +139,7 @@ class Dendrogram:
 
     @property
     def n_leaves(self) -> int:
-        return len(self.labels)
+        return len(self.merges) + 1
 
     def leaf_order(self) -> list[int]:
         """Left-to-right leaf indices as drawn, left child before right."""
@@ -183,7 +177,7 @@ class Partition:
         return len(self.assignment)
 
 
-def euclidean_distances(points, labels: tuple[str, ...] | None = None) -> DistanceMatrix:
+def euclidean_distances(points) -> DistanceMatrix:
     """Pairwise Euclidean distances between the rows of an n x d grid.
 
     Entry (i, k), i < k, is sqrt(((grid[k] - grid[i]) ** 2).sum()) with the
@@ -205,8 +199,6 @@ def euclidean_distances(points, labels: tuple[str, ...] | None = None) -> Distan
     check_points(n, "points")
     if not np.isfinite(grid).all():
         raise ValidationError("points contain non-finite values")
-    if labels is None:
-        labels = tuple(str(i) for i in range(n))
     condensed = np.empty(n * (n - 1) // 2)
     # an overflow becomes inf, which DistanceMatrix rejects
     with np.errstate(over="ignore"):
@@ -215,7 +207,7 @@ def euclidean_distances(points, labels: tuple[str, ...] | None = None) -> Distan
         else:
             _squared_distances_by_row(grid, condensed)
         np.sqrt(condensed, out=condensed)
-    return DistanceMatrix(n=n, condensed=condensed, labels=labels)
+    return DistanceMatrix(n=n, condensed=condensed)
 
 
 def _squared_distances_by_row(grid: np.ndarray, condensed: np.ndarray) -> None:
@@ -345,7 +337,7 @@ def complete_linkage(d: DistanceMatrix) -> Dendrogram:
         nn[j] = -1
         mind[j] = np.inf
         node_id[i] = step
-    return Dendrogram(merges=np.reshape(merges, (n - 1, 4)), labels=d.labels)
+    return Dendrogram(merges=np.reshape(merges, (n - 1, 4)))
 
 
 def cut(dend: Dendrogram, k: int) -> Partition:
@@ -379,6 +371,4 @@ def cluster_variables(table: IndicatorTable) -> Dendrogram:
     p = corr.shape[0]
     iu = np.triu_indices(p, 1)
     condensed = np.sqrt(np.maximum(2.0 * (1.0 - corr[iu]), 0.0))
-    return complete_linkage(
-        DistanceMatrix(n=p, condensed=condensed, labels=table.indicator_labels)
-    )
+    return complete_linkage(DistanceMatrix(n=p, condensed=condensed))

@@ -51,7 +51,6 @@ class PcaModel:
     """Fitted components model, immutable: the first k components are retained."""
 
     eigen: EigenDecomposition
-    indicator_labels: tuple[str, ...]
     k: int
 
     @property
@@ -84,7 +83,7 @@ def fit_pca(table: IndicatorTable) -> PcaModel:
     n, p = table.values.shape
     if n <= p:
         raise ValidationError(f"need more regions than indicators (n={n}, p={p})")
-    return PcaModel(jacobi_eigen(correlation_matrix(table)), table.indicator_labels, p)
+    return PcaModel(jacobi_eigen(correlation_matrix(table)), p)
 
 
 def select_components(model: PcaModel, rule: SelectionRule = Kaiser()) -> int:

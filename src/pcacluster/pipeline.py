@@ -303,13 +303,13 @@ def _merge_lines(dend: Dendrogram) -> Iterator[str]:
 
 
 def _write_merge_twins(*paths_then_panels) -> None:
-    """dendrogram_<space>.csv for each (title, dendrogram, leaf order)
-    panel, then plots/dendrograms.csv, every panel's rows after its title:
-    each merge row is formatted once and written to both."""
+    """dendrogram_<space>.csv for each (title, dendrogram, leaf order,
+    labels) panel, then plots/dendrograms.csv, every panel's rows after its
+    title: each merge row is formatted once and written to both."""
     *space_paths, plot_path, panels = paths_then_panels
     with open_text(plot_path) as plot:
         plot.write(csv_line(["panel", *_MERGE_HEADER]))
-        for path, (title, dend, _) in zip(space_paths, panels):
+        for path, (title, dend, _, _) in zip(space_paths, panels):
             with open_text(path) as own:
                 own.write(csv_line(_MERGE_HEADER))
                 for line in _merge_lines(dend):
@@ -322,11 +322,12 @@ def _write_profile_table(path: Path, block: np.ndarray, labels) -> None:
     write_rows(path, header, rows)
 
 
-def _clustering(sink: _Sink, name: str, dend: Dendrogram, k: int, item: str = "region") -> Partition:
-    """dend cut at k, with partition_<name>.csv registered on sink; the
-    partition's items are dend's labels."""
+def _clustering(sink: _Sink, name: str, dend: Dendrogram, k: int, labels,
+                item: str = "region") -> Partition:
+    """dend cut at k, with partition_<name>.csv registered on sink; labels
+    name dend's leaves."""
     part = cut(dend, k)
-    sink.partition(f"partition_{name}.csv", dend.labels, part, item)
+    sink.partition(f"partition_{name}.csv", labels, part, item)
     return part
 
 
@@ -376,9 +377,9 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             )
         score = scores(model, table)
         sink.add(("variance_table.csv",), 3 * p, lambda path: write_variance_table(model, path))
-        sink.matrix("coefficients.csv", ["indicator", *names], model.indicator_labels,
+        sink.matrix("coefficients.csv", ["indicator", *names], table.indicator_labels,
                     coefficients(model))
-        sink.matrix("loadings.csv", ["indicator", *names], model.indicator_labels,
+        sink.matrix("loadings.csv", ["indicator", *names], table.indicator_labels,
                     loadings(model))
         sink.matrix("scores.csv", ["region", *names], table.region_labels, score)
 
@@ -388,7 +389,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
         points = {"raw": table.values, "components": score}
 
         def link(space: str) -> Dendrogram:
-            return complete_linkage(euclidean_distances(points[space], table.region_labels))
+            return complete_linkage(euclidean_distances(points[space]))
 
         # the raw space is never the lighter (k <= p), so it stays here
         if len(spaces) == 2:
@@ -398,12 +399,13 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
             trees = (link(spaces[0]),)
         dendrograms = dict(zip(spaces, trees))
         for space, dend in dendrograms.items():
-            partitions[space] = _clustering(sink, space, dend, config.k_regions)
+            partitions[space] = _clustering(sink, space, dend, config.k_regions,
+                                            table.region_labels)
 
     with _stage("cluster-variables"):
         variables = cluster_variables(table)
         partitions["variables"] = _clustering(sink, "variables", variables, config.k_vars,
-                                              "indicator")
+                                              table.indicator_labels, "indicator")
         sink.text("dendrogram_variables.csv", variables.merges.size,
                   chain([csv_line(_MERGE_HEADER)], _merge_lines(variables)))
 
@@ -494,7 +496,7 @@ def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
                    labeled_rows(indicators, arrows, "loading_arrow")))
 
     titles = {"raw": "initial variables", "components": "component scores"}
-    panels = [(titles[space], dend, order)
+    panels = [(titles[space], dend, order, regions)
               for (space, dend), order in zip(dendrograms.items(), leaf_orders)]
     merge_values = sum(dend.merges.size for dend in dendrograms.values())
     sink.text("plots/dendrograms.svg", merge_values, svgplot.dendrograms_svg(panels))

@@ -343,8 +343,9 @@ def biplot_svg(
     return Document(width, height, "Biplot", body)
 
 
-def _dendrogram_panel(dend: Dendrogram, leaf_order: Sequence[int], title: str, x0: float,
-                      panel_w: float, top: float, bottom: float) -> Iterator[str]:
+def _dendrogram_panel(title: str, dend: Dendrogram, leaf_order: Sequence[int],
+                      labels: Sequence[str], x0: float, panel_w: float, top: float,
+                      bottom: float) -> Iterator[str]:
     n = dend.n_leaves
     gap = panel_w / max(n, 1)
     merges = dend.merges.tolist()
@@ -365,14 +366,16 @@ def _dendrogram_panel(dend: Dendrogram, leaf_order: Sequence[int], title: str, x
         x = (lx + rx) / 2.0
         node[step] = (x, f"{x:.2f}", h)
     if n <= 40:
-        for label, (x, _, _) in zip(dend.labels, reversed(node[n:])):
+        for label, (x, _, _) in zip(labels, reversed(node[n:])):
             yield _text(x, bottom + 10, label, 7, "end",
                         extra=f' transform="rotate(-60 {x:.2f} {bottom + 10:.2f})"')
 
 
-def dendrograms_svg(panels: Sequence[tuple[str, Dendrogram, Sequence[int]]]) -> Document:
+def dendrograms_svg(
+        panels: Sequence[tuple[str, Dendrogram, Sequence[int], Sequence[str]]]) -> Document:
     """Side-by-side dendrogram panels sharing one canvas, each a title, a
-    dendrogram and its leaf_order()."""
+    dendrogram, its leaf_order() and its leaves' labels, drawn when there
+    are at most 40."""
     count = max(len(panels), 1)
     panel_w = 520.0
     width = int(40 + count * (panel_w + 40))
@@ -380,8 +383,7 @@ def dendrograms_svg(panels: Sequence[tuple[str, Dendrogram, Sequence[int]]]) -> 
     top, bottom = 70, 430
 
     def body() -> Iterator[str]:
-        for idx, (title, dend, leaf_order) in enumerate(panels):
-            x0 = 40 + idx * (panel_w + 40)
-            yield from _dendrogram_panel(dend, leaf_order, title, x0, panel_w, top, bottom)
+        for idx, panel in enumerate(panels):
+            yield from _dendrogram_panel(*panel, 40 + idx * (panel_w + 40), panel_w, top, bottom)
 
     return Document(width, height, "Hierarchical clustering", body)

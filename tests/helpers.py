@@ -83,7 +83,7 @@ def model_from_spectrum(values):
 
     vals = np.asarray(values, dtype=float)
     p = vals.size
-    return PcaModel(EigenDecomposition(vals, np.eye(p)), tuple(f"V{i + 1}" for i in range(p)), p)
+    return PcaModel(EigenDecomposition(vals, np.eye(p)), p)
 
 
 def make_table(values, standardized: bool = False, prefix: str = "R") -> IndicatorTable:

@@ -1,5 +1,5 @@
-"""tools/bench.py's summary of paired runs, on fixed numbers: a real
-comparison runs perfbench for minutes, too slow for tier-1."""
+"""tools/bench.py's run order and its summary of paired runs, on fixed
+numbers: a real comparison runs perfbench for minutes, too slow for tier-1."""
 
 from __future__ import annotations
 
@@ -65,3 +65,14 @@ def test_summary_covers_every_workload_and_end_to_end_metric():
             assert (m["ratio"], m["pairs"]) == (0.7, 2)
             assert m["wins"] == (0 if name == "pass_rate" else 2)
     json.dumps(summary, allow_nan=False)
+
+
+def test_pairs_run_outermost_and_the_change_first_on_odd_seeds():
+    assert bench.run_order(["a", "b"], 3, 2) == [
+        (3, "a", "change"), (3, "a", "parent"), (3, "b", "change"), (3, "b", "parent"),
+        (4, "a", "parent"), (4, "a", "change"), (4, "b", "parent"), (4, "b", "change"),
+    ]
+    order = bench.run_order(["paper", "regions", "wide"], 1, 10)
+    assert len(order) == 60 and len(set(order)) == 60
+    # every workload's pair i runs before any workload's pair i + 1
+    assert [seed for seed, _, _ in order] == sorted(seed for seed, _, _ in order)

@@ -188,7 +188,7 @@ class TestCompleteLinkage:
 
     def test_tie_break_prefers_lowest_leaf(self):
         # equilateral situation: all three pairwise distances equal
-        d = DistanceMatrix(n=3, condensed=np.array([1.0, 1.0, 1.0]), labels=("a", "b", "c"))
+        d = DistanceMatrix(n=3, condensed=np.array([1.0, 1.0, 1.0]))
         dend = complete_linkage(d)
         assert dend.merges[0].tolist() == [-1, -2, 1.0, 2]
 
@@ -206,7 +206,7 @@ class TestCompleteLinkage:
         assert adjusted_rand_index(part, part_back) == 1.0
 
     def test_single_leaf(self):
-        d = DistanceMatrix(n=1, condensed=np.array([]), labels=("only",))
+        d = DistanceMatrix(n=1, condensed=np.array([]))
         dend = complete_linkage(d)
         assert dend.merges.shape == (0, 4)
         assert dend.leaf_order() == [0]
@@ -421,24 +421,38 @@ class TestClusterVariables:
 class TestDendrogramType:
     def test_merges_are_a_locked_copy_of_the_rows_given(self):
         rows = np.array([[-1, -2, 1.0, 2], [1, -3, 2.0, 3]])
-        dend = Dendrogram(merges=rows, labels=("a", "b", "c"))
+        dend = Dendrogram(merges=rows)
         assert dend.merges.dtype == np.float64 and dend.merges.shape == (2, 4)
         assert dend.merges is not rows and rows.flags.writeable
         with pytest.raises(ValueError):
             dend.merges[0, 2] = 0.0
-        assert Dendrogram(merges=np.empty((0, 4)), labels=("only",)).merges.shape == (0, 4)
+        assert Dendrogram(merges=np.empty((0, 4))).merges.shape == (0, 4)
 
     def test_rejects_reused_node(self):
         with pytest.raises(ValidationError, match="merged twice"):
-            Dendrogram(merges=[[-1, -2, 1.0, 2], [-1, -3, 2.0, 3]], labels=("a", "b", "c"))
+            Dendrogram(merges=[[-1, -2, 1.0, 2], [-1, -3, 2.0, 3]])
 
     def test_rejects_decreasing_heights(self):
         with pytest.raises(ValidationError, match="non-decreasing"):
-            Dendrogram(merges=[[-1, -2, 2.0, 2], [1, -3, 1.0, 3]], labels=("a", "b", "c"))
+            Dendrogram(merges=[[-1, -2, 2.0, 2], [1, -3, 1.0, 3]])
 
-    def test_rejects_wrong_merge_count(self):
-        with pytest.raises(ValidationError, match="expected 2 merges"):
-            Dendrogram(merges=[[-1, -2, 1.0, 2]], labels=("a", "b", "c"))
+    @pytest.mark.parametrize("merges", [
+        [-1, -2, 1.0, 2],  # one row, not a 2-D array
+        [],
+        [[[-1, -2, 1.0, 2]]],
+        np.empty((0, 3)),
+        [[-1, -2, 1.0]],
+        [[-1, -2, 1.0, 2, 0]],
+    ], ids=["1-d-row", "1-d-empty", "3-d", "empty-3-wide", "3-wide", "5-wide"])
+    def test_rejects_merges_not_n_minus_1_by_4(self, merges):
+        with pytest.raises(ValidationError, match=r"^merges must be an \(n-1\) x 4 array$"):
+            Dendrogram(merges=merges)
+
+    def test_leaf_count_is_one_more_than_the_merge_count(self):
+        assert Dendrogram(np.empty((0, 4))).n_leaves == 1
+        for n in (2, 3, 17):
+            dend = complete_linkage(euclidean_distances(line_points(range(n))))
+            assert dend.n_leaves == len(dend.merges) + 1 == n
 
     @pytest.mark.parametrize("merges, message", [
         (((-1, -2), (2, -3)), "node id 2 invalid at step 2"),  # its own step
@@ -451,7 +465,7 @@ class TestDendrogramType:
     def test_rejects_invalid_node_id(self, merges, message):
         (a, b), (c, d) = merges
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            Dendrogram(merges=[[a, b, 1.0, 2], [c, d, 2.0, 3]], labels=("a", "b", "c"))
+            Dendrogram(merges=[[a, b, 1.0, 2], [c, d, 2.0, 3]])
 
     def test_first_error_matches_the_loop_oracle(self):
         # linkages of up to 7 points with up to three cells replaced by a
@@ -469,7 +483,7 @@ class TestDendrogramType:
                 merges[row, column] = choices[int(rng.integers(len(choices)))]
             expected = oracle_dendrogram_error(merges, n)
             try:
-                Dendrogram(merges=merges, labels=tuple(map(str, range(n))))
+                Dendrogram(merges=merges)
                 actual = None
             except ValidationError as exc:
                 actual = str(exc)
@@ -479,7 +493,7 @@ class TestDendrogramType:
 
     def test_rejects_final_merge_missing_leaves(self):
         with pytest.raises(ValidationError, match="^final merge must contain every leaf$"):
-            Dendrogram(merges=[[-1, -2, 1.0, 2], [1, -3, 2.0, 2]], labels=("a", "b", "c"))
+            Dendrogram(merges=[[-1, -2, 1.0, 2], [1, -3, 2.0, 2]])
 
     def test_leaf_order_groups_merged_leaves(self):
         dend = complete_linkage(euclidean_distances(line_points([0, 5, 1, 6])))
@@ -495,31 +509,28 @@ class TestDendrogramType:
         n = 1500
         merges = [[-1, -2, 0.0, 2]] + [[step - 1, -(step + 1), 0.0, step + 1]
                                         for step in range(2, n)]
-        dend = Dendrogram(merges=merges, labels=tuple(str(i) for i in range(n)))
+        dend = Dendrogram(merges=merges)
         assert dend.leaf_order() == list(range(n))
         flipped = Dendrogram(
-            merges=[[right, left, height, size] for left, right, height, size in merges],
-            labels=dend.labels,
-        )
+            merges=[[right, left, height, size] for left, right, height, size in merges])
         assert flipped.leaf_order() == list(range(n - 1, 1, -1)) + [1, 0]
 
 
 class TestDistanceMatrixType:
     def test_adopts_an_owned_float64_vector_and_copies_anything_else(self):
-        labels = ("a", "b", "c")
         owned = np.array([1.0, 2.0, 3.0])
-        d = DistanceMatrix(3, owned, labels)
+        d = DistanceMatrix(3, owned)
         assert d.condensed is owned and d.condensed.flags.writeable
         locked = np.array([1.0, 2.0, 3.0])
         locked.flags.writeable = False
         for condensed in (locked, np.array([0.0, 1.0, 2.0, 3.0])[1:], np.array([1, 2, 3]),
                           np.array([1.0, 2.0, 3.0], dtype=np.float32)):
-            d = DistanceMatrix(3, condensed, labels)
+            d = DistanceMatrix(3, condensed)
             assert not np.shares_memory(d.condensed, condensed)
             assert d.condensed.dtype == np.float64 and d.condensed.flags.owndata
             assert d.condensed.flags.writeable
         assert not locked.flags.writeable
-        assert DistanceMatrix(3, [1.0, 2.0, 3.0], labels).condensed.tolist() == [1.0, 2.0, 3.0]
+        assert DistanceMatrix(3, [1.0, 2.0, 3.0]).condensed.tolist() == [1.0, 2.0, 3.0]
 
     def test_locked_vectors_keep_their_values_and_lock_through_a_linkage(self):
         locked = np.array([1.0, 2.0, 3.0])
@@ -527,13 +538,13 @@ class TestDistanceMatrixType:
         eigenvalues = fit_pca(random_standardized_table(53, n=20, p=3)).eigen.eigenvalues
         for vector in (locked, eigenvalues):
             before = vector.copy()
-            complete_linkage(DistanceMatrix(3, vector, ("a", "b", "c")))
+            complete_linkage(DistanceMatrix(3, vector))
             assert np.array_equal(vector, before) and not vector.flags.writeable
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_distance(self, bad):
         with pytest.raises(ValidationError, match="finite"):
-            DistanceMatrix(3, [1.0, bad, 2.0], ("a", "b", "c"))
+            DistanceMatrix(3, [1.0, bad, 2.0])
 
     @pytest.mark.parametrize("condensed, message", [
         ([1.0, -float("inf"), 2.0], "distances must be finite"),
@@ -542,20 +553,19 @@ class TestDistanceMatrixType:
     ], ids=["-inf", "negative-and-nan", "negative"])
     def test_validation_messages(self, condensed, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            DistanceMatrix(3, condensed, ("a", "b", "c"))
+            DistanceMatrix(3, condensed)
 
     def test_negative_zero_is_a_distance(self):
-        d = DistanceMatrix(3, [1.0, -0.0, 2.0], ("a", "b", "c"))
+        d = DistanceMatrix(3, [1.0, -0.0, 2.0])
         assert d.condensed[1] == 0.0
 
     def test_validation_allocates_no_temporary(self):
         n = 2000
         # writable, so the matrix adopts it and only the checks could allocate
         condensed = np.random.default_rng(127).uniform(size=n * (n - 1) // 2)
-        labels = tuple(f"L{i}" for i in range(n))
         tracemalloc.start()
         try:
-            DistanceMatrix(n, condensed, labels)
+            DistanceMatrix(n, condensed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -999,11 +999,11 @@ class TestClusteringFork:
         the other space's through; the message says which process it ran in."""
         parent = os.getpid()
 
-        def distances(points, labels, original=pipeline.euclidean_distances):
+        def distances(points, original=pipeline.euclidean_distances):
             if (points.shape[1] == 19) == (space == "raw"):
                 where = "this process" if os.getpid() == parent else "the child"
                 raise type(error)(f"{error} in {where}")
-            return original(points, labels)
+            return original(points)
 
         monkeypatch.setattr(pipeline, "euclidean_distances", distances)
 
@@ -1064,7 +1064,7 @@ class TestClusteringFork:
         run_pipeline(config)
         serial = dendrograms[4]  # raw, components, variables, then the serial run's
         assert not forked.merges.flags.writeable
-        assert forked.labels == serial.labels
+        assert forked.n_leaves == serial.n_leaves
         assert np.array_equal(forked.merges, serial.merges)
 
     def test_an_error_in_the_childs_space_reaches_the_cli(self, tmp_path, monkeypatch, capsys,
@@ -1074,6 +1074,26 @@ class TestClusteringFork:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
             "error: cluster-regions: planted in the child"]
+        assert forks == {"cluster-regions": 1}
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_child_killed_while_clustering_reaches_the_cli(self, tmp_path, monkeypatch, capsys,
+                                                             forks):
+        # what an OOM kill of the clustering child looks like (README, Memory)
+        parent = os.getpid()
+
+        def distances(points, original=pipeline.euclidean_distances):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(points)
+
+        monkeypatch.setattr(pipeline, "euclidean_distances", distances)
+        code = cli.main(["run", "--config", str(write_conf(tmp_path, self.REGIONS_CONF))])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cluster-regions: the second process ended with status -9 and no report"]
         assert forks == {"cluster-regions": 1}
         assert not (tmp_path / "out").exists()
         with pytest.raises(ChildProcessError):

@@ -136,8 +136,14 @@ def oracle_biplot_svg(score_xy, score_clusters, arrow_xy, arrow_labels, axis_nam
 
 
 def drawn(*panels):
-    """(title, dendrogram) panels as dendrograms_svg takes them, each with its leaf order."""
-    return [(title, dend, dend.leaf_order()) for title, dend in panels]
+    """(title, dendrogram, labels) panels as dendrograms_svg takes them, each
+    with its leaf order."""
+    return [(title, dend, dend.leaf_order(), labels) for title, dend, labels in panels]
+
+
+def numbered(dend) -> tuple[str, ...]:
+    """Leaf labels "0", "1", ... for a dendrogram built without a table."""
+    return tuple(map(str, range(dend.n_leaves)))
 
 
 def oracle_dendrograms_svg(panels) -> str:
@@ -147,7 +153,7 @@ def oracle_dendrograms_svg(panels) -> str:
     width = int(40 + max(len(panels), 1) * (panel_w + 40))
     top, bottom = 70, 430
     body = [_text(width / 2, 28, "Hierarchical clustering", 16)]
-    for idx, (title, dend) in enumerate(panels):
+    for idx, (title, dend, labels) in enumerate(panels):
         x0 = 40 + idx * (panel_w + 40)
         n = dend.n_leaves
         slot = {leaf: pos for pos, leaf in enumerate(dend.leaf_order())}
@@ -167,7 +173,7 @@ def oracle_dendrograms_svg(panels) -> str:
         if n <= 40:
             for leaf in range(n):
                 x = coords[-(leaf + 1)][0]
-                body.append(_text(x, bottom + 10, dend.labels[leaf], 7, "end",
+                body.append(_text(x, bottom + 10, labels[leaf], 7, "end",
                                   extra=f' transform="rotate(-60 {x:.2f} {bottom + 10:.2f})"'))
     return "".join(_document(width, 520, body))
 
@@ -330,13 +336,13 @@ class TestLabelsXmlForbids:
         rng = np.random.default_rng(97)
         z = rng.standard_normal((4, 3))
         pair = rng.standard_normal((4, 2))
-        dend = complete_linkage(euclidean_distances(z, self.REGIONS))
+        dend = complete_linkage(euclidean_distances(z))
         figures = [
             parallel_coordinates_svg(z, self.INDICATORS, [1, 1, 2, 2], range(4)),
             heatmap_svg(z, self.REGIONS, self.INDICATORS, range(4)),
             loadings_svg(pair[:3], self.INDICATORS, ("f\x1f1", "f2")),
             biplot_svg(pair, [1, 1, 2, 2], pair[:3], self.INDICATORS, ("f1", "f2")),
-            dendrograms_svg(drawn(("initial\x0cvariables", dend))),
+            dendrograms_svg(drawn(("initial\x0cvariables", dend, self.REGIONS))),
         ]
         for figure in figures:
             svg = "".join(figure)
@@ -353,7 +359,8 @@ class TestDendrograms:
     def test_two_panels(self):
         left = complete_linkage(euclidean_distances([[0.0], [1.0], [5.0]]))
         right = complete_linkage(euclidean_distances([[0.0], [4.0], [5.0]]))
-        panels = drawn(("initial variables", left), ("component scores", right))
+        panels = drawn(("initial variables", left, numbered(left)),
+                       ("component scores", right, numbered(right)))
         svg = "".join(dendrograms_svg(panels))
         assert_well_formed(svg)
         assert "initial variables" in svg
@@ -375,20 +382,21 @@ class TestDendrograms:
                 # repeated rows merge at height 0, and so can whole clusters of them
                 points[size // 2:] = points[rng.integers(0, size // 2, size - size // 2)]
             labels = tuple(f"R{i}" for i in range(size))
-            panels.append((f"panel {size}", complete_linkage(euclidean_distances(points, labels))))
+            panels.append((f"panel {size}", complete_linkage(euclidean_distances(points)), labels))
         if duplicates:
-            assert any((dend.merges[:, 2] == 0.0).any() for _, dend in panels)
+            assert any((dend.merges[:, 2] == 0.0).any() for _, dend, _ in panels)
         assert "".join(dendrograms_svg(drawn(*panels))) == oracle_dendrograms_svg(panels)
 
     def test_bytes_match_per_merge_oracle_when_every_height_is_zero(self):
         dend = complete_linkage(euclidean_distances(np.ones((6, 2))))
-        panel = [("flat", dend)]
+        panel = [("flat", dend, numbered(dend))]
         assert "".join(dendrograms_svg(drawn(*panel))) == oracle_dendrograms_svg(panel)
 
     def test_leaf_labels_when_few(self):
         dend = complete_linkage(euclidean_distances([[0.0], [1.0], [5.0]]))
-        svg = "".join(dendrograms_svg(drawn(("initial variables", dend))))
-        for label in dend.labels:
+        labels = numbered(dend)
+        svg = "".join(dendrograms_svg(drawn(("initial variables", dend, labels))))
+        for label in labels:
             assert f">{label}</text>" in svg
 
 
@@ -403,13 +411,14 @@ class TestLabelsAreNeverFormatted:
         rng = np.random.default_rng(139)
         z = rng.standard_normal((5, 5))
         pair = rng.standard_normal((5, 2))
-        dend = complete_linkage(euclidean_distances(z, tuple(self.REGIONS)))
+        dend = complete_linkage(euclidean_distances(z))
         return {
             "parallel": parallel_coordinates_svg(z, self.INDICATORS, [1, 2, 2, 3, 1], range(5)),
             "heatmap": heatmap_svg(z, self.REGIONS, self.INDICATORS, range(5)),
             "loadings": loadings_svg(pair, self.INDICATORS, self.AXES),
             "biplot": biplot_svg(pair, [1, 1, 2, 2, 3], pair, self.INDICATORS, self.AXES),
-            "dendrograms": dendrograms_svg(drawn((self.TITLES[0], dend), (self.TITLES[1], dend))),
+            "dendrograms": dendrograms_svg(drawn((self.TITLES[0], dend, self.REGIONS),
+                                                 (self.TITLES[1], dend, self.REGIONS))),
         }
 
     def test_labels_come_out_literally(self):

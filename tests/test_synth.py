@@ -14,7 +14,7 @@ from pcacluster.synth import SyntheticSpec, generate_synthetic
 
 def recovered_partition(table, k):
     z = standardize(table)
-    return cut(complete_linkage(euclidean_distances(z.values, z.region_labels)), k)
+    return cut(complete_linkage(euclidean_distances(z.values)), k)
 
 
 class TestSyntheticSpec:

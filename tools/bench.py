@@ -7,10 +7,14 @@ with `git archive` and the working tree. Their `src/` trees are copied
 into two sibling directories whose names have the same length (`parent`
 and `change`: peak RSS moves with the length of the checkout's path),
 each beside a copy of CHANGE's `perfbench/`, so one harness measures
-both. For each workload in CHANGE's BENCHMARK.json, pair i (seed K + i)
-runs `perfbench/run.py --trace 0 --seconds S` once in each tree, the
+both. Pair i (seed K + i) runs `perfbench/run.py --trace 0 --seconds S`
+once in each tree for each workload in CHANGE's BENCHMARK.json, the
 change first on odd seeds, and reads the JSON object on the last line of
-its stdout. N is 10, K 1 and S BENCHMARK.json's run_seconds unless given.
+its stdout. The pairs are the outer loop (run_order): every workload's
+pair i runs before any workload's pair i + 1, so a drift of the host over
+the minutes of a comparison reaches every workload alike instead of one
+workload's pairs all at once. N is 10, K 1 and S BENCHMARK.json's
+run_seconds unless given.
 
 CHANGE/BENCH_<tag>.json then holds the environment, the SHA-256 of each
 side's sources, and per workload and end-to-end metric: each side's
@@ -60,6 +64,15 @@ print(json.dumps({"python": sys.version.split()[0], "numpy": numpy.__version__,
                   "blas_config": blas.get("openblas configuration"), "blas_core": core,
                   "cli_blas_threads": blas_threads(), "cpu": cpu_model()}))
 """
+
+
+def run_order(workloads: list[str], first_seed: int, pairs: int) -> list[tuple[int, str, str]]:
+    """(seed, workload, side) for each run, in the order they run: by seed,
+    then workload, then side, the change first on odd seeds."""
+    return [(seed, workload, side)
+            for seed in range(first_seed, first_seed + pairs)
+            for workload in workloads
+            for side in (("change", "parent") if seed % 2 else SIDES)]
 
 
 def side_summary(values: list[float]) -> dict:
@@ -143,16 +156,13 @@ def main(argv: list[str] | None = None) -> int:
             shutil.copytree(checkout / "src", trees[side] / "src", ignore=IGNORE)
             shutil.copytree(args.change / "perfbench", trees[side] / "perfbench", ignore=IGNORE)
         env = environment(trees["change"])
-        runs: dict[str, dict[str, list[dict]]] = {}
-        for workload in workloads:
-            runs[workload] = {side: [] for side in SIDES}
-            for seed in range(args.seed, args.seed + args.pairs):
-                for side in (("change", "parent") if seed % 2 else SIDES):
-                    report = run_once(trees[side], workload, seed, seconds)
-                    runs[workload][side].append(report)
-                    print(f"{workload} seed {seed} {side}: correct={report['correct']} "
-                          f"pipeline_s={report['metrics']['pipeline_s']['value']:.4f}",
-                          file=sys.stderr, flush=True)
+        runs = {workload: {side: [] for side in SIDES} for workload in workloads}
+        for seed, workload, side in run_order(workloads, args.seed, args.pairs):
+            report = run_once(trees[side], workload, seed, seconds)
+            runs[workload][side].append(report)
+            print(f"seed {seed} {workload} {side}: correct={report['correct']} "
+                  f"pipeline_s={report['metrics']['pipeline_s']['value']:.4f}",
+                  file=sys.stderr, flush=True)
         digests = {side: tree_digest(trees[side] / "src") for side in SIDES}
     finally:
         shutil.rmtree(root, ignore_errors=True)
@@ -163,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         "perfbench_sha256": tree_digest(args.change / "perfbench"),
         "pairs": args.pairs, "seconds": seconds,
         "seeds": [args.seed, args.seed + args.pairs - 1],
-        "order": "change first on odd seeds",
+        "order": "by seed, then workload, then side; change first on odd seeds",
         "environment": env,
         "incorrect_runs": {workload: {side: sum(not r["correct"] for r in sides[side])
                                       for side in SIDES} for workload, sides in runs.items()},
