@@ -165,7 +165,9 @@ def load_table(path: str | Path, options: ParseOptions = ParseOptions()) -> Indi
     arrays are stacked once at the end. The first bad row is remembered
     and reading goes on, because a read error anywhere in the file, an
     empty file, a short header and fewer than 3 region rows are reported
-    before it.
+    before it. A bad row is numbered among all the records csv.reader
+    returns, blank ones included (they are skipped), as a spreadsheet
+    numbers it; a quoted cell that spans lines leaves its record one row.
     """
     path = Path(path)
     header: list[str] = []
@@ -175,7 +177,8 @@ def load_table(path: str | Path, options: ParseOptions = ParseOptions()) -> Indi
     row_error = ""
     try:
         with path.open(newline="", encoding="utf-8") as handle:
-            for row in csv.reader(handle, delimiter=options.delimiter):
+            for record, row in enumerate(csv.reader(handle, delimiter=options.delimiter),
+                                         start=1):
                 if not row:
                     continue
                 if not header:
@@ -185,12 +188,12 @@ def load_table(path: str | Path, options: ParseOptions = ParseOptions()) -> Indi
                 if row_error or len(header) < 3:
                     continue
                 if len(row) != len(header):
-                    row_error = f"row {n_rows + 1} has {len(row)} fields, expected {len(header)}"
+                    row_error = f"row {record} has {len(row)} fields, expected {len(header)}"
                     continue
                 try:
                     value_rows.append(_parse_values(row[1:], options.decimal))
                 except ValidationError as exc:
-                    row_error = f"row {n_rows + 1}, {exc}"
+                    row_error = f"row {record}, {exc}"
                     continue
                 region_labels.append(row[0].strip())
     except (OSError, UnicodeDecodeError, csv.Error) as exc:

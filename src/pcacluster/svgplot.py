@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -61,19 +60,9 @@ def cluster_color(cluster_id: int) -> str:
     return PALETTE[(cluster_id - 1) % len(PALETTE)]
 
 
-def _document(width: int, height: int, body: Iterable[str]) -> Iterator[str]:
-    """The document's lines: the head, each element of body, the closing tag."""
-    yield '<?xml version="1.0" encoding="UTF-8"?>\n'
-    yield (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-           f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n')
-    yield f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n'
-    for element in body:
-        yield element + "\n"
-    yield "</svg>\n"
-
-
 class Document:
-    """An SVG document of the given size: its title, then the elements body() yields.
+    """An SVG document of the given size: the XML head, the <svg> tag, a white
+    background, the title, each element body() yields, then the closing tag.
 
     Iterating renders it afresh, one line at a time, from the values the
     builder was given, so they must not change until it is written.
@@ -84,11 +73,19 @@ class Document:
     def __init__(self, width: int, height: int, title: str,
                  body: Callable[[], Iterable[str]]) -> None:
         self._size = (width, height)
-        self._title = _text(width / 2, 28, title, 16)
+        self._title = title
         self._body = body
 
     def __iter__(self) -> Iterator[str]:
-        return _document(*self._size, chain((self._title,), self._body()))
+        width, height = self._size
+        yield '<?xml version="1.0" encoding="UTF-8"?>\n'
+        yield (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+               f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n')
+        yield f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>\n'
+        yield _text(width / 2, 28, self._title, 16) + "\n"
+        for element in self._body():
+            yield element + "\n"
+        yield "</svg>\n"
 
     def encode(self, encoding: str = "utf-8") -> bytes:
         return "".join(self).encode(encoding)
@@ -148,10 +145,6 @@ def _by_row(values: np.ndarray, row_order: Sequence[int],
         yield from zip(block, convert(values[block]).tolist())
 
 
-def _tick_label(value: float) -> str:
-    return f"{value:g}"
-
-
 def scree_svg(eigenvalues: Sequence[float]) -> Document:
     """Eigenvalue against component number, with the retain-above-1 level."""
     vals = [float(v) for v in eigenvalues]
@@ -165,7 +158,7 @@ def scree_svg(eigenvalues: Sequence[float]) -> Document:
     def body() -> Iterator[str]:
         for tick in _nice_ticks(0.0, y_hi):
             yield _line(left, y_of(tick), right, y_of(tick), "#dddddd")
-            yield _text(left - 8, y_of(tick) + 4, _tick_label(tick), 10, "end")
+            yield _text(left - 8, y_of(tick) + 4, f"{tick:g}", 10, "end")
         yield _line(left, bottom, right, bottom)
         yield _line(left, top, left, bottom)
         one = y_of(1.0)
@@ -203,7 +196,7 @@ def parallel_coordinates_svg(
     def body() -> Iterator[str]:
         for tick in _nice_ticks(lo, hi, 6):
             yield _line(left, y_of(tick), right, y_of(tick), "#eeeeee")
-            yield _text(left - 8, y_of(tick) + 4, _tick_label(tick), 10, "end")
+            yield _text(left - 8, y_of(tick) + 4, f"{tick:g}", 10, "end")
         for j, label in enumerate(indicator_labels):
             yield _line(x_of(j), top, x_of(j), bottom, "#cccccc")
             yield _text(x_of(j), bottom + 12, label, 8, "end",

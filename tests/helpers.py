@@ -20,6 +20,9 @@ replaced: each (cluster, indicator) cell computes its own moments from a
 
 manifest_config_digests runs the configs of tools/manifests.py in-process
 and digests the artifacts whose bytes must not depend on the BLAS kernel.
+
+plant_two_cpus and TWO_CPUS give a test about forking a two-CPU affinity
+mask, so that its run forks also when the tests are pinned to one CPU.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -39,6 +43,16 @@ from pcacluster.ingest import IndicatorTable, standardize
 from pcacluster.pipeline import run_pipeline
 
 MANIFESTS_TOOL = Path(__file__).resolve().parents[1] / "tools" / "manifests.py"
+
+# a run forks only with two CPUs or more in its affinity mask: the same
+# patch as plant_two_cpus, as code to put in front of a fresh interpreter's
+# -c program
+TWO_CPUS = "import os\nos.sched_getaffinity = lambda pid: {0, 1}\n"
+
+
+def plant_two_cpus(monkeypatch) -> None:
+    """os.sched_getaffinity reports CPUs 0 and 1 until the test ends."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 # the CSVs that carry the correlation matrix, the eigenvectors or the
 # scores, whose last digits may differ under another OpenBLAS kernel

@@ -53,6 +53,7 @@ from helpers import (
     manifests_tool,
     model_from_spectrum,
     oracle_complete_linkage,
+    plant_two_cpus,
     random_standardized_table,
     same_merge_sequence,
 )
@@ -375,6 +376,7 @@ def test_13_every_manifest_config_keeps_its_bytes(tmp_path, monkeypatch, caplog)
 
         monkeypatch.setattr(os, "fork", fork)
         monkeypatch.setattr(helpers, "run_pipeline", run)
+        plant_two_cpus(monkeypatch)
         # alone, this thread writes the larger configs in two processes; beside
         # another thread, each run writes in one
         assert threading.active_count() == 1
@@ -397,6 +399,7 @@ def test_13_a_failed_fork_finishes_the_run_in_one_process(tmp_path, monkeypatch,
             raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))  # a pid or memory limit
 
         monkeypatch.setattr(os, "fork", fork)
+        plant_two_cpus(monkeypatch)
         conf = manifests_tool().write_configs(SAMPLE.parents[3], tmp_path)["perfbench-regions"]
         descriptors = len(os.listdir("/proc/self/fd"))
         assert cli.main(["run", "--config", str(conf)]) == 0, capsys.readouterr().err

@@ -94,6 +94,10 @@ class TestEuclideanDistances:
         with pytest.raises(ValidationError, match="at least 2 points"):
             euclidean_distances([[1.0, 2.0]])
 
+    def test_rejects_a_1d_input(self):
+        with pytest.raises(ValidationError, match="^points must be a 2-D grid$"):
+            euclidean_distances([0.0, 1.0, 2.0])
+
     def test_rejects_points_past_the_matrix_ceiling_before_allocating(self):
         assert 8 * MAX_POINTS**2 <= 2 * 2**30
         points = np.zeros((MAX_POINTS + 1, 1))
@@ -550,7 +554,8 @@ class TestDistanceMatrixType:
         ([1.0, -float("inf"), 2.0], "distances must be finite"),
         ([-1.0, float("nan"), 2.0], "distances must be finite"),
         ([1.0, -0.5, 2.0], "distances must be non-negative"),
-    ], ids=["-inf", "negative-and-nan", "negative"])
+        ([1.0, 2.0], r"condensed length \(2,\) does not match n=3"),
+    ], ids=["-inf", "negative-and-nan", "negative", "length"])
     def test_validation_messages(self, condensed, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             DistanceMatrix(3, condensed)

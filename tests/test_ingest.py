@@ -100,6 +100,39 @@ class TestLoadTable:
         with pytest.raises(ValidationError, match="must differ"):
             ParseOptions(delimiter=",", decimal=",")
 
+    @pytest.mark.parametrize("options, message", [
+        ({"delimiter": "\t"}, r"^unsupported delimiter '\\t' \(use ',' or ';'\)$"),
+        ({"decimal": ";"}, r"^unsupported decimal separator ';'$"),
+    ], ids=["delimiter", "decimal"])
+    def test_unsupported_dialect_rejected(self, options, message):
+        with pytest.raises(ValidationError, match=message):
+            ParseOptions(**options)
+
+    # records are numbered as csv.reader returns them, blank ones included,
+    # so a row number is the line a spreadsheet shows
+    @pytest.mark.parametrize("text, message", [
+        ("\nregion,a,b\nr1,1,2\nr2,3,4\nr3,x,6\n", "row 5, column 2: non-numeric cell 'x'"),
+        ("region,a,b\n\nr1,1,2\nr2,3,4\n\nr3,x,6\n", "row 6, column 2: non-numeric cell 'x'"),
+        ("region,a,b\n\nr1,1,2\n\n\nr2,3\nr3,5,6\n", "row 6 has 2 fields, expected 3"),
+        ('region,a,b\n"r\n1",1,2\nr2,3,4\nr3,x,6\n', "row 4, column 2: non-numeric cell 'x'"),
+    ], ids=["blank-before-header", "blanks-after-header", "ragged-after-blanks",
+            "label-over-two-lines"])
+    def test_bad_row_numbered_as_a_spreadsheet_shows_it(self, tmp_path, text, message):
+        path = write(tmp_path, text)
+        with pytest.raises(ValidationError) as excinfo:
+            load_table(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        table = load_table(write(tmp_path, '\nregion,a,b\n\n"r\n1",1,2\n\nr2,3,4\nr3,5,6\n\n'))
+        assert table.region_labels == ("r\n1", "r2", "r3")
+        assert table.values.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+    def test_blank_lines_are_not_region_rows(self, tmp_path):
+        path = write(tmp_path, "region,a,b\n\nr1,1,2\n\nr2,3,4\n\n")
+        with pytest.raises(ValidationError, match="fewer than 3 region rows"):
+            load_table(path)
+
     def test_nan_token_is_not_a_number(self, tmp_path):
         # only the empty cell and "NA" mark missing; "nan" text is invalid
         path = write(tmp_path, "region,a,b\nr1,nan,2\nr2,3,4\nr3,5,6\n")
@@ -248,8 +281,17 @@ class TestIndicatorTable:
         assert np.shares_memory(make_table(grid).values, grid)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValidationError, match="region labels"):
+        with pytest.raises(ValidationError, match="^2 value rows but 1 region labels$"):
             IndicatorTable(("a",), ("x", "y"), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("regions, values, standardized, message", [
+        (("a", "b"), np.zeros(2), False, "values must be a 2-D grid"),
+        (("a", "b", "c"), [[0.0], [math.nan], [1.0]], True,
+         "standardized table must not contain missing values"),
+    ], ids=["1-D", "standardized-with-nan"])
+    def test_rejects(self, regions, values, standardized, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            IndicatorTable(regions, ("x",), values, standardized)
 
     def test_standardized_flag_requires_zscores(self):
         with pytest.raises(ValidationError, match="not z-scored"):

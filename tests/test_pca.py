@@ -120,6 +120,11 @@ class TestSelectComponents:
         assert select_components(model, CumulativeThreshold(0.0)) == 1
         assert select_components(model, CumulativeThreshold(100.1)) == 19
 
+    def test_unknown_rule_rejected(self):
+        model = model_from_spectrum(REF_EIGENVALUES)
+        with pytest.raises(ValidationError, match="^unknown selection rule 'varimax'$"):
+            select_components(model, "varimax")
+
     def test_with_components_bounds(self):
         model = model_from_spectrum(REF_EIGENVALUES)
         with pytest.raises(ValidationError, match="outside"):
@@ -214,6 +219,13 @@ class TestScores:
         coef = coefficients(model)
         rebuilt = score @ coef.T
         assert np.max(np.abs(rebuilt - table.values)) < 1e-8
+
+    def test_unstandardized_table_rejected(self):
+        table = random_standardized_table(12, n=30, p=4)
+        model = fit_pca(table).with_components(2)
+        raw = make_table(table.values)
+        with pytest.raises(ValidationError, match="^scores require the standardized table"):
+            scores(model, raw)
 
     def test_dimension_mismatch(self):
         table = random_standardized_table(12, n=30, p=4)

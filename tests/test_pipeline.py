@@ -40,6 +40,8 @@ from pcacluster.ingest import impute_means, load_table, standardize
 from pcacluster.pipeline import run_pipeline
 from pcacluster.synth import SyntheticSpec
 
+from helpers import TWO_CPUS, plant_two_cpus
+
 SAMPLE = Path(__file__).resolve().parents[1] / "src" / "pcacluster" / "data" / "sample_regions.csv"
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -109,9 +111,16 @@ def csv_text(cells) -> str:
 
 
 @pytest.fixture
-def forks(monkeypatch, caplog) -> Counter:
+def two_cpus(monkeypatch) -> None:
+    """A two-CPU affinity mask, so that a run forks where a host with two
+    CPUs or more would fork, also when the tests are pinned to one."""
+    plant_two_cpus(monkeypatch)
+
+
+@pytest.fixture
+def forks(monkeypatch, caplog, two_cpus) -> Counter:
     """os.fork, wrapped to count its calls by the stage that made each, the
-    last one the pipeline logged ("stage <name>")."""
+    last one the pipeline logged ("stage <name>"), under two_cpus."""
     caplog.set_level(logging.INFO, logger=pipeline.logger.name)
     forks = Counter()
 
@@ -424,7 +433,8 @@ print(len(os.listdir("/proc/self/task")), dict(os.environ) == before, *loaded)
     def test_one_thread_when_a_submodule_is_imported_first(self, imports):
         assert self.child(imports, {})[:2] == (1, True)
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS starts no more threads than cores")
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="OpenBLAS starts no more threads than the CPUs it may run on")
     def test_thread_variable_kept(self):
         threads, unchanged = self.child("import pcacluster", {"OPENBLAS_NUM_THREADS": "2"})[:2]
         assert threads > 1 and unchanged
@@ -852,7 +862,7 @@ sink.write()
 """
 
     def test_a_process_killed_holding_the_next_number_leaves_no_child_waiting(self, tmp_path):
-        done = subprocess.run([sys.executable, "-c", self.KILLED_HOLDING, str(tmp_path)],
+        done = subprocess.run([sys.executable, "-c", TWO_CPUS + self.KILLED_HOLDING, str(tmp_path)],
                               env=child_env({}), capture_output=True, text=True, timeout=60)
         assert done.returncode == -signal.SIGKILL, done.stderr
         status = Path(f"/proc/{(tmp_path / 'child.pid').read_text()}/status")
@@ -869,7 +879,7 @@ sink.write()
         assert not (tmp_path / "manifest.txt").exists()
 
     def test_an_interrupt_in_this_process_kills_and_reaps_the_child(self, tmp_path, monkeypatch,
-                                                                    capsys):
+                                                                    capsys, two_cpus):
         def interrupt(*paths):
             raise KeyboardInterrupt
 
@@ -1049,7 +1059,7 @@ class TestClusteringFork:
             run_pipeline(load_pipeline_config(write_conf(tmp_path, self.REGIONS_CONF)))
         assert forks == {}
 
-    def test_the_childs_dendrogram_equals_the_serial_one(self, tmp_path, monkeypatch):
+    def test_the_childs_dendrogram_equals_the_serial_one(self, tmp_path, monkeypatch, two_cpus):
         config = load_pipeline_config(write_conf(tmp_path, self.REGIONS_CONF))
         dendrograms = []
 
@@ -1130,7 +1140,8 @@ sys.exit(code)
     def test_no_multi_threaded_fork_warning(self, tmp_path, imports):
         conf = write_conf(tmp_path, self.REGIONS_CONF)
         done = subprocess.run(
-            [sys.executable, "-W", "always", "-c", self.FRESH.format(imports=imports), str(conf)],
+            [sys.executable, "-W", "always", "-c", TWO_CPUS + self.FRESH.format(imports=imports),
+             str(conf)],
             env=child_env({}), capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "2"  # it forked to cluster and to write
@@ -1367,6 +1378,27 @@ class TestCli:
         conf = write_conf(tmp_path, f"synthetic = true\n{line}\noutput_dir = out\n")
         assert cli.main(["run", "--config", str(conf)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {conf}: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    # the config's lines and the stderr line, with {conf} for the config's
+    # path and {table} for the empty table's
+    @pytest.mark.parametrize("text, message", [
+        ("input empty.csv", "{conf}:1: expected 'key = value', got 'input empty.csv'"),
+        ("synthetic = true\ncomponents = kaiser:2", "{conf}: kaiser takes no argument"),
+        ("synthetic = true\ncomponents = fixed:x", "{conf}: fixed rule needs an integer, got 'x'"),
+        ("synthetic = true\ncomponents = cumulative:abc",
+         "{conf}: cumulative rule needs a number, got 'abc'"),
+        ("synthetic = true\nk_vars = 0", "{conf}: k_vars must be at least 1"),
+        ("input = empty.csv", "load: {table}: empty file"),
+    ], ids=["no-equals-sign", "kaiser-argument", "fixed-not-integer", "cumulative-not-number",
+            "k-vars-zero", "empty-table"])
+    def test_config_or_table_error_exit_1(self, tmp_path, capsys, text, message):
+        table = tmp_path / "empty.csv"
+        table.touch()
+        conf = write_conf(tmp_path, f"{text}\noutput_dir = out\n")
+        assert cli.main(["run", "--config", str(conf)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: " + message.format(conf=conf, table=table)]
         assert not (tmp_path / "out").exists()
 
     def test_numerical_failure_exit_2(self, tmp_path, monkeypatch, capsys):

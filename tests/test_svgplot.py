@@ -12,12 +12,11 @@ from pcacluster.hclust import complete_linkage, euclidean_distances
 from pcacluster.svgplot import (
     HEATMAP_CLIP,
     PALETTE,
-    _document,
+    Document,
     _line,
     _nice_ticks,
     _scale,
     _text,
-    _tick_label,
     biplot_svg,
     cluster_color,
     dendrograms_svg,
@@ -55,7 +54,7 @@ def oracle_heatmap_svg(z_values, region_labels, indicator_labels, row_order) -> 
     width = left + p * cell_w + 40
     height = top + n * cell_h + 30
     label_size = max(4, min(9, cell_h - 1))
-    body = [_text(width / 2, 28, "Heatmap of standardized indicators", 16)]
+    body = []
     for j, label in enumerate(indicator_labels):
         x = left + (j + 0.5) * cell_w
         body.append(_text(x, top - 6, label, 8, "start",
@@ -69,7 +68,7 @@ def oracle_heatmap_svg(z_values, region_labels, indicator_labels, row_order) -> 
                 f'<rect x="{left + j * cell_w:.2f}" y="{y:.2f}" width="{cell_w}" '
                 f'height="{cell_h}" fill="{color}"/>'
             )
-    return "".join(_document(width, height, body))
+    return "".join(Document(width, height, "Heatmap of standardized indicators", lambda: body))
 
 
 def oracle_parallel_coordinates_svg(z_values, indicator_labels, assignment, row_order) -> str:
@@ -82,10 +81,10 @@ def oracle_parallel_coordinates_svg(z_values, indicator_labels, assignment, row_
     hi = float(z_values.max())
     pad = 0.05 * (hi - lo if hi > lo else 1.0)
     y_of = _scale(lo - pad, hi + pad, bottom, top)
-    body = [_text(width / 2, 28, "Parallel coordinates", 16)]
+    body = []
     for tick in _nice_ticks(lo, hi, 6):
         body.append(_line(left, y_of(tick), right, y_of(tick), "#eeeeee"))
-        body.append(_text(left - 8, y_of(tick) + 4, _tick_label(tick), 10, "end"))
+        body.append(_text(left - 8, y_of(tick) + 4, f"{tick:g}", 10, "end"))
     for j, label in enumerate(indicator_labels):
         body.append(_line(x_of(j), top, x_of(j), bottom, "#cccccc"))
         body.append(_text(
@@ -105,7 +104,7 @@ def oracle_parallel_coordinates_svg(z_values, indicator_labels, assignment, row_
         body.append(_text(width - 90, y + 4, f"cluster {cluster_id}", 10, "start"))
     body.append(_text(18, (top + bottom) / 2, "z-score", 11,
                       extra=f' transform="rotate(-90 18 {(top + bottom) / 2:.2f})"'))
-    return "".join(_document(width, height, body))
+    return "".join(Document(width, height, "Parallel coordinates", lambda: body))
 
 
 def oracle_biplot_svg(score_xy, score_clusters, arrow_xy, arrow_labels, axis_names) -> str:
@@ -116,8 +115,7 @@ def oracle_biplot_svg(score_xy, score_clusters, arrow_xy, arrow_labels, axis_nam
     x_of = _scale(-extent, extent, left, right)
     y_of = _scale(-extent, extent, bottom, top)
     cx, cy = x_of(0.0), y_of(0.0)
-    body = [_text(width / 2, 28, "Biplot", 16),
-            _line(left, cy, right, cy, "#999999"), _line(cx, top, cx, bottom, "#999999")]
+    body = [_line(left, cy, right, cy, "#999999"), _line(cx, top, cx, bottom, "#999999")]
     for (x, y), cluster_id in zip(score_xy, score_clusters):
         body.append(f'<circle cx="{x_of(float(x)):.2f}" cy="{y_of(float(y)):.2f}" r="3" '
                     f'fill="{cluster_color(cluster_id)}" fill-opacity="0.75"/>')
@@ -132,7 +130,7 @@ def oracle_biplot_svg(score_xy, score_clusters, arrow_xy, arrow_labels, axis_nam
     body.append(_text((left + right) / 2, height - 14, axis_names[0], 11))
     body.append(_text(20, (top + bottom) / 2, axis_names[1], 11,
                       extra=f' transform="rotate(-90 20 {(top + bottom) / 2:.2f})"'))
-    return "".join(_document(width, height, body))
+    return "".join(Document(width, height, "Biplot", lambda: body))
 
 
 def drawn(*panels):
@@ -152,8 +150,8 @@ def oracle_dendrograms_svg(panels) -> str:
     panel_w = 520.0
     width = int(40 + max(len(panels), 1) * (panel_w + 40))
     top, bottom = 70, 430
-    body = [_text(width / 2, 28, "Hierarchical clustering", 16)]
-    for idx, (title, dend, labels) in enumerate(panels):
+    body = []
+    for idx, (panel_title, dend, labels) in enumerate(panels):
         x0 = 40 + idx * (panel_w + 40)
         n = dend.n_leaves
         slot = {leaf: pos for pos, leaf in enumerate(dend.leaf_order())}
@@ -162,7 +160,7 @@ def oracle_dendrograms_svg(panels) -> str:
         merges = dend.merges.tolist()
         max_h = max((height for _, _, height, _ in merges), default=1.0) or 1.0
         y_of = _scale(0.0, max_h * 1.05, bottom, top)
-        body.append(_text(x0 + panel_w / 2, top - 12, title, 12))
+        body.append(_text(x0 + panel_w / 2, top - 12, panel_title, 12))
         for step, (left, right, height, _) in enumerate(merges, start=1):
             (lx, ly), (rx, ry) = coords[int(left)], coords[int(right)]
             h = y_of(height)
@@ -175,7 +173,7 @@ def oracle_dendrograms_svg(panels) -> str:
                 x = coords[-(leaf + 1)][0]
                 body.append(_text(x, bottom + 10, labels[leaf], 7, "end",
                                   extra=f' transform="rotate(-60 {x:.2f} {bottom + 10:.2f})"'))
-    return "".join(_document(width, 520, body))
+    return "".join(Document(width, 520, "Hierarchical clustering", lambda: body))
 
 
 def seeded_grid(seed: int, n: int, p: int) -> np.ndarray:
