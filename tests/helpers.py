@@ -54,6 +54,7 @@ def plant_two_cpus(monkeypatch) -> None:
     """os.sched_getaffinity reports CPUs 0 and 1 until the test ends."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
+
 # the CSVs that carry the correlation matrix, the eigenvectors or the
 # scores, whose last digits may differ under another OpenBLAS kernel
 KERNEL_DEPENDENT_CSVS = frozenset({
