@@ -57,8 +57,8 @@ from .ingest import IndicatorTable, impute_means, load_table, standardize, write
 from .pca import PcaModel, coefficients, component_names, fit_pca, loadings, scores, select_components, write_variance_table
 from .profiles import STATISTICS, format_profile_table, profile
 from .synth import generate_synthetic
-from .tables import (csv_line, format_float, format_run, labeled_rows, open_text,
-                     write_labeled_matrix, write_lines, write_rows)
+from .tables import (csv_line, format_float, labeled_rows, write_labeled_matrix, write_lines,
+                     write_rows)
 from . import svgplot
 
 logger = logging.getLogger(__name__)
@@ -81,7 +81,9 @@ _FORK_VALUES = 5_500
 # about even at 300 and 6-8 ms faster at 400, where the run gained 5 ms
 _FORK_REGIONS = 400
 
-# every path a run writes under its output directory, manifest.txt aside
+# every path a run writes under its output directory, manifest.txt aside,
+# and plots/{scree,heatmap,dendrograms}.csv, which earlier versions wrote:
+# a rerun over their directory still removes them
 _ARTIFACT_PATH = re.compile(
     r"(synthetic_table|variance_table|coefficients|loadings|scores|profiles|partition_truth"
     r"|(dendrogram|partition)_(raw|components|variables))\.csv|concordance\.txt"
@@ -103,11 +105,11 @@ class RunArtifacts:
 
 @dataclass(frozen=True, eq=False)
 class _Job:
-    """One artifact, or the z-score twins, that the write phase puts on disk."""
+    """One artifact that the write phase puts on disk."""
 
-    rels: tuple[str, ...]
+    rel: str
     values: int  # the numbers and cells it formats: the cost the writers share
-    write: Callable[..., None]  # write(*paths of rels, *args)
+    write: Callable[..., None]  # write(path of rel, *args)
     args: tuple
 
 
@@ -122,20 +124,19 @@ class _Sink:
         self.out = out
         self.jobs: list[_Job] = []
 
-    def add(self, rels: tuple[str, ...], values: int, write: Callable[..., None], *args) -> None:
-        self.jobs.append(_Job(rels, values, write, args))
+    def add(self, rel: str, values: int, write: Callable[..., None], *args) -> None:
+        self.jobs.append(_Job(rel, values, write, args))
 
     def text(self, rel: str, values: int, lines: Iterable[str]) -> None:
         """Lines, each ending in "\n", written as they come."""
-        self.add((rel,), values, write_lines, lines)
+        self.add(rel, values, write_lines, lines)
 
-    def matrix(self, rel: str, header, labels, grid, *prefix: str) -> None:
-        """One line per label: prefix and the label, then its row of grid."""
-        self.add((rel,), np.size(grid), write_labeled_matrix, header,
-                 labeled_rows(labels, grid, *prefix))
+    def matrix(self, rel: str, header, labels, grid) -> None:
+        """One line per label: the label, then its row of grid."""
+        self.add(rel, np.size(grid), write_labeled_matrix, header, labeled_rows(labels, grid))
 
     def partition(self, rel: str, labels, part: Partition, item_header: str = "region") -> None:
-        self.add((rel,), len(labels), write_rows, [item_header, "cluster"],
+        self.add(rel, len(labels), write_rows, [item_header, "cluster"],
                  ([label, str(c)] for label, c in zip(labels, part.assignment)))
 
     def write(self) -> tuple[Path, tuple[str, ...]]:
@@ -144,7 +145,7 @@ class _Sink:
         are claimed largest first, by a forked child too where that pays
         (_FORK_VALUES)."""
         self._clear_earlier_run()
-        for directory in sorted({(self.out / rel).parent for job in self.jobs for rel in job.rels}):
+        for directory in sorted({(self.out / job.rel).parent for job in self.jobs}):
             directory.mkdir(parents=True, exist_ok=True)
         jobs = sorted(self.jobs, key=lambda job: -job.values)
         total = sum(job.values for job in jobs)
@@ -161,9 +162,9 @@ class _Sink:
                 digests = {}
                 while number := os.read(queue.fileno(), 4):
                     job = jobs[int.from_bytes(number, "little")]
-                    paths = [self.out / rel for rel in job.rels]
-                    job.write(*paths, *job.args)
-                    digests.update((rel, _sha256(path)) for rel, path in zip(job.rels, paths))
+                    path = self.out / job.rel
+                    job.write(path, *job.args)
+                    digests[job.rel] = _sha256(path)
                 return digests
 
             second = min(total / 2, total - (jobs[0].values if jobs else 0))
@@ -294,27 +295,14 @@ def _stage(name: str):
 
 
 def _merge_lines(dend: Dendrogram) -> Iterator[str]:
-    """dend's merge rows as CSV lines, each ending in "\n": the step, the
-    whole-number ids and size, and the height by format_float's rule."""
+    """dend's merge list as CSV lines, each ending in "\n": the header, then
+    per merge the step, the whole-number ids and size, and the height by
+    format_float's rule."""
+    yield csv_line(_MERGE_HEADER)
     ids = dend.merges[:, [0, 1, 3]].astype(np.int64).tolist()
     for step, ((left, right, size), height) in enumerate(zip(ids, dend.merges[:, 2].tolist()),
                                                           start=1):
         yield f"{step},{left},{right},{height!r},{size}\n"
-
-
-def _write_merge_twins(*paths_then_panels) -> None:
-    """dendrogram_<space>.csv for each (title, dendrogram, leaf order,
-    labels) panel, then plots/dendrograms.csv, every panel's rows after its
-    title: each merge row is formatted once and written to both."""
-    *space_paths, plot_path, panels = paths_then_panels
-    with open_text(plot_path) as plot:
-        plot.write(csv_line(["panel", *_MERGE_HEADER]))
-        for path, (title, dend, _, _) in zip(space_paths, panels):
-            with open_text(path) as own:
-                own.write(csv_line(_MERGE_HEADER))
-                for line in _merge_lines(dend):
-                    own.write(line)
-                    plot.write(f"{title},{line}")  # no title needs quoting
 
 
 def _write_profile_table(path: Path, block: np.ndarray, labels) -> None:
@@ -324,9 +312,10 @@ def _write_profile_table(path: Path, block: np.ndarray, labels) -> None:
 
 def _clustering(sink: _Sink, name: str, dend: Dendrogram, k: int, labels,
                 item: str = "region") -> Partition:
-    """dend cut at k, with partition_<name>.csv registered on sink; labels
-    name dend's leaves."""
+    """dend cut at k, with dendrogram_<name>.csv and partition_<name>.csv
+    registered on sink; labels name dend's leaves."""
     part = cut(dend, k)
+    sink.text(f"dendrogram_{name}.csv", dend.merges.size, _merge_lines(dend))
     sink.partition(f"partition_{name}.csv", labels, part, item)
     return part
 
@@ -357,7 +346,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
         if config.k_vars > p:
             raise ValidationError(f"k_vars={config.k_vars} exceeds indicator count {p}")
         if "truth" in partitions:
-            sink.add(("synthetic_table.csv",), n * p, lambda path: write_table(raw_table, path))
+            sink.add("synthetic_table.csv", n * p, lambda path: write_table(raw_table, path))
             sink.partition("partition_truth.csv", raw_table.region_labels, partitions["truth"])
 
     with _stage("impute"):
@@ -376,7 +365,7 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
                 f"{len(names)} component labels given but {model.k} components retained"
             )
         score = scores(model, table)
-        sink.add(("variance_table.csv",), 3 * p, lambda path: write_variance_table(model, path))
+        sink.add("variance_table.csv", 3 * p, lambda path: write_variance_table(model, path))
         sink.matrix("coefficients.csv", ["indicator", *names], table.indicator_labels,
                     coefficients(model))
         sink.matrix("loadings.csv", ["indicator", *names], table.indicator_labels,
@@ -406,8 +395,6 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
         variables = cluster_variables(table)
         partitions["variables"] = _clustering(sink, "variables", variables, config.k_vars,
                                               table.indicator_labels, "indicator")
-        sink.text("dendrogram_variables.csv", variables.merges.size,
-                  chain([csv_line(_MERGE_HEADER)], _merge_lines(variables)))
 
     concordance_stats: dict[str, float] = {}
     with _stage("concordance"):
@@ -426,12 +413,12 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
     with _stage("profile"):
         grid = profile(imputed, final_partition)
         labels = imputed.indicator_labels
-        sink.add(("profiles.csv",), grid.size, write_labeled_matrix,
+        sink.add("profiles.csv", grid.size, write_labeled_matrix,
                  ["cluster", "indicator", *STATISTICS],
                  chain.from_iterable(labeled_rows(labels, block, str(cluster_id))
                                      for cluster_id, block in enumerate(grid, start=1)))
         for cluster_id, block in enumerate(grid, start=1):
-            sink.add((f"profiles/cluster_{cluster_id}.csv",), block.size, _write_profile_table,
+            sink.add(f"profiles/cluster_{cluster_id}.csv", block.size, _write_profile_table,
                      block, labels)
 
     with _stage("plots"):
@@ -453,10 +440,12 @@ def run_pipeline(config: PipelineConfig) -> RunArtifacts:
 def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
                dendrograms: dict[str, Dendrogram], final_partition: Partition,
                names: tuple[str, ...]) -> None:
-    """The six figures under plots/, each with its CSV twin, as jobs on sink;
-    plots/dendrograms.csv shares its job with each space's dendrogram CSV."""
+    """The six figures under plots/ as jobs on sink, with the data of three:
+    parallel_coordinates.csv (the heatmap's too), loadings.csv and
+    biplot.csv. The scree's data is in variance_table.csv, the dendrograms'
+    in dendrogram_<space>.csv."""
     # each dendrogram's leaf order, walked once for its panel and, the final
-    # space's, for the z-score figures and their CSVs
+    # space's, for the z-score figures and their CSV
     leaf_orders = [dend.leaf_order() for dend in dendrograms.values()]
     leaf_order = leaf_orders[-1]
     assignment = final_partition.assignment
@@ -464,14 +453,13 @@ def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
 
     eigenvalues = model.eigen.eigenvalues
     sink.text("plots/scree.svg", eigenvalues.size, svgplot.scree_svg(eigenvalues))
-    sink.matrix("plots/scree.csv", ["dimension", "eigenvalue"],
-                [str(i + 1) for i in range(eigenvalues.size)], eigenvalues[:, None])
     sink.text("plots/parallel_coordinates.svg", values.size,
               svgplot.parallel_coordinates_svg(values, indicators, assignment, leaf_order))
     sink.text("plots/heatmap.svg", values.size,
               svgplot.heatmap_svg(values, regions, indicators, leaf_order))
-    sink.add(("plots/heatmap.csv", "plots/parallel_coordinates.csv"), values.size,
-             _write_z_score_twins, values, regions, indicators, assignment, leaf_order)
+    sink.add("plots/parallel_coordinates.csv", values.size, write_labeled_matrix,
+             ["region", "cluster", *indicators],
+             (((regions[i], str(assignment[i])), values[i]) for i in leaf_order))
 
     # both scatter figures plot the first two axes, even when only one component
     # was retained. The product keeps the retained width, so its first two
@@ -479,7 +467,8 @@ def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
     plot_model = model.with_components(max(model.k, 2))
     plot_loadings = loadings(plot_model)[:, :2]
     plot_scores = scores(plot_model, table)[:, :2]
-    axis_names = (*names, "f2")[:2]
+    # an unretained second axis is the first f<i>, i >= 2, not naming the first
+    axis_names = (*names, *(name for name in ("f2", "f3") if name not in names))[:2]
     sink.text("plots/loadings.svg", plot_loadings.size,
               svgplot.loadings_svg(plot_loadings, indicators, axis_names))
     sink.matrix("plots/loadings.csv", ["indicator", *axis_names], indicators, plot_loadings)
@@ -490,7 +479,7 @@ def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
     arrows = plot_loadings * ((max_score / max_load) if max_load > 0 else 1.0)
     sink.text("plots/biplot.svg", plot_scores.size + arrows.size,
               svgplot.biplot_svg(plot_scores, assignment, arrows, indicators, axis_names))
-    sink.add(("plots/biplot.csv",), plot_scores.size + arrows.size, write_labeled_matrix,
+    sink.add("plots/biplot.csv", plot_scores.size + arrows.size, write_labeled_matrix,
              ["kind", "label", "x", "y"],
              chain(labeled_rows(regions, plot_scores, "score"),
                    labeled_rows(indicators, arrows, "loading_arrow")))
@@ -498,21 +487,5 @@ def emit_plots(sink: _Sink, table: IndicatorTable, model: PcaModel,
     titles = {"raw": "initial variables", "components": "component scores"}
     panels = [(titles[space], dend, order, regions)
               for (space, dend), order in zip(dendrograms.items(), leaf_orders)]
-    merge_values = sum(dend.merges.size for dend in dendrograms.values())
-    sink.text("plots/dendrograms.svg", merge_values, svgplot.dendrograms_svg(panels))
-    sink.add((*(f"dendrogram_{space}.csv" for space in dendrograms), "plots/dendrograms.csv"),
-             merge_values, _write_merge_twins, panels)
-
-
-def _write_z_score_twins(heatmap_path: Path, parallel_path: Path, values: np.ndarray,
-                         regions, indicators, assignment, leaf_order) -> None:
-    """plots/heatmap.csv and plots/parallel_coordinates.csv, both the
-    leaf-ordered z-scores: each row is formatted once and written to both,
-    one row of text held at a time."""
-    with open_text(heatmap_path) as heatmap, open_text(parallel_path) as parallel:
-        heatmap.write(csv_line(["region", *indicators]))
-        parallel.write(csv_line(["region", "cluster", *indicators]))
-        for i in leaf_order:
-            run = format_run(values[i])
-            heatmap.write(csv_line((regions[i],), run))
-            parallel.write(csv_line((regions[i], str(assignment[i])), run))
+    sink.text("plots/dendrograms.svg", sum(dend.merges.size for dend in dendrograms.values()),
+              svgplot.dendrograms_svg(panels))

@@ -316,21 +316,21 @@ def test_12_pinned_artifact_bytes(tmp_path):
 # (helpers.KERNEL_DEPENDENT_CSVS), so these hold on any OpenBLAS kernel. A
 # change that alters bytes on purpose re-records them and names the files.
 CONFIG_DIGESTS = {
-    "sample": "02e437b601d94add93ab56278661327c0cd3b782d952d7c30a74681dcb425ee1",
-    "synthetic": "cf2d8c28acb711f0d68d32da72bf63cd990f5e5c6793c537a496b764b8e88098",
-    "raw": "d78ed7c78dad18ae66f19cec48c78c4e60b40ce6403ce59a850d5d94fcd6ba58",
-    "components": "9e01ff35971cd47202507cf4c0887339604ebb2804c65f7a2ba8f8d64442ac33",
-    "fixed1": "79d25c2eda43e6b26e222cc6cb1f1b7b97c3a79c89bb536b047b0d47284926f0",
-    "fixed2-labels": "8b6add427aa0262bee4836b5f8413b756fcabc9fe7a62a61edd6af27d427330f",
-    "cumulative70": "46d0c1bf6a8502872c5693f1f7af8e49a48b2b8f16859f1ddbe6ef07ba121ae4",
-    "synthetic-typed-keys": "26e3a9503502e56937957a22cab45ecb4fe4375c6ed75b29ad7782130e5851d4",
-    "quoted-labels": "d38d5994a49b9081b138c05e0aac269b2672516ceb80ed1373cb227939887f1c",
-    "tiny-clusters": "a22338fa3a406063c2780a16b2b0a9aa9a80a28fb107eafc530f9dc9372f05d3",
-    "collinear": "1d62a385706638598c5af5e3c930e86df750d37fd4217d6810fa0816574bd024",
-    "zero-mean": "622b235c4b49028e6443e532bc0e65bac892a49cd21db664fe98d36f009b951f",
-    "perfbench-paper": "f15778dcc0ecb1601f8530ac605f43b4b54f9dbfb6712dc802ba1e61bb589f2d",
-    "perfbench-wide": "80e6f0d4af7d6629cc67d9af12a3a421ff2a98f1418b1c1da78f5e1b0f279a39",
-    "perfbench-regions": "97490992f5208102a82144333a881307f018a5173dcdbbaf59ab5a01b42a37f6",
+    "sample": "b88199de0c2cd8cd917860b93316a247fc865202acbb8303546dfd6c26ded3f3",
+    "synthetic": "776b7525b227ef72a0c1eed45a3fe8facd022951d0ba4c87b6ffc5b6af9e95bc",
+    "raw": "9bd446b57299ae9669de7c90fee28b0f94a18144c82153ba20bb022a7c102e45",
+    "components": "58ad07fc1b2d0ecdb32693802298a548aa318a306383facb052702c726ab8f92",
+    "fixed1": "d81d994e9774fc44e45f50b7c28f6adba59b0feb41432b9b58e8a42566887367",
+    "fixed2-labels": "dd86308f44919fd7e58b167e720973ee13e9a77941288ba7cbc645ae35c14cb7",
+    "cumulative70": "d582097af005c6bcf86ea7706fe37d60a782441e23bd4f0666d8aa727ae04c50",
+    "synthetic-typed-keys": "55a0dc7837c381de318a8500a78fc7704e3afda9c6aa6672d9122919b68f9dba",
+    "quoted-labels": "aa3e57b550c20a41a4d0a51a301e183d365c7941526c36dcdb41756354e0212f",
+    "tiny-clusters": "07f75b7c2acf591ea6eab90bd6d5aa87ea0e508b7102dc6d3c891a2946cb7ea1",
+    "collinear": "f2dc9f7e4325b1acb3c428f75d4196d69d9f15b3d788196a01dec5723a24023c",
+    "zero-mean": "42244ff258956e81cdcecbf42f124283f525e595df4a1b9e40d56d8b68930e74",
+    "perfbench-paper": "26872476e14ead460c4d9f388b50e09ac136c43afbfc99e9a084d038a2f94482",
+    "perfbench-wide": "c937b4298ed3aa2316dd8eeb683fd59709ef881b769aef7a9542beb2c450132e",
+    "perfbench-regions": "ac2f6200cec3febe2002b51f9b704701b4a089e38ee5275692ca6a3b7683a933",
 }
 
 

@@ -35,8 +35,9 @@ import pcacluster
 from pcacluster import cli, linalg, pca, pipeline, svgplot, tables
 from pcacluster.config import PipelineConfig, load_pipeline_config
 from pcacluster.errors import NumericalError, ValidationError
-from pcacluster.hclust import MAX_POINTS
+from pcacluster.hclust import MAX_POINTS, complete_linkage, euclidean_distances
 from pcacluster.ingest import impute_means, load_table, standardize
+from pcacluster.pca import scores
 from pcacluster.pipeline import run_pipeline
 from pcacluster.synth import SyntheticSpec
 
@@ -149,10 +150,9 @@ EXPECTED_SYNTH_FILES = {
     "dendrogram_raw.csv", "dendrogram_variables.csv", "loadings.csv",
     "partition_components.csv", "partition_raw.csv", "partition_truth.csv",
     "partition_variables.csv", "plots/biplot.csv", "plots/biplot.svg",
-    "plots/dendrograms.csv", "plots/dendrograms.svg", "plots/heatmap.csv",
-    "plots/heatmap.svg", "plots/loadings.csv", "plots/loadings.svg",
+    "plots/dendrograms.svg", "plots/heatmap.svg", "plots/loadings.csv", "plots/loadings.svg",
     "plots/parallel_coordinates.csv", "plots/parallel_coordinates.svg",
-    "plots/scree.csv", "plots/scree.svg", "profiles.csv",
+    "plots/scree.svg", "profiles.csv",
     "scores.csv", "synthetic_table.csv", "variance_table.csv",
 }
 
@@ -307,17 +307,17 @@ class TestSyntheticRun:
             data = (artifacts.output_dir / rel).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest
 
-    def test_scree_twin_matches_variance_table_bit_exactly(self, artifacts):
-        variance = (artifacts.output_dir / "variance_table.csv").read_text().splitlines()[1:]
-        twin = (artifacts.output_dir / "plots/scree.csv").read_text().splitlines()[1:]
-        for v_line, t_line in zip(variance, twin):
-            assert v_line.split(",")[1] == t_line.split(",")[1]
-
-    def test_heatmap_twin_rows_follow_leaf_order(self, artifacts):
-        dend = artifacts.partitions  # partitions exist for raw and components
-        assert {"raw", "components", "variables", "truth"} <= set(dend)
-        twin = (artifacts.output_dir / "plots/heatmap.csv").read_text().splitlines()
-        assert len(twin) == 1 + 40
+    def test_parallel_coordinates_rows_follow_leaf_order(self, artifacts):
+        # the final space is components: its dendrogram, rebuilt from the
+        # table as written, orders the rows of the heatmap's data
+        z = standardize(impute_means(load_table(artifacts.output_dir / "synthetic_table.csv")))
+        dend = complete_linkage(euclidean_distances(scores(artifacts.model, z)))
+        leaf_labels = [z.region_labels[i] for i in dend.leaf_order()]
+        assert leaf_labels != list(z.region_labels)
+        with (artifacts.output_dir / "plots/parallel_coordinates.csv").open(
+                newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert [row[0] for row in rows[1:]] == leaf_labels
 
     def test_parallel_twin_round_trips_z_values(self, artifacts):
         lines = (artifacts.output_dir / "plots/parallel_coordinates.csv").read_text().splitlines()
@@ -521,8 +521,7 @@ class TestFileInputRun:
                 return [row[0] for row in csv.reader(handle)][1:]
 
         assert first_column("scores.csv") == labels
-        for rel in ("plots/heatmap.csv", "plots/parallel_coordinates.csv"):
-            assert sorted(first_column(rel)) == sorted(labels)
+        assert sorted(first_column("plots/parallel_coordinates.csv")) == sorted(labels)
 
     def test_each_z_score_row_formatted_once(self, tmp_path, monkeypatch):
         calls, format_run = Counter(), tables.format_run
@@ -531,12 +530,11 @@ class TestFileInputRun:
             calls[tuple(values.tolist())] += 1
             return format_run(values)
 
-        for module in (tables, pipeline):
-            monkeypatch.setattr(module, "format_run", counting)
+        monkeypatch.setattr(tables, "format_run", counting)
         conf = write_conf(tmp_path, f"input = {SAMPLE}\noutput_dir = out\n")
         run_pipeline(load_pipeline_config(conf))
         z = standardize(impute_means(load_table(SAMPLE)))
-        # heatmap.csv and parallel_coordinates.csv share one formatting
+        # parallel_coordinates.csv is the one CSV of the z-scores
         assert [calls[tuple(row)] for row in z.values.tolist()] == [1] * z.n_regions
 
     def test_bundled_sample_end_to_end(self, tmp_path):
@@ -641,7 +639,7 @@ class TestRerun:
                                                                    lines, message):
         out = self.first_run(tmp_path)
         before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
-        assert len(before) == 29  # 28 artifacts and manifest.txt
+        assert len(before) == 26  # 25 artifacts and manifest.txt
         if "big.csv" in lines:
             # unique labels, and a table that loads: only its size is refused
             rows = np.random.default_rng(73).standard_normal((MAX_POINTS + 1, 2))
@@ -651,6 +649,25 @@ class TestRerun:
         assert capsys.readouterr().err.splitlines() == [f"error: load: {message}"]
         assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
         assert {path for path in out.rglob("*") if path.is_dir()} == {out / "plots", out / "profiles"}
+
+    def test_a_rerun_over_an_older_layout_removes_its_plot_csvs(self, tmp_path):
+        # earlier versions also wrote the three plot CSVs, and a run with
+        # more clusters a ninth profile table, here edited after its listing
+        out = self.first_run(tmp_path)
+        older = ["plots/dendrograms.csv", "plots/heatmap.csv", "plots/scree.csv",
+                 "profiles/cluster_9.csv"]
+        with (out / "manifest.txt").open("a", encoding="utf-8") as manifest:
+            for rel in older:
+                (out / rel).write_text(f"{rel}\n1.0,2.0\n", encoding="utf-8")
+                manifest.write(f"{sha256_of(out / rel)}  {rel}\n")
+        with (out / older[-1]).open("a", encoding="utf-8") as handle:
+            handle.write("my note\n")
+        self.first_run(tmp_path)
+        listed = {line.split("  ", 1)[1]
+                  for line in (out / "manifest.txt").read_text(encoding="utf-8").splitlines()}
+        assert not set(older) & listed
+        assert files_under(out) == {*listed, "manifest.txt", older[-1]}
+        assert (out / older[-1]).read_text(encoding="utf-8").endswith("my note\n")
 
     def test_paths_outside_the_directory_are_never_deleted(self, tmp_path):
         outside = tmp_path / "scores.csv"
@@ -697,8 +714,8 @@ class TestStreamedArtifacts:
         sink = pipeline._Sink(tmp_path)
         blob = np.random.default_rng(139).bytes(6 * 2**20)
         small = b"one line\n"
-        sink.add(("plots/big.bin",), 0, Path.write_bytes, blob)
-        sink.add(("small.txt",), 0, Path.write_bytes, small)
+        sink.add("plots/big.bin", 0, Path.write_bytes, blob)
+        sink.add("small.txt", 0, Path.write_bytes, small)
         tracemalloc.start()
         try:
             manifest, files = sink.write()
@@ -752,7 +769,7 @@ class TestWritePhase:
             signal.signal(signal.SIGALRM, previous)
 
     def run_planted(self, tmp_path, monkeypatch, capsys, process, plant) -> tuple[int, list[str]]:
-        """Run SPLIT_CONF through the CLI, calling plant(*paths) before the
+        """Run SPLIT_CONF through the CLI, calling plant(path) before the
         first job that process ("child" or "this process") writes, whichever
         job that is: (exit code, stderr lines)."""
         conf = write_conf(tmp_path, self.SPLIT_CONF)
@@ -763,7 +780,7 @@ class TestWritePhase:
             def write(*args):
                 if not planted and (os.getpid() != parent) == (process == "child"):
                     planted.append(job)
-                    plant(*args[:len(job.rels)])
+                    plant(args[0])
                 return job.write(*args)
             return dataclasses.replace(job, write=write)
 
@@ -788,7 +805,7 @@ class TestWritePhase:
     @pytest.mark.parametrize("process", ["child", "this process"], ids=["child", "this-process"])
     def test_a_blocked_path_names_the_stage_that_made_it(self, tmp_path, monkeypatch, capsys,
                                                          forks, process):
-        def block(path, *paths):
+        def block(path):
             path.mkdir(parents=True)
 
         code, err = self.run_planted(tmp_path, monkeypatch, capsys, process, block)
@@ -799,7 +816,7 @@ class TestWritePhase:
 
     def test_a_child_that_dies_without_a_report_fails_the_run(self, tmp_path, monkeypatch, capsys,
                                                               forks):
-        def die(*paths):
+        def die(path):
             os.kill(os.getpid(), signal.SIGKILL)
 
         code, err = self.run_planted(tmp_path, monkeypatch, capsys, "child", die)
@@ -824,7 +841,7 @@ class TestWritePhase:
             return data
 
         monkeypatch.setattr(os, "read", read)
-        code, err = self.run_planted(tmp_path, monkeypatch, capsys, "child", lambda *paths: None)
+        code, err = self.run_planted(tmp_path, monkeypatch, capsys, "child", lambda path: None)
         self.assert_failed_and_reaped(
             tmp_path, code, err, forks,
             "error: manifest: the second process ended with status -9 and no report")
@@ -840,7 +857,7 @@ from pcacluster import pipeline
 out = Path(sys.argv[1])
 sink = pipeline._Sink(out)
 for i in range(3000):
-    sink.add((f"{i}.txt",), 10, lambda path: path.write_text("x" * 1000))
+    sink.add(f"{i}.txt", 10, lambda path: path.write_text("x" * 1000))
 parent, claims, fork, read = os.getpid(), [], os.fork, os.read
 
 def recording_fork():
@@ -880,7 +897,7 @@ sink.write()
 
     def test_an_interrupt_in_this_process_kills_and_reaps_the_child(self, tmp_path, monkeypatch,
                                                                     capsys, two_cpus):
-        def interrupt(*paths):
+        def interrupt(path):
             raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
@@ -898,7 +915,7 @@ sink.write()
         written = []
         sink = pipeline._Sink(tmp_path)
         for name, values in zip("abcdef", (3, 9, 4, 5, 1, 5)):
-            sink.add((name,), values, lambda path: written.append(path.name) or path.touch())
+            sink.add(name, values, lambda path: written.append(path.name) or path.touch())
         assert sink.write()[1] == tuple("abcdef")
         assert written == list("bdfcae")  # 9, 5, 5 (as registered), 4, 3, 1
 
@@ -920,7 +937,7 @@ sink.write()
 
         sink = pipeline._Sink(tmp_path)
         for i in range(2000):
-            sink.add((f"{i}.txt",), 10, create)
+            sink.add(f"{i}.txt", 10, create)
         monkeypatch.setattr(os, "read", read)
         with self.deadline(60), pipeline._stage("manifest"):
             files = sink.write()[1]
@@ -1280,6 +1297,15 @@ class TestBoundaries:
         for figure in ("loadings.svg", "biplot.svg"):
             svg = (out / "plots" / figure).read_text()
             assert ">capital</text>" in svg and ">f2</text>" in svg and ">f1</text>" not in svg
+
+    def test_an_unretained_second_axis_is_not_named_as_the_first(self, tmp_path):
+        conf = synth_conf(tmp_path, extra="components = fixed:1\ncomponent_labels = f2\n")
+        out = run_pipeline(load_pipeline_config(conf)).output_dir
+        with (out / "plots" / "loadings.csv").open(newline="", encoding="utf-8") as handle:
+            assert csv.DictReader(handle).fieldnames == ["indicator", "f2", "f3"]
+        for figure in ("loadings.svg", "biplot.svg"):
+            svg = (out / "plots" / figure).read_text()
+            assert svg.count(">f2</text>") == 1 and svg.count(">f3</text>") == 1, figure
 
 
 class TestCli:

@@ -13,6 +13,14 @@ checkouts is a `diff` of two outputs:
     python tools/manifests.py . m-change > change.txt
     diff parent.txt change.txt
 
+A change that alters bytes on purpose shows which files it changed: diff
+each config's manifest line by line across the two checkouts, not only
+their hashes. Only the lines of the files it meant to change may differ:
+
+    for config in m-parent/*/; do
+        diff "$config/out/manifest.txt" "m-change/$(basename "$config")/out/manifest.txt"
+    done
+
 The bytes must not depend on the SIMD code numpy dispatches to on this
 CPU, so a second run with the AVX-512 loops disabled prints the same:
 
@@ -41,8 +49,8 @@ an AVX2-only host gets may print other hashes:
 Only the CSVs that carry the correlation matrix, the eigenvectors or the
 scores may differ, in their last digits: variance_table.csv,
 coefficients.csv, loadings.csv, scores.csv, dendrogram_components.csv,
-dendrogram_variables.csv and plots/scree.csv, plots/loadings.csv,
-plots/biplot.csv and plots/dendrograms.csv (and manifest.txt with them).
+dendrogram_variables.csv, plots/loadings.csv and plots/biplot.csv (and
+manifest.txt with them).
 On a BLAS built without DYNAMIC_ARCH the variable does nothing.
 
 The perfbench inputs (seed 7) are written by this checkout's
